@@ -22,7 +22,6 @@ import numpy as np
 
 from .classical import fidelity_optimized
 from .ensembles import Channel, TwoStateEnsemble
-from .optimize import golden_section_max
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -30,7 +29,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 @dataclass(frozen=True)
 class ChannelStrategyReport:
     fidelity: float
-    method: str
     alpha_prime: Optional[float] = None
 
 
@@ -120,26 +118,32 @@ def combined_fidelity(
 
 
 def optimize_combined(ens: TwoStateEnsemble, channel: Channel) -> ChannelStrategyReport:
-    """Maximize the combined fidelity over alpha' in [alpha, 1/sqrt(2)].
+    """Maximize the combined fidelity over alpha' in [alpha, 1/sqrt(2)], in closed form.
 
-    Coarse grid bracketing followed by golden-section refinement to 1e-8 in
-    alpha'; the endpoints are always included as candidates, so the result
-    dominates both the pure direct and pure purification strategies.
+    With x = alpha'^2, s = sin(theta) and K = cos^4(theta/2) + sin^4(theta/2)
+    - F_cl (never positive), the combined fidelity is
+
+        F_cl + (alpha^2 / x) (K + s^2 sqrt(x (1 - x))),
+
+    whose only stationary point, when K < 0, is x* = 4 K^2 / (s^4 + 4 K^2).
+    The candidates alpha, 1/sqrt(2) and sqrt(x*) clipped to the interval are
+    evaluated in that order and the first maximum is reported, so the result
+    dominates both the pure direct and pure purification strategies.  At
+    alpha = 0 every alpha' > 0 gives F_cl, and alpha' = 1/sqrt(2) (filtering
+    that always fails, then the classical fallback) is reported.
     """
     lo, hi = channel.alpha, _INV_SQRT2
-    f = lambda ap: combined_fidelity(ens, channel, ap)
-    if hi - lo < 1e-12:
-        return ChannelStrategyReport(fidelity=f(hi), method="combined", alpha_prime=hi)
-    grid = np.linspace(lo, hi, 201)
-    vals = [f(x) for x in grid]
-    k = int(np.argmax(vals))
-    a, b = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
-    best_x = golden_section_max(f, a, b, tol=1e-8)
-    candidates = [(f(x), x) for x in (lo, best_x, hi)]
-    best_f, best_x = max(candidates, key=lambda t: t[0])
-    return ChannelStrategyReport(
-        fidelity=float(best_f), method="combined", alpha_prime=float(best_x)
+    candidates = [lo, hi]
+    s = np.sin(ens.theta)
+    k = direct_fidelity_state(ens.theta, Channel(0.0)) - fidelity_optimized(ens).fidelity
+    if k < 0.0:
+        x_star = 4.0 * k * k / (s**4 + 4.0 * k * k)
+        candidates.append(float(np.clip(np.sqrt(x_star), lo, hi)))
+    best_f, best_x = max(
+        ((combined_fidelity(ens, channel, x), x) for x in candidates),
+        key=lambda t: t[0],
     )
+    return ChannelStrategyReport(fidelity=float(best_f), alpha_prime=float(best_x))
 
 
 def _check_alpha_prime(channel: Channel, alpha_prime: float) -> None:

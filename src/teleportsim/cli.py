@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError("alpha-steps must be >= 2")
         if self.samples < 100:
             raise ValueError("samples must be >= 100")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _fmt(value: float) -> str:

@@ -31,7 +31,7 @@ class TwoStateEnsemble:
         t = float(self.theta)
         if not (0.0 <= t <= np.pi / 2 + 1e-12):
             raise ValueError(f"theta must lie in [0, pi/2], got {t}")
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", min(t, np.pi / 2))
 
 
 @dataclass(frozen=True)

@@ -163,16 +163,12 @@ def enumerate_classical_strategy(
     return f
 
 
-def simulate_purification_branch(
-    ens: TwoStateEnsemble, channel: Channel, seed: Optional[int] = None
-) -> float:
+def simulate_purification_branch(ens: TwoStateEnsemble, channel: Channel) -> float:
     """Expected fidelity of the purify-then-teleport strategy, by enumeration.
 
     Filtering succeeds with probability 2 alpha^2, after which teleportation
     through the maximal channel is enumerated exactly; on failure the
-    optimized classical strategy is enumerated.  Both branches are exact, so
-    the ``seed`` is accepted only for interface symmetry with the sampling
-    entry points and is never consumed.
+    optimized classical strategy is enumerated.
     """
     from .classical import optimized_strategy
 

@@ -13,8 +13,9 @@ by the same Pauli correction on each of (ancilla, B, C) maps every branch
 exactly onto x*phi0 + y*phi1 for input x|0> + y|1>; the clones are partial
 traces of that state.  The universal choice (a, b, c) =
 (sqrt(2/3), sqrt(1/6), 0) reproduces the symmetric universal cloner; for a
-two-state ensemble the coefficients are instead optimized numerically for
-global clone fidelity.
+two-state ensemble the coefficients maximizing global clone fidelity are the
+top eigenvector of a 3x3 matrix, and the optimal-cloner bound they are
+compared with is the closed form of Bruss et al., PRA 57, 2368 (1998).
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .ensembles import TwoStateEnsemble, make_states
-from .optimize import grid_then_golden_max
 from .protocols import STANDARD_CORRECTION_MATRICES, ProtocolSpec
 from .states import (
     DensityMatrix,
@@ -189,88 +188,39 @@ def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
     return total
 
 
-def _fast_global_fidelity(theta: float, a: float, b: float, c: float) -> float:
-    """Optimizer objective: same quantity as global_clone_fidelity, via the
-    direct cloner map on raw arrays (no protocol, no validation overhead)."""
-    phi0 = np.zeros(8)
-    phi0[0b000], phi0[0b101], phi0[0b110], phi0[0b011] = a, b, b, c
-    phi1 = np.zeros(8)
-    phi1[0b100], phi1[0b001], phi1[0b010], phi1[0b111] = c, b, b, a
-    total = 0.0
-    x, y = np.cos(theta / 2), np.sin(theta / 2)
-    for xx, yy in ((x, y), (y, x)):
-        branch = (xx * phi0 + yy * phi1).reshape(2, 4)
-        rho_bc = branch.T @ branch  # sum over the ancilla index
-        target = np.kron([xx, yy], [xx, yy])
-        total += 0.5 * float(target @ rho_bc @ target)
-    return total
-
-
-_OCTANT_STARTS = tuple(
-    (t, q) for t in (0.12, 0.75, 1.42) for q in (0.12, 0.75, 1.42)
-)
-
-
 def optimize_coeffs(ens: TwoStateEnsemble) -> CloneCoeffs:
     """Coefficients maximizing global clone fidelity for this ensemble.
 
-    The constraint surface a^2 + 2b^2 + c^2 = 1 with nonnegative entries is
-    parametrized by two sphere angles; a fixed set of starts is refined with
-    SLSQP, so the result is deterministic.  theta = pi/2 is degenerate (the
-    signal states coincide) but still well-defined; the optimizer returns
-    the fidelity-1 coefficients (1/2, 1/2, 1/2) there.
+    On the constraint surface the global fidelity is the quadratic form
+    u^T M u on unit vectors u = (a, sqrt(2) b, c), with M = m1 m1^T + m2 m2^T,
+
+        m1 = (x^3, sqrt(2) x y^2, x y^2),  m2 = (y^3, sqrt(2) x^2 y, x^2 y),
+
+    x = cos(theta/2), y = sin(theta/2).  The maximizer is the top eigenvector
+    of M; M is nonnegative, so by Perron-Frobenius that eigenvector can be
+    taken entrywise nonnegative.  theta = 0 gives (1, 0, 0) and theta = pi/2,
+    where the signal states coincide, the fidelity-1 choice (1/2, 1/2, 1/2).
     """
-    theta = ens.theta
-
-    def neg(p):
-        t, q = p
-        u = (np.cos(t), np.sin(t) * np.cos(q), np.sin(t) * np.sin(q))
-        return -_fast_global_fidelity(theta, u[0], u[1] / _SQRT2, u[2])
-
-    best = None
-    for start in _OCTANT_STARTS:
-        res = minimize(
-            neg,
-            start,
-            method="SLSQP",
-            bounds=((0.0, np.pi / 2), (0.0, np.pi / 2)),
-            options={"ftol": 1e-14, "maxiter": 300},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    t, q = best.x
-    u = np.array([np.cos(t), np.sin(t) * np.cos(q) / _SQRT2, np.sin(t) * np.sin(q)])
-    u = np.clip(u, 0.0, None)
-    u /= np.sqrt(u[0] ** 2 + 2 * u[1] ** 2 + u[2] ** 2)
-    return CloneCoeffs(u[0], u[1], u[2])
+    x, y = np.cos(ens.theta / 2), np.sin(ens.theta / 2)
+    m1 = np.array([x**3, _SQRT2 * x * y**2, x * y**2])
+    m2 = np.array([y**3, _SQRT2 * x**2 * y, x**2 * y])
+    _, vecs = np.linalg.eigh(np.outer(m1, m1) + np.outer(m2, m2))
+    u = np.abs(vecs[:, -1])
+    return CloneCoeffs(u[0], u[1] / _SQRT2, u[2])
 
 
 def optimal_global_fidelity(ens: TwoStateEnsemble) -> float:
     """Best global fidelity of any 1-to-2 cloner for this ensemble.
 
-    Maximizes (|<psi1 psi1|chi1>|^2 + |<psi2 psi2|chi2>|^2)/2 over pure
-    two-qubit outputs chi_j constrained by <chi1|chi2> = <psi1|psi2> (the
-    isometry condition).  The outputs are taken in the real span of
-    {|00>, (|01>+|10>)/sqrt(2), |11>} with chi2 the 0<->1 mirror of chi1,
-    which spot checks against unrestricted optimization confirm is lossless.
-    With that reduction the feasible set is a one-parameter curve, scanned
-    coarsely and refined by golden-section search.
+    The optimal two-state cloner of Bruss et al., PRA 57, 2368 (1998):
+
+        (1 + s^3 + sqrt(1 - s^2) sqrt(1 - s^4)) / 2,  s = sin(theta),
+
+    the maximum of (|<psi1 psi1|chi1>|^2 + |<psi2 psi2|chi2>|^2)/2 over
+    two-qubit outputs with <chi1|chi2> = <psi1|psi2>.
     """
-    theta = ens.theta
-    k = np.sin(theta)
-    x, y = np.cos(theta / 2), np.sin(theta / 2)
-    target = np.array([x * x, _SQRT2 * x * y, y * y])
-    radius = np.sqrt((1.0 + k) / 2.0)
-    off = np.sqrt(max(1.0 - k, 0.0) / 2.0)
-
-    def value(s: float) -> float:
-        q = radius * np.cos(s)
-        u = radius * np.sin(s)
-        chi = np.array([(u + off) / _SQRT2, q, (u - off) / _SQRT2])
-        return float((target @ chi) ** 2)
-
-    best_s = grid_then_golden_max(value, 0.0, 2.0 * np.pi, coarse=721, tol=1e-10)
-    return value(best_s)
+    s = np.sin(ens.theta)
+    return float(0.5 * (1.0 + s**3 + np.sqrt(1.0 - s**2) * np.sqrt(1.0 - s**4)))
 
 
 def alice_receivers_entanglement(system: TelecloningSystem) -> float:

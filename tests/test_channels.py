@@ -102,8 +102,16 @@ class TestPurification:
         assert abs(purification_fidelity_two_state(PI4, Channel.maximal()) - 1.0) < 1e-12
 
     def test_two_state_zero_entanglement_reduces_to_classical(self):
-        expected = fidelity_optimized(PI4).fidelity
-        assert abs(purification_fidelity_two_state(PI4, Channel(0.0)) - expected) < 1e-12
+        for theta in (np.pi / 4, np.pi / 2):
+            ens = TwoStateEnsemble(theta)
+            expected = fidelity_optimized(ens).fidelity
+            assert abs(purification_fidelity_two_state(ens, Channel(0.0)) - expected) < 1e-12
+            # every alpha' > 0 filters with probability 0, so the combined optimum
+            # is the purification strategy: always fail, then the classical fallback
+            with np.errstate(divide="raise", invalid="raise"):
+                report = optimize_combined(ens, Channel(0.0))
+            assert report.fidelity == expected
+            assert report.alpha_prime == 1 / np.sqrt(2)
 
     def test_two_state_value(self):
         assert abs(purification_fidelity_two_state(PI4, CH03) - 0.9732050807568877) < 1e-12
@@ -158,16 +166,21 @@ class TestCombined:
 
 class TestOptimizeCombined:
     def test_maximal_channel(self):
-        report = optimize_combined(PI4, Channel.maximal())
-        assert abs(report.fidelity - 1.0) < 1e-12
-        assert abs(report.alpha_prime - 1 / np.sqrt(2)) < 1e-12
+        for theta in (0.0, np.pi / 4, np.pi / 2):
+            with np.errstate(divide="raise", invalid="raise"):
+                report = optimize_combined(TwoStateEnsemble(theta), Channel.maximal())
+            assert abs(report.fidelity - 1.0) < 1e-12
+            assert abs(report.alpha_prime - 1 / np.sqrt(2)) < 1e-12
 
     def test_orthogonal_ensemble_stays_at_alpha(self):
+        # theta = 0 makes s = K = 0, where the stationary point would be 0/0
         ens = TwoStateEnsemble(0.0)
-        c = Channel(0.3)
-        report = optimize_combined(ens, c)
-        assert abs(report.fidelity - 1.0) < 1e-12
-        assert abs(report.alpha_prime - c.alpha) < 1e-12
+        for alpha in (0.0, 0.3, 1 / np.sqrt(2)):
+            c = Channel(alpha)
+            with np.errstate(divide="raise", invalid="raise"):
+                report = optimize_combined(ens, c)
+            assert abs(report.fidelity - 1.0) < 1e-12
+            assert abs(report.alpha_prime - c.alpha) < 1e-12
 
     def test_matches_dense_grid_oracle(self):
         report = optimize_combined(PI4, CH02)

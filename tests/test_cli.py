@@ -1,8 +1,12 @@
 import io
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import teleportsim
 from teleportsim.cli import (
     RunConfig,
     cmd_fig_channel,
@@ -148,8 +152,12 @@ class TestMainEntry:
         captured = capsys.readouterr().out
         assert "alpha_sq,f_direct_avg,f_purif_unknown" in captured
 
-    def test_exit_code_2_on_bad_config(self):
-        assert main(["fig-classical", "--theta-steps", "1"]) == 2
+    def test_exit_code_2_on_bad_config(self, capsys):
+        for argv in (["fig-classical", "--theta-steps", "1"], ["verify", "--seed", "-1"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_exit_code_2_on_bad_theta(self):
         assert main(["fig-channel", "--theta", "9.0"]) == 2
@@ -178,8 +186,23 @@ class TestRunConfigValidation:
             {"theta_steps": 1},
             {"alpha_steps": 0},
             {"samples": 10},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(command="fig-classical", **kwargs)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: the installed command must not need it
+    src = os.path.dirname(os.path.dirname(teleportsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, teleportsim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

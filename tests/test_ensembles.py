@@ -102,6 +102,9 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError):
             TwoStateEnsemble(theta)
 
+    def test_clamps_theta_within_tolerance(self):
+        assert TwoStateEnsemble(np.pi / 2 + 1e-12).theta == np.pi / 2
+
 
 class TestChannel:
     def test_beta_completes_normalization(self):

@@ -145,11 +145,6 @@ class TestPurificationBranch:
         got = simulate_purification_branch(PI4, Channel(np.sqrt(0.3)))
         assert abs(got - 0.9732050807568877) < 1e-12
 
-    def test_seed_is_irrelevant_for_exact_result(self):
-        a = simulate_purification_branch(PI4, Channel(0.4), seed=1)
-        b = simulate_purification_branch(PI4, Channel(0.4), seed=999)
-        assert a == b
-
 
 class TestClassicalEnumeration:
     def test_min_error_strategy(self):
