@@ -33,6 +33,10 @@ from .rng import GENERATOR_NAME
 from .verification import VerifyConfig, run_checks
 
 
+# Size caps: a mistyped value exits 2 at once instead of running for hours.
+_MAX_STEPS, _MAX_SAMPLES = 10**5, 10**9
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -46,12 +50,12 @@ class RunConfig:
     tamper: bool = False
 
     def __post_init__(self):
-        if self.theta_steps < 2:
-            raise ValueError("theta-steps must be >= 2")
-        if self.alpha_steps < 2:
-            raise ValueError("alpha-steps must be >= 2")
-        if self.samples < 100:
-            raise ValueError("samples must be >= 100")
+        if not 2 <= self.theta_steps <= _MAX_STEPS:
+            raise ValueError(f"theta-steps must be in [2, {_MAX_STEPS}]")
+        if not 2 <= self.alpha_steps <= _MAX_STEPS:
+            raise ValueError(f"alpha-steps must be in [2, {_MAX_STEPS}]")
+        if not 100 <= self.samples <= _MAX_SAMPLES:
+            raise ValueError(f"samples must be in [100, {_MAX_SAMPLES}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

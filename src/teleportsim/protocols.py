@@ -28,8 +28,7 @@ from .states import (
     PAULI_X,
     PAULI_Z,
     PureState,
-    apply_local,
-    bell_measure,
+    _measure_and_correct,
     fidelity,
     partial_trace,
     tensor,
@@ -41,6 +40,7 @@ STANDARD_CORRECTION_MATRICES = {
     3: PAULI_X,
     4: PAULI_Z @ PAULI_X,
 }
+_STANDARD_CORRECTIONS = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_MATRICES.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,13 +71,10 @@ class ProtocolSpec:
 
 def standard_teleportation(channel: Channel) -> ProtocolSpec:
     """One-qubit teleportation through ``channel`` with standard corrections."""
-    corrections = {
-        k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_MATRICES.items()
-    }
     return ProtocolSpec(
         resource_state=channel_state(channel),
         measured_pair=(0, 1),
-        corrections=corrections,
+        corrections=_STANDARD_CORRECTIONS,
         evaluation_targets=(0,),
     )
 
@@ -89,17 +86,14 @@ def _branch_table(input_state: PureState, spec: ProtocolSpec, target: PureState)
     if len(target.amplitudes) != 2 ** len(spec.evaluation_targets):
         raise ValueError("target dimension does not match evaluation_targets")
     rows = []
-    for outcome in bell_measure(joint, spec.measured_pair):
-        if outcome.post_state is None:
-            rows.append((outcome.probability, 0.0))
-            continue
-        corrected = apply_local(spec.corrections[outcome.index], outcome.post_state)
-        if spec.evaluation_targets == tuple(range(n_rem)):
+    for p, corrected in _measure_and_correct(joint, spec.measured_pair, spec.corrections):
+        if corrected is None:
+            f = 0.0
+        elif spec.evaluation_targets == tuple(range(n_rem)):
             f = fidelity(target, corrected)
         else:
-            reduced = partial_trace(corrected.density(), spec.evaluation_targets)
-            f = fidelity(target, reduced)
-        rows.append((outcome.probability, f))
+            f = fidelity(target, partial_trace(corrected.density(), spec.evaluation_targets))
+        rows.append((p, f))
     return rows
 
 

@@ -5,11 +5,16 @@ package is five qubits (dimension 32), so there is no point in sparse
 machinery.  Qubit ordering is big-endian throughout: qubit 0 is the most
 significant bit of the amplitude index, e.g. ``|1>|0>`` has amplitudes
 ``(0, 0, 1, 0)``.
+
+Fixed operators are built once (a LocalOperator caches its read-only matrix;
+correction sets are module constants), and every object the public API
+returns still goes through its validating constructor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -117,6 +122,7 @@ class LocalOperator:
         if not fs:
             raise ValueError("LocalOperator needs at least one factor")
         object.__setattr__(self, "factors", tuple(fs))
+        object.__setattr__(self, "_matrix", _read_only(reduce(np.kron, fs)))
 
     @property
     def n_qubits(self) -> int:
@@ -139,10 +145,8 @@ class LocalOperator:
         return cls(tuple(matrix for _ in range(n_qubits)))
 
     def matrix(self) -> np.ndarray:
-        out = np.array([[1.0 + 0j]])
-        for f in self.factors:
-            out = np.kron(out, f)
-        return out
+        """The full 2^n x 2^n matrix, built once and read-only."""
+        return self._matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +165,7 @@ class BellOutcome:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Product state of ``a`` (leading qubits) and ``b`` (trailing qubits)."""
-    return PureState(np.kron(a.amplitudes, b.amplitudes))
+    return PureState(np.outer(a.amplitudes, b.amplitudes).ravel())
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -195,6 +199,16 @@ def bell_measure(state: PureState, pair: tuple) -> list:
     projections; post-states keep the relative order of the remaining
     qubits.
     """
+    rows = _measure_and_correct(state, pair)
+    return [BellOutcome(k + 1, p, post) for k, (p, post) in enumerate(rows)]
+
+
+def _measure_and_correct(state: PureState, pair: tuple, corrections=None) -> list:
+    """(probability, post-state) per Bell outcome on ``pair``, as in bell_measure.
+
+    The measure-and-correct kernel of every protocol: one matmul projects onto
+    all four Bell vectors; ``corrections[k]``, if given, acts on outcome k.
+    """
     i, j = int(pair[0]), int(pair[1])
     n = state.n_qubits
     if i == j:
@@ -203,15 +217,17 @@ def bell_measure(state: PureState, pair: tuple) -> list:
         raise ValueError(f"pair {pair} out of range for {n} qubits")
     t = state.amplitudes.reshape([2] * n)
     t = np.moveaxis(t, (i, j), (0, 1)).reshape(4, -1)
-    outcomes = []
-    for k in range(4):
-        residual = BELL_VECTORS[k].conj() @ t
+    rows = []
+    for k, residual in enumerate(BELL_VECTORS.conj() @ t):
         p = float(np.vdot(residual, residual).real)
         post = None
         if n > 2 and p > 1e-30:
-            post = PureState(residual / np.sqrt(p))
-        outcomes.append(BellOutcome(index=k + 1, probability=p, post_state=post))
-    return outcomes
+            post = residual / np.sqrt(p)
+            if corrections is not None:
+                post = corrections[k + 1].matrix() @ post
+            post = PureState(post)
+        rows.append((p, post))
+    return rows
 
 
 def apply_local(op: LocalOperator, state: PureState) -> PureState:

@@ -30,8 +30,7 @@ from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
-    apply_local,
-    bell_measure,
+    _measure_and_correct,
     fidelity,
     partial_trace,
     tensor,
@@ -39,6 +38,9 @@ from .states import (
 )
 
 _SQRT2 = np.sqrt(2.0)
+_CLONE_CORRECTIONS = {
+    k: LocalOperator.uniform(3, m) for k, m in STANDARD_CORRECTION_MATRICES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -74,9 +76,7 @@ class TelecloningSystem:
             self.state.amplitudes - expected
         ).max() > 1e-12:
             raise ValueError("state does not match the coefficient construction")
-        rho = self.state.density()
-        for q in range(4):
-            reduced = partial_trace(rho, (q,)).elements
+        for q, reduced in enumerate(_qubit_marginals(self.state.amplitudes)):
             if np.abs(reduced - np.eye(2) / 2).max() > 1e-10:
                 raise ValueError(f"qubit {q} reduced state is not I/2")
 
@@ -104,6 +104,12 @@ def _phi_pair(coeffs: CloneCoeffs):
     phi1 = np.zeros(8)
     phi1[0b100], phi1[0b001], phi1[0b010], phi1[0b111] = c, b, b, a
     return phi0, phi1
+
+
+def _qubit_marginals(amplitudes: np.ndarray) -> list:
+    """The four one-qubit reduced density matrices of a 4-qubit pure state."""
+    ms = [np.moveaxis(amplitudes.reshape(2, 2, 2, 2), q, 0).reshape(2, 8) for q in range(4)]
+    return [m @ m.conj().T for m in ms]
 
 
 def _telecloning_amplitudes(coeffs: CloneCoeffs) -> np.ndarray:
@@ -135,13 +141,10 @@ def apply_cloner(input_state: PureState, coeffs: CloneCoeffs) -> PureState:
 
 def protocol_spec(system: TelecloningSystem, targets=(0, 1, 2)) -> ProtocolSpec:
     """Telecloning as a generic protocol, for enumeration cross-checks."""
-    corrections = {
-        k: LocalOperator.uniform(3, m) for k, m in STANDARD_CORRECTION_MATRICES.items()
-    }
     return ProtocolSpec(
         resource_state=system.state,
         measured_pair=(0, 1),
-        corrections=corrections,
+        corrections=_CLONE_CORRECTIONS,
         evaluation_targets=tuple(targets),
     )
 
@@ -157,17 +160,10 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
     if input_state.n_qubits != 1:
         raise ValueError("telecloning input must be a single qubit")
     joint = tensor(input_state, system.state)
-    per = []
-    averaged = np.zeros((8, 8), dtype=complex)
-    for outcome in bell_measure(joint, (0, 1)):
-        op = LocalOperator.uniform(3, STANDARD_CORRECTION_MATRICES[outcome.index])
-        corrected = apply_local(op, outcome.post_state)
-        per.append((outcome.probability, corrected))
-        amp = corrected.amplitudes
-        averaged += outcome.probability * np.outer(amp, amp.conj())
-    rho = DensityMatrix(averaged)
+    per = tuple(_measure_and_correct(joint, (0, 1), _CLONE_CORRECTIONS))
+    rho = DensityMatrix(sum(p * np.outer(c.amplitudes, c.amplitudes.conj()) for p, c in per))
     return TelecloneResult(
-        per_outcome=tuple(per),
+        per_outcome=per,
         clone_b=partial_trace(rho, (1,)),
         clone_c=partial_trace(rho, (2,)),
         joint_clones=partial_trace(rho, (1, 2)),

@@ -194,6 +194,36 @@ class TestRunConfigValidation:
             RunConfig(command="fig-classical", **kwargs)
 
 
+class TestSizeCaps:
+    # documented caps: 10^5 grid steps and 10^9 samples
+    CAPS = {"theta_steps": 100_000, "alpha_steps": 100_000, "samples": 1_000_000_000}
+
+    def test_caps_accepted_and_cap_plus_one_rejected(self):
+        for name, cap in self.CAPS.items():
+            assert getattr(RunConfig(command="verify", **{name: cap}), name) == cap
+            with pytest.raises(ValueError, match=str(cap)):
+                RunConfig(command="verify", **{name: cap + 1})
+
+    def test_main_exits_2_above_cap_without_running(self, capsys, monkeypatch):
+        import teleportsim.cli as cli
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("command ran past an out-of-range size")
+
+        for name in ("cmd_verify", "cmd_fig_classical", "cmd_fig_channel", "cmd_fig_telecloning"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        for argv in (
+            ["fig-classical", "--theta-steps", "100001"],
+            ["fig-telecloning", "--theta-steps", "100001"],
+            ["fig-channel", "--alpha-steps", "100001"],
+            ["verify", "--samples", "1000000001"],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency: the installed command must not need it
     src = os.path.dirname(os.path.dirname(teleportsim.__file__))

@@ -242,6 +242,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             LocalOperator((np.array([[1.0, 0.0], [0.0, 2.0]]),))
 
+    def test_local_operator_matrix_is_read_only_kron_chain(self):
+        # the cached matrix is shared by every protocol run, so writes must fail
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3):
+            op = random_local_unitary(rng, n)
+            chain = np.array([[1.0 + 0j]])
+            for f in op.factors:
+                chain = np.kron(chain, f)
+            m = op.matrix()
+            assert m is op.matrix()
+            assert np.abs(m - chain).max() < 1e-15
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+
     def test_states_are_immutable(self):
         with pytest.raises((ValueError, RuntimeError)):
             ZERO.amplitudes[0] = 0.0
