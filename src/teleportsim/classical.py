@@ -231,8 +231,6 @@ def unknown_state_classical_fidelity(
     ``fixed_input`` the input distribution is concentrated on that state
     instead (degenerate test mode).
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     sizes = rngmod.chunk_sizes(samples)
     gens = rngmod.substreams(seed, len(sizes))
     total = 0.0

@@ -23,7 +23,15 @@ def substreams(seed: int, count: int):
 
 
 def chunk_sizes(total: int, chunk: int = DEFAULT_CHUNK):
-    """Fixed partition of ``total`` samples into chunks of at most ``chunk``."""
+    """Fixed partition of ``total`` samples into chunks of at most ``chunk``.
+
+    ``total`` must be an integer >= 1; a bool or a float, even an integral
+    one, raises ValueError.
+    """
+    if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {total!r}")
+    if total < 1:
+        raise ValueError("samples must be >= 1")
     sizes = [chunk] * (total // chunk)
     if total % chunk:
         sizes.append(total % chunk)

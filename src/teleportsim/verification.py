@@ -327,7 +327,9 @@ def check_reproducibility(cfg):
     psi1, _ = make_states(ens)
     a = pr.mc_protocol_fidelity(psi1, spec, 10_000, cfg.seed)
     b = pr.mc_protocol_fidelity(psi1, spec, 10_000, cfg.seed)
-    ok = a == b
+    haar_a = pr.mc_haar_average_fidelity(c, 10_000, cfg.seed)
+    haar_b = pr.mc_haar_average_fidelity(c, 10_000, cfg.seed)
+    ok = a == b and haar_a == haar_b
     return ok, "identical (spec, samples, seed) gives bit-identical results"
 
 

@@ -4,18 +4,23 @@
 ``states.bell_measure`` and ``protocols._branch_table`` ran before the kernel:
 one Bell vector at a time, a validated post-state per outcome, then
 ``apply_local`` and ``fidelity``/``partial_trace``.  ``reference_teleclone``
-is the matching loop of ``telecloning.teleclone``.
+is the matching loop of ``telecloning.teleclone``.  ``_mc_haar_reference`` is
+the per-outcome einsum loop, with its one-pass variance, that
+``protocols.mc_haar_average_fidelity`` ran before the transfer operators.
 """
 
 import numpy as np
 import pytest
 
+from teleportsim import rng as rngmod
 from teleportsim import telecloning
-from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
+from teleportsim.ensembles import Channel, TwoStateEnsemble, channel_state, make_states
 from teleportsim.protocols import (
     STANDARD_CORRECTION_MATRICES,
     _branch_table,
+    _transfer_operators,
     enumerate_protocol_fidelity,
+    mc_haar_average_fidelity,
     standard_teleportation,
 )
 from teleportsim.states import (
@@ -106,6 +111,29 @@ def reference_teleclone(input_state, system):
         per.append((p, amp))
         averaged += p * np.outer(amp, amp.conj())
     return per, DensityMatrix(averaged)
+
+
+def _mc_haar_reference(channel, samples, seed):
+    """(mean, stderr) of Haar-input teleportation, one Bell vector at a time."""
+    resource = channel_state(channel).amplitudes
+    corrs = [STANDARD_CORRECTION_MATRICES[k] for k in (1, 2, 3, 4)]
+    sizes = rngmod.chunk_sizes(samples)
+    total = 0.0
+    total_sq = 0.0
+    for size, gen in zip(sizes, rngmod.substreams(seed, len(sizes))):
+        z = rngmod.haar_qubits(gen, size)
+        # joint index = 4*b0 + 2*b1 + b2; reshape exposes the (b0,b1) pair
+        joint = (z[:, :, None] * resource[None, None, :]).reshape(size, 4, 2)
+        f = np.zeros(size)
+        for k in range(4):
+            residual = np.einsum("p,mpj->mj", BELL_VECTORS[k].conj(), joint)
+            corrected = residual @ corrs[k].T
+            f += np.abs(np.einsum("mj,mj->m", z.conj(), corrected)) ** 2
+        total += float(f.sum())
+        total_sq += float((f**2).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
+    return mean, float(np.sqrt(var / samples))
 
 
 def assert_rows_match(got, expected):
@@ -228,3 +256,45 @@ class TestMarginalCheck:
         monkeypatch.setattr(telecloning, "_telecloning_amplitudes", lambda _: state.amplitudes)
         with pytest.raises(ValueError, match="is not I/2"):
             TelecloningSystem(state=state, coeffs=universal_coeffs())
+
+
+class TestHaarTransferOperators:
+    HAAR_ALPHAS = (0.0, 0.3, np.sqrt(0.3), 1 / np.sqrt(2))
+
+    def test_matches_reference_loop(self):
+        with np.errstate(divide="raise", invalid="raise"):
+            for alpha in self.HAAR_ALPHAS:
+                channel = Channel(alpha)
+                for seed in (1, 99, 7919):
+                    for samples in (100, 65_536, 65_537, 200_000):
+                        mean, stderr = mc_haar_average_fidelity(channel, samples, seed)
+                        mean_ref, stderr_ref = _mc_haar_reference(channel, samples, seed)
+                        assert abs(mean - mean_ref) < 1e-12
+                        # at the maximal channel the reference's one-pass
+                        # variance is cancellation noise (up to 1e-9)
+                        if alpha != 1 / np.sqrt(2):
+                            assert abs(stderr - stderr_ref) < 1e-12
+
+    def test_repeat_is_bit_identical(self):
+        for alpha in self.HAAR_ALPHAS:
+            for samples, seed in ((100, 1), (65_537, 99)):
+                first = mc_haar_average_fidelity(Channel(alpha), samples, seed)
+                assert mc_haar_average_fidelity(Channel(alpha), samples, seed) == first
+
+    def test_operators_are_complete(self):
+        with np.errstate(divide="raise", invalid="raise"):
+            for alpha in ALPHAS:
+                t = _transfer_operators(Channel(alpha))
+                assert t.shape == (4, 2, 2)
+                total = sum(tk.conj().T @ tk for tk in t)
+                assert np.abs(total - np.eye(2)).max() < 1e-14
+
+    def test_maximal_channel_operators_are_half_identity(self):
+        for tk in _transfer_operators(Channel.maximal()):
+            assert np.abs(tk - np.eye(2) / 2).max() < 1e-15
+
+    def test_zero_columns_for_empty_branches_at_alpha_zero(self):
+        # |0> (x) |11> has no phi+/phi- weight and |1> (x) |11> no psi+/psi- weight
+        t = _transfer_operators(Channel(0.0))
+        for k, b in ((0, 0), (1, 0), (2, 1), (3, 1)):
+            assert np.all(t[k, :, b] == 0)

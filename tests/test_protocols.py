@@ -9,6 +9,7 @@ from teleportsim.classical import (
     optimized_strategy,
     projective_guess_strategy,
     unambiguous_strategy,
+    unknown_state_classical_fidelity,
 )
 from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.protocols import (
@@ -21,6 +22,7 @@ from teleportsim.protocols import (
     simulate_purification_branch,
     standard_teleportation,
 )
+from teleportsim.rng import chunk_sizes
 from teleportsim.states import LocalOperator, PureState
 
 PI4 = TwoStateEnsemble(np.pi / 4)
@@ -190,6 +192,63 @@ class TestHaarAverage:
         assert mc_haar_average_fidelity(c, 20_000, seed=8) == mc_haar_average_fidelity(
             c, 20_000, seed=8
         )
+
+    def test_maximal_channel_stderr_is_free_of_cancellation(self):
+        # every per-sample fidelity is 1 up to rounding, so a one-pass variance
+        # (sum f^2 / n - mean^2) would leave cancellation noise of up to 1.8e-9
+        for samples in (100, 10_000, 65_537):
+            for seed in range(4):
+                mean, stderr = mc_haar_average_fidelity(Channel.maximal(), samples, seed)
+                assert abs(mean - 1.0) < 1e-12
+                assert stderr < 1e-14
+
+    def test_product_channel_is_the_classical_estimator(self):
+        # at alpha = 0 teleportation measures and prepares in the computational
+        # basis, and both estimators score the same Haar draws
+        for seed in (3, 99, 7919):
+            mean, _ = mc_haar_average_fidelity(Channel(0.0), 200_000, seed)
+            assert abs(mean - unknown_state_classical_fidelity(200_000, seed)) < 1e-12
+
+    def test_rejects_tiny_sample_counts(self):
+        with pytest.raises(ValueError):
+            mc_haar_average_fidelity(Channel(0.5), 99, seed=0)
+
+
+def _estimators():
+    spec = standard_teleportation(Channel(0.5))
+    psi1, _ = make_states(PI4)
+    return {
+        "haar": lambda n: mc_haar_average_fidelity(Channel(0.5), n, 0),
+        "protocol": lambda n: mc_protocol_fidelity(psi1, spec, n, 0),
+        "unknown": lambda n: unknown_state_classical_fidelity(n, 0),
+    }
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
+    @pytest.mark.parametrize(
+        "samples",
+        [1e6, 1000.0, 1000.5, True, np.True_, "1000"],
+        ids=["1e6", "1000.0", "1000.5", "True", "np.True_", "str"],
+    )
+    def test_rejects_non_integer_samples(self, estimator, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            _estimators()[estimator](samples)
+
+    @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
+    def test_accepts_numpy_integers(self, estimator):
+        run = _estimators()[estimator]
+        assert run(np.int64(1000)) == run(1000)
+
+    def test_chunk_sizes_rejects_totals_below_one(self):
+        for total in (0, -1, np.int64(0)):
+            with pytest.raises(ValueError, match=">= 1"):
+                chunk_sizes(total)
+
+    def test_chunk_partition_is_unchanged(self):
+        assert chunk_sizes(1) == [1]
+        assert chunk_sizes(65_536) == [65_536]
+        assert chunk_sizes(200_000) == [65_536] * 3 + [3_392]
 
 
 class TestCorrectionsTable:
