@@ -32,9 +32,9 @@ from .states import (
     PAULI_X,
     PAULI_Z,
     PureState,
+    _marginal_fidelity,
     _measure_and_correct,
     fidelity,
-    partial_trace,
     tensor,
 )
 
@@ -96,7 +96,9 @@ def _branch_table(input_state: PureState, spec: ProtocolSpec, target: PureState)
         elif spec.evaluation_targets == tuple(range(n_rem)):
             f = fidelity(target, corrected)
         else:
-            f = fidelity(target, partial_trace(corrected.density(), spec.evaluation_targets))
+            f = _marginal_fidelity(
+                corrected.amplitudes, target.amplitudes, spec.evaluation_targets
+            )
         rows.append((p, f))
     return rows
 

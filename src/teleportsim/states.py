@@ -168,14 +168,20 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(np.outer(a.amplitudes, b.amplitudes).ravel())
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the qubits in ``keep`` (ascending original order)."""
-    n = rho.n_qubits
+def _kept_qubits(keep: Iterable[int], n: int) -> list:
+    """``keep`` as an ascending list, checked to be a nonempty proper subset."""
     kept = sorted(set(int(q) for q in keep))
     if any(q < 0 or q >= n for q in kept):
         raise ValueError(f"keep indices {kept} out of range for {n} qubits")
     if not kept or len(kept) == n:
         raise ValueError("keep must be a nonempty proper subset of the qubits")
+    return kept
+
+
+def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced state on the qubits in ``keep`` (ascending original order)."""
+    n = rho.n_qubits
+    kept = _kept_qubits(keep, n)
     t = rho.elements.reshape([2] * (2 * n))
     for q in sorted(set(range(n)) - set(kept), reverse=True):
         t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
@@ -215,8 +221,8 @@ def _measure_and_correct(state: PureState, pair: tuple, corrections=None) -> lis
         raise ValueError("measured pair must be two distinct qubits")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"pair {pair} out of range for {n} qubits")
-    t = state.amplitudes.reshape([2] * n)
-    t = np.moveaxis(t, (i, j), (0, 1)).reshape(4, -1)
+    rest = [q for q in range(n) if q != i and q != j]
+    t = state.amplitudes.reshape([2] * n).transpose([i, j] + rest).reshape(4, -1)
     rows = []
     for k, residual in enumerate(BELL_VECTORS.conj() @ t):
         p = float(np.vdot(residual, residual).real)
@@ -228,6 +234,23 @@ def _measure_and_correct(state: PureState, pair: tuple, corrections=None) -> lis
             post = PureState(post)
         rows.append((p, post))
     return rows
+
+
+def _marginal_fidelity(amplitudes: np.ndarray, target: np.ndarray, keep) -> float:
+    """<target| Tr_rest |c><c| |target> of the amplitude vector c, as partial_trace.
+
+    ``keep`` names the scored qubits (ascending original order, as in
+    partial_trace).  The value is ||(I_rest (x) <target|_keep) c||^2, computed on
+    the amplitudes with no density matrix.
+    """
+    n = _n_qubits_for(amplitudes.size)
+    kept = _kept_qubits(keep, n)
+    if target.size != 2 ** len(kept):
+        raise ValueError("dimension mismatch")
+    rest = [q for q in range(n) if q not in kept]
+    m = amplitudes.reshape([2] * n).transpose(rest + kept).reshape(2 ** len(rest), -1)
+    v = m @ target.conj()
+    return float(np.vdot(v, v).real)
 
 
 def apply_local(op: LocalOperator, state: PureState) -> PureState:

@@ -11,7 +11,15 @@ on qubits ordered (port, ancilla, clone B, clone C), where
 and phi1 is its 0<->1 mirror.  A Bell measurement on (input, port) followed
 by the same Pauli correction on each of (ancilla, B, C) maps every branch
 exactly onto x*phi0 + y*phi1 for input x|0> + y|1>; the clones are partial
-traces of that state.  The universal choice (a, b, c) =
+traces of that state.  The global clone fidelity scores each corrected
+branch c_k (probability p_k) on its amplitudes,
+
+    (1/2) sum_j sum_k p_k ||(I_ancilla (x) <psi_j psi_j|_BC) c_k||^2,
+
+which equals (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> without
+building rho_BC; it is still a full protocol run, and verify's
+teleclone-faithfulness check compares it with the direct cloner map
+(``apply_cloner``).  The universal choice (a, b, c) =
 (sqrt(2/3), sqrt(1/6), 0) reproduces the symmetric universal cloner; for a
 two-state ensemble the coefficients maximizing global clone fidelity are the
 top eigenvector of a 3x3 matrix, and the optimal-cloner bound they are
@@ -30,8 +38,8 @@ from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
+    _marginal_fidelity,
     _measure_and_correct,
-    fidelity,
     partial_trace,
     tensor,
     von_neumann_entropy,
@@ -108,7 +116,7 @@ def _phi_pair(coeffs: CloneCoeffs):
 
 def _qubit_marginals(amplitudes: np.ndarray) -> list:
     """The four one-qubit reduced density matrices of a 4-qubit pure state."""
-    ms = [np.moveaxis(amplitudes.reshape(2, 2, 2, 2), q, 0).reshape(2, 8) for q in range(4)]
+    ms = [amplitudes.reshape(2**q, 2, -1).transpose(1, 0, 2).reshape(2, 8) for q in range(4)]
     return [m @ m.conj().T for m in ms]
 
 
@@ -173,14 +181,23 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
 def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
     """Ensemble-averaged overlap of the joint clone state with the ideal pair.
 
-    (1/2) sum_j <psi_j psi_j| rho_joint^(j) |psi_j psi_j>, with rho_joint^(j)
-    obtained by running the full telecloning protocol on psi_j.
+    (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j>, with rho_BC^(j) the
+    clones' joint state after the full telecloning protocol on psi_j.  Each
+    corrected branch c_k (probability p_k) is scored on its amplitudes,
+
+        <psi_j psi_j| rho_BC^(j) |psi_j psi_j>
+            = sum_k p_k ||(I_ancilla (x) <psi_j psi_j|_BC) c_k||^2,
+
+    so no density matrix is built; verify's teleclone-faithfulness check
+    compares the result with the direct cloner map.
     """
     system = build_telecloning_state(coeffs)
     total = 0.0
     for psi in make_states(ens):
-        result = teleclone(psi, system)
-        total += 0.5 * fidelity(tensor(psi, psi), result.joint_clones)
+        pair = np.outer(psi.amplitudes, psi.amplitudes).ravel()
+        joint = tensor(psi, system.state)
+        for p, corrected in _measure_and_correct(joint, (0, 1), _CLONE_CORRECTIONS):
+            total += 0.5 * p * _marginal_fidelity(corrected.amplitudes, pair, (1, 2))
     return total
 
 

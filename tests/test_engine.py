@@ -7,13 +7,16 @@ one Bell vector at a time, a validated post-state per outcome, then
 is the matching loop of ``telecloning.teleclone``.  ``_mc_haar_reference`` is
 the per-outcome einsum loop, with its one-pass variance, that
 ``protocols.mc_haar_average_fidelity`` ran before the transfer operators.
+``reference_global_clone_fidelity`` is the density-matrix route that
+``telecloning.global_clone_fidelity`` took before it scored branches on
+their amplitudes: ``teleclone``, its ``joint_clones`` and ``fidelity``.
 """
 
 import numpy as np
 import pytest
 
 from teleportsim import rng as rngmod
-from teleportsim import telecloning
+from teleportsim import states, telecloning
 from teleportsim.ensembles import Channel, TwoStateEnsemble, channel_state, make_states
 from teleportsim.protocols import (
     STANDARD_CORRECTION_MATRICES,
@@ -32,12 +35,14 @@ from teleportsim.states import (
     bell_measure,
     fidelity,
     partial_trace,
+    tensor,
 )
 from teleportsim.telecloning import (
     CloneCoeffs,
     TelecloningSystem,
     _qubit_marginals,
     build_telecloning_state,
+    global_clone_fidelity,
     protocol_spec,
     teleclone,
     universal_coeffs,
@@ -111,6 +116,16 @@ def reference_teleclone(input_state, system):
         per.append((p, amp))
         averaged += p * np.outer(amp, amp.conj())
     return per, DensityMatrix(averaged)
+
+
+def reference_global_clone_fidelity(ens, coeffs):
+    """(1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> through teleclone's joint state."""
+    system = build_telecloning_state(coeffs)
+    total = 0.0
+    for psi in make_states(ens):
+        result = teleclone(psi, system)
+        total += 0.5 * fidelity(tensor(psi, psi), result.joint_clones)
+    return total
 
 
 def _mc_haar_reference(channel, samples, seed):
@@ -193,6 +208,18 @@ class TestBranchTable:
                 got = _branch_table(psi, spec, target)
                 assert_rows_match(got, reference_branch_table(psi, spec, target))
 
+    def test_rejects_bad_evaluation_targets(self):
+        system = build_telecloning_state(universal_coeffs())
+        psi = ZERO
+        pair = reference_tensor(psi, psi)
+        for targets, target, message in (
+            ((3,), psi, "out of range"),
+            ((1, 0, 2), reference_tensor(pair, psi), "proper subset"),
+            ((1, 1), pair, "dimension mismatch"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                _branch_table(psi, protocol_spec(system, targets=targets), target)
+
     def test_correction_constants_are_read_only(self):
         spec = standard_teleportation(Channel(0.3))
         for k in (1, 2, 3, 4):
@@ -227,6 +254,52 @@ class TestTeleclone:
                         ):
                             expected = partial_trace(rho_ref, keep).elements
                             assert np.abs(got.elements - expected).max() < 1e-12
+
+
+class TestGlobalCloneFidelity:
+    THETAS = (0.0, np.pi / 4, np.nextafter(np.pi / 2, 0.0), np.pi / 2)
+
+    def test_matches_density_matrix_route(self):
+        rng = np.random.default_rng(108)
+        # the oracle workload's edge sets, then seeded random coefficients
+        coeff_sets = [
+            universal_coeffs(),
+            CloneCoeffs(1.0, 0.0, 0.0),
+            CloneCoeffs(0.5, 0.5, 0.5),
+            CloneCoeffs(0.0, 1 / np.sqrt(2), 0.0),
+        ] + [random_coeffs(rng) for _ in range(6)]
+        with np.errstate(divide="raise", invalid="raise"):
+            for coeffs in coeff_sets:
+                for theta in self.THETAS:
+                    ens = TwoStateEnsemble(theta)
+                    got = global_clone_fidelity(ens, coeffs)
+                    assert abs(got - reference_global_clone_fidelity(ens, coeffs)) < 1e-12
+
+    def test_builds_no_density_matrix(self, monkeypatch):
+        counts = {"DensityMatrix": 0, "partial_trace": 0}
+        post_init = DensityMatrix.__post_init__
+
+        def counting_post_init(self):
+            counts["DensityMatrix"] += 1
+            post_init(self)
+
+        def counting_partial_trace(rho, keep):
+            counts["partial_trace"] += 1
+            return partial_trace(rho, keep)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+        for module in (states, telecloning):
+            monkeypatch.setattr(module, "partial_trace", counting_partial_trace)
+        ens = TwoStateEnsemble(np.pi / 4)
+        coeffs = universal_coeffs()
+        system = build_telecloning_state(coeffs)
+        psi, _ = make_states(ens)
+        global_clone_fidelity(ens, coeffs)
+        _branch_table(psi, protocol_spec(system, targets=(1,)), psi)
+        assert counts == {"DensityMatrix": 0, "partial_trace": 0}
+        # the counters do see the density-matrix route
+        teleclone(psi, system)
+        assert counts == {"DensityMatrix": 4, "partial_trace": 3}
 
 
 class TestMarginalCheck:
