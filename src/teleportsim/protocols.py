@@ -8,7 +8,7 @@ measure-and-correct kernel, ``states._measure_and_correct``.  The Haar Monte
 Carlo runs it once per call, on the basis inputs |0> and |1>, to get the
 transfer operators T[k] of the standard protocol (the corrected, unnormalised
 output of outcome k is T[k] z for any input z), and then scores every sampled
-input z as sum_k |<z|T[k]|z>|^2.
+input z as sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector.
 
 The standard correction table is phi+ -> I, phi- -> Z, psi+ -> X,
 psi- -> ZX (apply X, then Z); with this convention every corrected branch
@@ -30,6 +30,7 @@ from .states import (
     LocalOperator,
     PAULI_I,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     PureState,
     _marginal_fidelity,
@@ -132,13 +133,14 @@ def mc_protocol_fidelity(
     sizes = rngmod.chunk_sizes(samples)
     if samples < 100:
         raise ValueError("samples must be >= 100")
+    gens = rngmod.substreams(seed, len(sizes))
     target = input_state if target is None else target
     rows = _branch_table(input_state, spec, target)
     probs = np.array([p for p, _ in rows])
     fids = np.array([f for _, f in rows])
     probs = probs / probs.sum()
     counts = np.zeros(4, dtype=np.int64)
-    for size, gen in zip(sizes, rngmod.substreams(seed, len(sizes))):
+    for size, gen in zip(sizes, gens):
         counts += gen.multinomial(size, probs)
     mean = float(counts @ fids) / samples
     var = float(counts @ (fids - mean) ** 2) / max(samples - 1, 1)
@@ -203,31 +205,47 @@ def _transfer_operators(channel: Channel) -> np.ndarray:
     return t
 
 
+def _bloch_quadratic_form(t: np.ndarray) -> np.ndarray:
+    """Real symmetric 4x4 Q with sum_k |<z|T[k]|z>|^2 = (1, r) Q (1, r)^T.
+
+    For a pure input with Bloch vector r, |z><z| = (I + r . sigma)/2, so
+    <z|T[k]|z> = C[k] . (1, r) with C[k, j] = Tr(T[k] sigma_j)/2 (sigma_0 = I),
+    and Q = Re(C^dagger C).
+    """
+    paulis = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
+    c = 0.5 * np.einsum("kab,jba->kj", t, paulis)
+    return (c.conj().T @ c).real
+
+
 def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     """Monte Carlo average of direct-teleportation fidelity over Haar inputs.
 
     The standard protocol runs once per call, on the two basis inputs, to
-    give its transfer operators T[k] (see ``_transfer_operators``); each
-    sampled input z then scores sum_k |<z|T[k]|z>|^2 in one contraction per
-    chunk.  Like the rest of the module it uses no closed form.  The mean is
-    the sum of chunk sums over ``samples``; the variance merges each chunk's
-    centred sum of squares in fixed chunk order (Chan-Golub-LeVeque), so a
+    give its transfer operators T[k] (see ``_transfer_operators``), rewritten
+    in the Pauli basis as the quadratic form of ``_bloch_quadratic_form``.
+    Each input is drawn as a Bloch vector r (``rng.haar_bloch``, r_z first)
+    and scores f = sum_k |<z|T[k]|z>|^2 = (1, r) Q (1, r)^T; no amplitude
+    vector is built.  Like the rest of the module it uses no closed form for
+    the average, and at alpha = 0 it scores the same r_z draws as
+    ``classical.unknown_state_classical_fidelity``.  The mean is the sum of
+    chunk sums over ``samples``; the variance merges each chunk's centred
+    sum of squares in fixed chunk order (Chan-Golub-LeVeque), so a
     near-constant fidelity gives a stderr near zero rather than cancellation
     noise.  Returns (mean, stderr).
     """
     sizes = rngmod.chunk_sizes(samples)
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    t = _transfer_operators(channel).reshape(4, 4).T
+    gens = rngmod.substreams(seed, len(sizes))
+    q = _bloch_quadratic_form(_transfer_operators(channel))
+    q00, lin, quad = q[0, 0], 2.0 * q[0, 1:], q[1:, 1:]
     total = 0.0
     m2 = 0.0
     done = 0
-    for size, gen in zip(sizes, rngmod.substreams(seed, len(sizes))):
-        z = rngmod.haar_qubits(gen, size)
-        # amp[m, k] = <z_m|T[k]|z_m> = sum_ab conj(z_a) z_b T[k, a, b]
-        amp = (z.conj()[:, :, None] * z[:, None, :]).reshape(size, 4) @ t
-        v = amp.view(np.float64)  # (re, im) pairs: f = sum_k |amp[m, k]|^2
-        f = np.einsum("ij,ij->i", v, v)
+    for size, gen in zip(sizes, gens):
+        r = rngmod.haar_bloch(gen, size).T  # (3, size): one row per component
+        # f = q00 + r . (2 q_0 + Q_rr r), with Q_rr = q[1:, 1:]
+        f = q00 + np.einsum("jm,jm->m", r, quad @ r + lin[:, None])
         s = float(f.sum())
         if done:
             delta = s / size - total / done

@@ -1,11 +1,17 @@
 """Deterministic random-number plumbing.
 
-All Monte Carlo entry points take a 64-bit integer seed.  Independent
+All Monte Carlo entry points take an integer seed >= 0.  Independent
 substreams are derived by seed splitting (``numpy.random.SeedSequence.spawn``)
 and partial results are reduced in fixed substream order, so results are
 bit-identical for a given (seed, samples) pair regardless of how the work
 is scheduled.  The generator is numpy's default PCG64; the name below is
 recorded in CSV metadata emitted by the CLI.
+
+Reproducibility: a seeded result is bit-identical for a given
+``(samples, seed)`` within one version of the package.  The seed splitting,
+the generator, ``DEFAULT_CHUNK`` and the chunk partition are fixed; a change
+to how a sampler turns uniforms into inputs may move seeded values once, and
+the changelog lists every value that moved.
 """
 
 from __future__ import annotations
@@ -18,7 +24,13 @@ DEFAULT_CHUNK = 1 << 16
 
 
 def substreams(seed: int, count: int):
-    """``count`` independent generators split from one seed."""
+    """``count`` independent generators split from one seed.
+
+    ``seed`` must be an integer >= 0; a bool or a float, even an integral
+    one, raises ValueError.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
@@ -38,7 +50,31 @@ def chunk_sizes(total: int, chunk: int = DEFAULT_CHUNK):
     return sizes
 
 
-def haar_qubits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, 2) array of Haar-uniform single-qubit amplitude pairs."""
-    z = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+def haar_bloch_z(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count,) z components of Haar-uniform Bloch vectors: 1 - 2 u, u uniform on [0, 1).
+
+    By Archimedes' hat-box theorem the z component of a uniform point on the
+    sphere is uniform on [-1, 1].  ``haar_bloch`` draws this first, so a
+    caller that needs only z consumes the same uniforms as one that needs r.
+    """
+    return 1.0 - 2.0 * rng.random(count)
+
+
+def haar_bloch(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 3) Bloch vectors r = (x, y, z) of Haar-uniform pure qubit states.
+
+    z comes from ``haar_bloch_z``; then phi = 2 pi u and
+    (x, y) = sqrt(1 - z^2) (cos phi, sin phi).  Two uniforms per sample, and
+    no amplitudes: the state with Bloch vector r has amplitudes
+    (sqrt((1 + z)/2), e^{i phi} sqrt((1 - z)/2)) up to a global phase, and
+    density matrix (I + r . sigma)/2.  The result is the transpose of a
+    C-contiguous (3, count) array, so ``r.T`` has one contiguous row per
+    component.
+    """
+    r = np.empty((3, count))
+    r[2] = haar_bloch_z(rng, count)
+    phi = 2.0 * np.pi * rng.random(count)
+    sin_polar = np.sqrt(1.0 - r[2] ** 2)
+    np.multiply(sin_polar, np.cos(phi), out=r[0])
+    np.multiply(sin_polar, np.sin(phi), out=r[1])
+    return r.T

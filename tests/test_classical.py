@@ -197,6 +197,33 @@ class TestUnknownStateMC:
         with pytest.raises(ValueError):
             unknown_state_classical_fidelity(0, seed=1)
 
+    def test_fixed_input_scores_its_bloch_z(self):
+        # |<0|psi>|^4 + |<1|psi>|^4 for a complex input, through r_z alone
+        psi = PureState(np.array([np.cos(0.4), np.exp(0.9j) * np.sin(0.4)]))
+        u = np.cos(0.4) ** 2
+        got = unknown_state_classical_fidelity(1000, seed=1, fixed_input=psi)
+        assert abs(got - (u**2 + (1 - u) ** 2)) < 1e-15
+
+    @pytest.mark.parametrize(
+        "fixed_input",
+        [
+            PureState(np.array([1.0, 0.0, 0.0, 0.0])),
+            np.array([1.0, 0.0]),
+            (1.0, 0.0),
+        ],
+        ids=["two-qubit", "array", "tuple"],
+    )
+    def test_rejects_fixed_input_that_is_not_one_qubit_state(self, fixed_input, monkeypatch):
+        from teleportsim import rng
+
+        def no_draws(*_):
+            raise AssertionError("drew samples before validating fixed_input")
+
+        monkeypatch.setattr(rng, "substreams", no_draws)
+        monkeypatch.setattr(rng, "haar_bloch_z", no_draws)
+        with pytest.raises(ValueError, match="fixed_input must be a single-qubit PureState"):
+            unknown_state_classical_fidelity(1000, seed=1, fixed_input=fixed_input)
+
 
 class TestStrategyValidation:
     def test_rejects_povm_not_summing_to_identity(self):

@@ -6,7 +6,8 @@ one Bell vector at a time, a validated post-state per outcome, then
 ``apply_local`` and ``fidelity``/``partial_trace``.  ``reference_teleclone``
 is the matching loop of ``telecloning.teleclone``.  ``_mc_haar_reference`` is
 the per-outcome einsum loop, with its one-pass variance, that
-``protocols.mc_haar_average_fidelity`` ran before the transfer operators.
+``protocols.mc_haar_average_fidelity`` ran before the transfer operators; it
+rebuilds each input's amplitudes from the same ``rng.haar_bloch`` draws.
 ``reference_global_clone_fidelity`` is the density-matrix route that
 ``telecloning.global_clone_fidelity`` took before it scored branches on
 their amplitudes: ``teleclone``, its ``joint_clones`` and ``fidelity``.
@@ -136,7 +137,12 @@ def _mc_haar_reference(channel, samples, seed):
     total = 0.0
     total_sq = 0.0
     for size, gen in zip(sizes, rngmod.substreams(seed, len(sizes))):
-        z = rngmod.haar_qubits(gen, size)
+        # the amplitudes of the same Bloch-vector draws the estimator scores
+        r = rngmod.haar_bloch(gen, size)
+        phase = np.exp(1j * np.arctan2(r[:, 1], r[:, 0]))
+        z = np.stack(
+            [np.sqrt((1 + r[:, 2]) / 2), phase * np.sqrt((1 - r[:, 2]) / 2)], axis=1
+        )
         # joint index = 4*b0 + 2*b1 + b2; reshape exposes the (b0,b1) pair
         joint = (z[:, :, None] * resource[None, None, :]).reshape(size, 4, 2)
         f = np.zeros(size)
@@ -274,6 +280,26 @@ class TestGlobalCloneFidelity:
                     ens = TwoStateEnsemble(theta)
                     got = global_clone_fidelity(ens, coeffs)
                     assert abs(got - reference_global_clone_fidelity(ens, coeffs)) < 1e-12
+
+    def test_matches_density_matrix_route_on_complex_inputs(self, monkeypatch):
+        # on the real signal states the ancilla (the anti-clone) scores the
+        # same as a clone, so only complex inputs tell (B, C) from (ancilla, B)
+        rng = np.random.default_rng(109)
+        coeff_sets = [universal_coeffs(), CloneCoeffs(0.5, 0.5, 0.5)] + [
+            random_coeffs(rng) for _ in range(4)
+        ]
+        ens = TwoStateEnsemble(np.pi / 4)
+        with np.errstate(divide="raise", invalid="raise"):
+            for _ in range(4):
+                signals = (random_qubit(rng), random_qubit(rng))
+                monkeypatch.setattr(telecloning, "make_states", lambda _: signals)
+                for coeffs in coeff_sets:
+                    system = build_telecloning_state(coeffs)
+                    expected = sum(
+                        0.5 * fidelity(tensor(psi, psi), teleclone(psi, system).joint_clones)
+                        for psi in signals
+                    )
+                    assert abs(global_clone_fidelity(ens, coeffs) - expected) < 1e-12
 
     def test_builds_no_density_matrix(self, monkeypatch):
         counts = {"DensityMatrix": 0, "partial_trace": 0}

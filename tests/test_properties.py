@@ -1,13 +1,30 @@
-"""Property tests of the telecloning global fidelity over theta in [0, pi/2].
+"""Property tests over theta in [0, pi/2] and alpha in [0, 1/sqrt(2)].
 
-Hypothesis runs derandomized, so every run draws the same examples.
+The classical and channel closed forms, and the telecloning global
+fidelity.  Hypothesis runs derandomized, so every run draws the same
+examples.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from teleportsim.ensembles import TwoStateEnsemble, make_states
+from teleportsim.channels import (
+    average_fidelity_direct,
+    direct_fidelity_state,
+    horodecki_optimal_fidelity,
+    optimize_combined,
+    purification_fidelity_two_state,
+    purification_fidelity_unknown,
+    two_state_direct_fidelity,
+)
+from teleportsim.classical import (
+    fidelity_fuchs_peres,
+    fidelity_min_error,
+    fidelity_optimized,
+    fidelity_unambiguous,
+)
+from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.states import fidelity, partial_trace, tensor
 from teleportsim.telecloning import (
     CloneCoeffs,
@@ -18,10 +35,47 @@ from teleportsim.telecloning import (
 )
 
 HALF_PI = np.pi / 2
+INV_SQRT2 = 1 / np.sqrt(2)
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None)
+# the channel closed forms round to 1 + 2.2e-16 at the maximal channel
+ROUNDING = 1e-12
 
 thetas = st.floats(0.0, HALF_PI)
 angles = st.floats(0.0, HALF_PI)
+alphas = st.floats(0.0, INV_SQRT2)
+
+
+@PROPERTY_SETTINGS
+@given(theta=thetas, alpha=alphas)
+@example(theta=0.0, alpha=0.0)
+@example(theta=0.0, alpha=INV_SQRT2)
+@example(theta=np.nextafter(HALF_PI, 0.0), alpha=0.0)
+@example(theta=np.nextafter(HALF_PI, 0.0), alpha=INV_SQRT2)
+@example(theta=HALF_PI, alpha=0.0)
+@example(theta=HALF_PI, alpha=INV_SQRT2)
+def test_classical_and_channel_fidelities_are_ordered(theta, alpha):
+    ens, channel = TwoStateEnsemble(theta), Channel(alpha)
+    with np.errstate(divide="raise", invalid="raise"):
+        ordered = [
+            fidelity_unambiguous(ens),
+            fidelity_min_error(ens),
+            fidelity_optimized(ens).fidelity,
+            optimize_combined(ens, channel).fidelity,
+        ]
+        others = [
+            fidelity_fuchs_peres(ens),
+            direct_fidelity_state(theta, channel),
+            two_state_direct_fidelity(ens, channel),
+            purification_fidelity_two_state(ens, channel),
+            average_fidelity_direct(channel),
+            horodecki_optimal_fidelity(channel),
+            purification_fidelity_unknown(channel),
+        ]
+    for f in ordered + others:
+        assert np.isfinite(f)
+        assert 0.0 <= f <= 1.0 + ROUNDING
+    # unambiguous <= min-error <= optimised <= optimize_combined
+    assert all(a <= b for a, b in zip(ordered, ordered[1:]))
 
 
 def direct_global_fidelity(ens, coeffs):

@@ -214,13 +214,13 @@ class TestHaarAverage:
             mc_haar_average_fidelity(Channel(0.5), 99, seed=0)
 
 
-def _estimators():
+def _estimators(seed=0):
     spec = standard_teleportation(Channel(0.5))
     psi1, _ = make_states(PI4)
     return {
-        "haar": lambda n: mc_haar_average_fidelity(Channel(0.5), n, 0),
-        "protocol": lambda n: mc_protocol_fidelity(psi1, spec, n, 0),
-        "unknown": lambda n: unknown_state_classical_fidelity(n, 0),
+        "haar": lambda n: mc_haar_average_fidelity(Channel(0.5), n, seed),
+        "protocol": lambda n: mc_protocol_fidelity(psi1, spec, n, seed),
+        "unknown": lambda n: unknown_state_classical_fidelity(n, seed),
     }
 
 
@@ -239,6 +239,22 @@ class TestSampleCounts:
     def test_accepts_numpy_integers(self, estimator):
         run = _estimators()[estimator]
         assert run(np.int64(1000)) == run(1000)
+
+    @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
+    @pytest.mark.parametrize(
+        "seed",
+        [True, np.True_, 1.5, 1.0, -1, np.int64(-1), "1"],
+        ids=["True", "np.True_", "1.5", "1.0", "-1", "np.int64(-1)", "str"],
+    )
+    def test_rejects_invalid_seeds(self, estimator, seed):
+        # one message for every estimator: no bool runs as seed 1 and no
+        # numpy TypeError or "expected non-negative integer" leaks out
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            _estimators(seed)[estimator](1000)
+
+    @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
+    def test_accepts_numpy_integer_seeds(self, estimator):
+        assert _estimators(np.int64(7))[estimator](1000) == _estimators(7)[estimator](1000)
 
     def test_chunk_sizes_rejects_totals_below_one(self):
         for total in (0, -1, np.int64(0)):

@@ -1,0 +1,52 @@
+"""The Haar Bloch-vector sampler of ``rng``."""
+
+import numpy as np
+
+from teleportsim.rng import haar_bloch, haar_bloch_z
+
+N = 1_000_000
+
+
+def draw(seed=2024, count=N):
+    return haar_bloch(np.random.default_rng(seed), count)
+
+
+class TestHaarBloch:
+    def test_shape_and_unit_length(self):
+        r = draw()
+        assert r.shape == (N, 3)
+        assert np.abs(np.sqrt((r**2).sum(axis=1)) - 1.0).max() <= 1e-15
+
+    def test_first_moment_is_zero(self):
+        # each component has variance 1/3 on the uniform sphere
+        mean = draw().mean(axis=0)
+        assert np.all(np.abs(mean) <= 5 * np.sqrt(1 / 3 / N))
+
+    def test_second_moment_is_a_third_of_identity(self):
+        r = draw()
+        second = r.T @ r / N
+        # Var(r_i^2) = 1/5 - 1/9 = 4/45 and Var(r_i r_j) = E r_i^2 r_j^2 = 1/15
+        sigma = np.where(np.eye(3, dtype=bool), np.sqrt(4 / 45 / N), np.sqrt(1 / 15 / N))
+        assert np.all(np.abs(second - np.eye(3) / 3) <= 5 * sigma)
+
+    def test_z_is_drawn_first_and_shared_with_haar_bloch_z(self):
+        count = 1000
+        z = haar_bloch_z(np.random.default_rng(5), count)
+        r = haar_bloch(np.random.default_rng(5), count)
+        assert np.array_equal(r[:, 2], z)
+
+    def test_follows_the_archimedes_recipe(self):
+        count = 1000
+        gen = np.random.default_rng(6)
+        u, v = gen.random(count), gen.random(count)
+        r = haar_bloch(np.random.default_rng(6), count)
+        assert np.array_equal(r[:, 2], 1.0 - 2.0 * u)
+        polar = np.sqrt(1.0 - r[:, 2] ** 2)
+        assert np.array_equal(r[:, 0], polar * np.cos(2.0 * np.pi * v))
+        assert np.array_equal(r[:, 1], polar * np.sin(2.0 * np.pi * v))
+
+    def test_z_never_reaches_the_south_pole(self):
+        # 1 - 2u with u in [0, 1)
+        z = haar_bloch_z(np.random.default_rng(7), N)
+        assert np.all((-1.0 < z) & (z <= 1.0))
+
