@@ -36,12 +36,12 @@ def direct_fidelity_state(theta: float, channel: Channel) -> float:
     """Fidelity of direct teleportation for one input at polar angle theta.
 
     cos^4(theta/2) + sin^4(theta/2) + alpha beta sin^2(theta); the input's
-    azimuthal phase drops out.
+    azimuthal phase drops out.  It is evaluated in the equal form
+    1 - (1/2 - alpha beta) sin^2(theta), with alpha beta capped at its maximum
+    1/2 (it can round above), so the value never rounds above 1.
     """
-    a, b = channel.alpha, channel.beta
-    return float(
-        np.cos(theta / 2) ** 4 + np.sin(theta / 2) ** 4 + a * b * np.sin(theta) ** 2
-    )
+    ab = min(channel.alpha * channel.beta, 0.5)
+    return float(1.0 - (0.5 - ab) * np.sin(theta) ** 2)
 
 
 def average_fidelity_direct(channel: Channel) -> float:
@@ -111,10 +111,17 @@ def combined_fidelity(
     endpoints reduce exactly: alpha' = alpha gives the direct fidelity and
     alpha' = 1/sqrt(2) gives the full purification strategy.
     """
+    return _combined(ens, channel, alpha_prime, fidelity_optimized(ens).fidelity)
+
+
+def _combined(
+    ens: TwoStateEnsemble, channel: Channel, alpha_prime: float, f_cl: float
+) -> float:
+    """combined_fidelity with the classical fallback F_cl passed in."""
     _check_alpha_prime(channel, alpha_prime)
     p = purification_success_probability(channel, alpha_prime)
     f_dir = two_state_direct_fidelity(ens, Channel(alpha_prime))
-    return p * f_dir + (1.0 - p) * fidelity_optimized(ens).fidelity
+    return p * f_dir + (1.0 - p) * f_cl
 
 
 def optimize_combined(ens: TwoStateEnsemble, channel: Channel) -> ChannelStrategyReport:
@@ -135,12 +142,13 @@ def optimize_combined(ens: TwoStateEnsemble, channel: Channel) -> ChannelStrateg
     lo, hi = channel.alpha, _INV_SQRT2
     candidates = [lo, hi]
     s = np.sin(ens.theta)
-    k = direct_fidelity_state(ens.theta, Channel(0.0)) - fidelity_optimized(ens).fidelity
+    f_cl = fidelity_optimized(ens).fidelity
+    k = direct_fidelity_state(ens.theta, Channel(0.0)) - f_cl
     if k < 0.0:
         x_star = 4.0 * k * k / (s**4 + 4.0 * k * k)
         candidates.append(float(np.clip(np.sqrt(x_star), lo, hi)))
     best_f, best_x = max(
-        ((combined_fidelity(ens, channel, x), x) for x in candidates),
+        ((_combined(ens, channel, x, f_cl), x) for x in candidates),
         key=lambda t: t[0],
     )
     return ChannelStrategyReport(fidelity=float(best_f), alpha_prime=float(best_x))

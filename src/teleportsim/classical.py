@@ -150,16 +150,18 @@ def fidelity_optimized(ens: TwoStateEnsemble) -> StrategyReport:
     """Best known classical fidelity: min-error measurement, biased guess.
 
     At theta = pi/2 the formula's maximizer degenerates; guessing the common
-    state (guess angle pi/2) transmits it exactly.
+    state (guess angle pi/2) transmits it exactly.  The min-error strategy is
+    the guess angle theta of the same family, so the value is never reported
+    below ``fidelity_min_error``; at small theta the two agree to within
+    rounding, and the biased-guess expression can round one ulp under it.
     """
     pe = min_error_probability(ens)
     try:
         g = optimal_guess_angle(ens)
     except DegenerateEnsembleError:
         return StrategyReport(fidelity=1.0, error_probability=pe, guess_angle=np.pi / 2)
-    return StrategyReport(
-        fidelity=fidelity_biased_guess(ens, g), error_probability=pe, guess_angle=g
-    )
+    f = max(fidelity_biased_guess(ens, g), fidelity_min_error(ens))
+    return StrategyReport(fidelity=f, error_probability=pe, guess_angle=g)
 
 
 def fidelity_fuchs_peres(ens: TwoStateEnsemble) -> float:

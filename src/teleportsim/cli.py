@@ -155,7 +155,7 @@ def cmd_fig_telecloning(config: RunConfig) -> str:
                 coeffs.a,
                 coeffs.b,
                 coeffs.c,
-                tc.global_clone_fidelity(ens, coeffs),
+                tc._global_clone_fidelity(ens, system),
                 tc.optimal_global_fidelity(ens),
                 tc.alice_receivers_entanglement(system),
             )

@@ -3,12 +3,22 @@
 This module is the independent verification oracle for the closed-form
 fidelities elsewhere in the package: it runs measure-and-correct protocols
 by projecting onto the Bell basis and averaging branch fidelities, with no
-reference to any closed form.  Every protocol goes through the one shared
-measure-and-correct kernel, ``states._measure_and_correct``.  The Haar Monte
-Carlo runs it once per call, on the basis inputs |0> and |1>, to get the
-transfer operators T[k] of the standard protocol (the corrected, unnormalised
-output of outcome k is T[k] z for any input z), and then scores every sampled
-input z as sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector.
+reference to any closed form.
+
+Every protocol is linear in its one-qubit input, so four transfer operators
+describe it completely: outcome k maps the input z to the corrected,
+unnormalised output v_k = T[k] z, with probability p_k = ||v_k||^2.  A
+``ProtocolSpec`` builds its T (4 x d_out x 2, read-only) once, at
+construction, from one Bell projection of the basis inputs |0>, |1> (x)
+resource (``states._bell_transfer``).  Scoring an input against a target on
+the evaluated qubits is then a contraction on T,
+
+    w_k = ||(I_rest (x) <target|) T[k] z||^2,
+
+which is |<target|T[k] z>|^2 when the target covers every output qubit; the
+protocol fidelity is sum_k w_k and the branch fidelity w_k / p_k.  No branch
+is renormalised.  The Haar Monte Carlo scores every sampled input z as
+sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector.
 
 The standard correction table is phi+ -> I, phi- -> Z, psi+ -> X,
 psi- -> ZX (apply X, then Z); with this convention every corrected branch
@@ -18,7 +28,7 @@ global phase on a maximally entangled channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
@@ -33,10 +43,10 @@ from .states import (
     PAULI_Y,
     PAULI_Z,
     PureState,
-    _marginal_fidelity,
-    _measure_and_correct,
+    _bell_transfer,
+    _kept_qubits,
+    _n_qubits_for,
     fidelity,
-    tensor,
 )
 
 STANDARD_CORRECTION_MATRICES = {
@@ -52,16 +62,19 @@ _STANDARD_CORRECTIONS = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_
 class ProtocolSpec:
     """A measure-and-correct protocol over ``input (x) resource_state``.
 
-    ``measured_pair`` indexes the combined system (input qubits first);
-    ``corrections`` maps each Bell outcome 1..4 to a LocalOperator on the
-    qubits that survive the measurement; ``evaluation_targets`` selects the
-    output qubits (post-measurement indexing) whose state is scored.
+    The input is one qubit.  ``measured_pair`` indexes the combined system
+    (input qubit first); ``corrections`` maps each Bell outcome 1..4 to a
+    LocalOperator on the qubits that survive the measurement;
+    ``evaluation_targets`` selects the output qubits (post-measurement
+    indexing) whose state is scored.  ``transfer`` holds the read-only
+    transfer operators T (4 x d_out x 2), built at construction.
     """
 
     resource_state: PureState
     measured_pair: tuple
     corrections: Mapping[int, LocalOperator]
     evaluation_targets: tuple
+    transfer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         missing = {1, 2, 3, 4} - set(self.corrections)
@@ -72,6 +85,11 @@ class ProtocolSpec:
             self, "evaluation_targets", tuple(int(q) for q in self.evaluation_targets)
         )
         object.__setattr__(self, "corrections", dict(self.corrections))
+        object.__setattr__(
+            self,
+            "transfer",
+            _bell_transfer(self.resource_state, self.measured_pair, self.corrections),
+        )
 
 
 def standard_teleportation(channel: Channel) -> ProtocolSpec:
@@ -84,37 +102,62 @@ def standard_teleportation(channel: Channel) -> ProtocolSpec:
     )
 
 
-def _branch_table(input_state: PureState, spec: ProtocolSpec, target: PureState):
-    """(probability, branch fidelity) for each of the four Bell outcomes."""
-    joint = tensor(input_state, spec.resource_state)
-    n_rem = joint.n_qubits - 2
-    if len(target.amplitudes) != 2 ** len(spec.evaluation_targets):
+def _branch_weights(spec: ProtocolSpec, inputs: np.ndarray, targets: np.ndarray):
+    """(p, w), each (m, 4), for the m one-qubit input rows of ``inputs``.
+
+    With v_k = T[k] z: p_k = ||v_k||^2 and w_k = ||(I_rest (x) <target|) v_k||^2
+    over ``spec.evaluation_targets``, scored against the matching row of
+    ``targets``.  Each input's probabilities must sum to 1 within 1e-12.
+    """
+    t = spec.transfer
+    if inputs.shape[1] != t.shape[2]:
+        raise ValueError("protocol input must be a single qubit")
+    if targets.shape[1] != 2 ** len(spec.evaluation_targets):
         raise ValueError("target dimension does not match evaluation_targets")
-    rows = []
-    for p, corrected in _measure_and_correct(joint, spec.measured_pair, spec.corrections):
-        if corrected is None:
-            f = 0.0
-        elif spec.evaluation_targets == tuple(range(n_rem)):
-            f = fidelity(target, corrected)
-        else:
-            f = _marginal_fidelity(
-                corrected.amplitudes, target.amplitudes, spec.evaluation_targets
-            )
-        rows.append((p, f))
-    return rows
+    n = _n_qubits_for(t.shape[1])
+    kept = list(spec.evaluation_targets)
+    if spec.evaluation_targets != tuple(range(n)):
+        kept = _kept_qubits(kept, n)
+        if targets.shape[1] != 2 ** len(kept):
+            raise ValueError("dimension mismatch")
+    rest = [q for q in range(n) if q not in kept]
+    m = len(inputs)
+    v = (t @ inputs.T).transpose(2, 0, 1)
+    p = (np.abs(v) ** 2).sum(axis=2)
+    for total in p.sum(axis=1).tolist():
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
+    # (m, 4, 2^rest, 2^kept): each branch's amplitudes, rest qubits by scored qubits
+    split = v.reshape([m, 4] + [2] * n).transpose([0, 1] + [q + 2 for q in rest + kept])
+    scored = split.reshape(m, 4, 2 ** len(rest), -1) @ targets.conj()[:, None, :, None]
+    w = (np.abs(scored) ** 2).sum(axis=(2, 3))
+    return p, w
+
+
+def _branch_table(input_state: PureState, spec: ProtocolSpec, target: PureState):
+    """(probability, branch fidelity) for each of the four Bell outcomes.
+
+    The branch fidelity is w_k / p_k, and 0.0 for a branch of probability
+    at most 1e-30.
+    """
+    p, w = _branch_weights(spec, input_state.amplitudes[None], target.amplitudes[None])
+    return [
+        (float(pk), float(wk / pk) if pk > 1e-30 else 0.0) for pk, wk in zip(p[0], w[0])
+    ]
 
 
 def enumerate_protocol_fidelity(
     input_state: PureState, spec: ProtocolSpec, target: Optional[PureState] = None
 ) -> float:
-    """Exact protocol fidelity: sum of probability * branch fidelity.
+    """Exact protocol fidelity: sum of probability * branch fidelity, i.e. sum_k w_k.
 
     ``target`` defaults to the input state itself (teleportation); pass an
     explicit target when the evaluated output has a different size, e.g. a
     two-clone target.
     """
     target = input_state if target is None else target
-    return float(sum(p * f for p, f in _branch_table(input_state, spec, target)))
+    _, w = _branch_weights(spec, input_state.amplitudes[None], target.amplitudes[None])
+    return float(w.sum())
 
 
 def mc_protocol_fidelity(
@@ -183,28 +226,6 @@ def simulate_purification_branch(ens: TwoStateEnsemble, channel: Channel) -> flo
     return p_succ * f_tele + (1.0 - p_succ) * f_cl
 
 
-def _transfer_operators(channel: Channel) -> np.ndarray:
-    """(4, 2, 2) transfer operators of standard teleportation through ``channel``.
-
-    The protocol is linear in its input, so for outcome k the corrected,
-    unnormalised output of input z is ``T[k] @ z``.  Column b of ``T[k]`` is
-    sqrt(p) times the corrected post-state of the basis input |b>, from the
-    shared measure-and-correct kernel; a branch with no weight leaves a zero
-    column.
-    """
-    spec = standard_teleportation(channel)
-    t = np.zeros((4, 2, 2), dtype=complex)
-    for b in (0, 1):
-        basis = PureState(np.eye(2)[b])
-        rows = _measure_and_correct(
-            tensor(basis, spec.resource_state), spec.measured_pair, spec.corrections
-        )
-        for k, (p, post) in enumerate(rows):
-            if post is not None:
-                t[k, :, b] = np.sqrt(p) * post.amplitudes
-    return t
-
-
 def _bloch_quadratic_form(t: np.ndarray) -> np.ndarray:
     """Real symmetric 4x4 Q with sum_k |<z|T[k]|z>|^2 = (1, r) Q (1, r)^T.
 
@@ -220,13 +241,13 @@ def _bloch_quadratic_form(t: np.ndarray) -> np.ndarray:
 def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     """Monte Carlo average of direct-teleportation fidelity over Haar inputs.
 
-    The standard protocol runs once per call, on the two basis inputs, to
-    give its transfer operators T[k] (see ``_transfer_operators``), rewritten
-    in the Pauli basis as the quadratic form of ``_bloch_quadratic_form``.
-    Each input is drawn as a Bloch vector r (``rng.haar_bloch``, r_z first)
-    and scores f = sum_k |<z|T[k]|z>|^2 = (1, r) Q (1, r)^T; no amplitude
-    vector is built.  Like the rest of the module it uses no closed form for
-    the average, and at alpha = 0 it scores the same r_z draws as
+    The transfer operators T[k] of ``standard_teleportation(channel)`` are
+    rewritten in the Pauli basis as the quadratic form of
+    ``_bloch_quadratic_form``.  Each input is drawn as a Bloch vector r
+    (``rng.haar_bloch``, r_z first) and scores
+    f = sum_k |<z|T[k]|z>|^2 = (1, r) Q (1, r)^T; no amplitude vector is
+    built.  Like the rest of the module it uses no closed form for the
+    average, and at alpha = 0 it scores the same r_z draws as
     ``classical.unknown_state_classical_fidelity``.  The mean is the sum of
     chunk sums over ``samples``; the variance merges each chunk's centred
     sum of squares in fixed chunk order (Chan-Golub-LeVeque), so a
@@ -237,7 +258,7 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     if samples < 100:
         raise ValueError("samples must be >= 100")
     gens = rngmod.substreams(seed, len(sizes))
-    q = _bloch_quadratic_form(_transfer_operators(channel))
+    q = _bloch_quadratic_form(standard_teleportation(channel).transfer)
     q00, lin, quad = q[0, 0], 2.0 * q[0, 1:], q[1:, 1:]
     total = 0.0
     m2 = 0.0

@@ -36,6 +36,7 @@ BELL_VECTORS = np.array(
     dtype=complex,
 ) / np.sqrt(2.0)
 
+_BELL_BRAS = BELL_VECTORS.conj()
 _NORM_ATOL = 1e-12
 _HERM_ATOL = 1e-12
 _EIG_FLOOR = -1e-10
@@ -209,22 +210,35 @@ def bell_measure(state: PureState, pair: tuple) -> list:
     return [BellOutcome(k + 1, p, post) for k, (p, post) in enumerate(rows)]
 
 
-def _measure_and_correct(state: PureState, pair: tuple, corrections=None) -> list:
-    """(probability, post-state) per Bell outcome on ``pair``, as in bell_measure.
+def _bell_residuals(amplitudes: np.ndarray, n: int, pair: tuple) -> np.ndarray:
+    """Projections of each row of ``amplitudes`` onto the Bell vectors of ``pair``.
 
-    The measure-and-correct kernel of every protocol: one matmul projects onto
-    all four Bell vectors; ``corrections[k]``, if given, acts on outcome k.
+    ``amplitudes`` is (rows, 2^n); the result is (4, rows, 2^(n-2)), one
+    unnormalised residual per Bell outcome and row from one matmul, with the
+    remaining qubits in their relative order.  This is the only Bell
+    projection: ``_measure_and_correct`` and ``_bell_transfer`` share it.
     """
     i, j = int(pair[0]), int(pair[1])
-    n = state.n_qubits
     if i == j:
         raise ValueError("measured pair must be two distinct qubits")
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"pair {pair} out of range for {n} qubits")
-    rest = [q for q in range(n) if q != i and q != j]
-    t = state.amplitudes.reshape([2] * n).transpose([i, j] + rest).reshape(4, -1)
+    rows = amplitudes.shape[0]
+    rest = [q + 1 for q in range(n) if q != i and q != j]
+    t = amplitudes.reshape([rows] + [2] * n).transpose([i + 1, j + 1, 0] + rest)
+    return (_BELL_BRAS @ t.reshape(4, -1)).reshape(4, rows, -1)
+
+
+def _measure_and_correct(state: PureState, pair: tuple, corrections=None) -> list:
+    """(probability, post-state) per Bell outcome on ``pair``, as in bell_measure.
+
+    The branch-by-branch kernel of ``bell_measure`` and ``teleclone``:
+    ``corrections[k]``, if given, acts on outcome k before its post-state is
+    validated.
+    """
+    n = state.n_qubits
     rows = []
-    for k, residual in enumerate(BELL_VECTORS.conj() @ t):
+    for k, residual in enumerate(_bell_residuals(state.amplitudes[None], n, pair)[:, 0]):
         p = float(np.vdot(residual, residual).real)
         post = None
         if n > 2 and p > 1e-30:
@@ -236,21 +250,34 @@ def _measure_and_correct(state: PureState, pair: tuple, corrections=None) -> lis
     return rows
 
 
-def _marginal_fidelity(amplitudes: np.ndarray, target: np.ndarray, keep) -> float:
-    """<target| Tr_rest |c><c| |target> of the amplitude vector c, as partial_trace.
+def _bell_transfer(resource: PureState, pair: tuple, corrections) -> np.ndarray:
+    """Read-only (4, d_out, 2) transfer operators of a one-qubit input and ``resource``.
 
-    ``keep`` names the scored qubits (ascending original order, as in
-    partial_trace).  The value is ||(I_rest (x) <target|_keep) c||^2, computed on
-    the amplitudes with no density matrix.
+    Outcome k maps the input z to its corrected, unnormalised output
+    ``T[k] @ z`` on the unmeasured qubits.  One Bell projection of both basis
+    inputs |b> (x) resource gives the residuals, and the stacked
+    ``corrections[k]`` act on outcome k.  Every basis branch of weight above
+    1e-30 is checked to stay normalised within 1e-12, the check that a
+    validated post-state makes.
     """
-    n = _n_qubits_for(amplitudes.size)
-    kept = _kept_qubits(keep, n)
-    if target.size != 2 ** len(kept):
-        raise ValueError("dimension mismatch")
-    rest = [q for q in range(n) if q not in kept]
-    m = amplitudes.reshape([2] * n).transpose(rest + kept).reshape(2 ** len(rest), -1)
-    v = m @ target.conj()
-    return float(np.vdot(v, v).real)
+    n = resource.n_qubits + 1
+    ops = [corrections[k] for k in (1, 2, 3, 4)]
+    for k, op in enumerate(ops):
+        if op.n_qubits != n - 2:
+            raise ValueError(f"correction {k + 1} acts on {op.n_qubits} qubits, {n - 2} remain")
+    d = resource.amplitudes.size
+    basis_joint = np.zeros((2, 2 * d), dtype=complex)
+    basis_joint[0, :d] = basis_joint[1, d:] = resource.amplitudes
+    residuals = _bell_residuals(basis_joint, n, pair)
+    t = np.array([op.matrix() for op in ops]) @ residuals.transpose(0, 2, 1)
+    p = (np.abs(residuals) ** 2).sum(axis=2)
+    norm = (np.abs(t) ** 2).sum(axis=1)
+    bad = (p > 1e-30) & (np.abs(norm - p) > _NORM_ATOL * p)
+    if bad.any():
+        worst = float(norm[bad][0] / p[bad][0])
+        raise ValueError(f"state not normalized: sum |a|^2 = {worst!r}")
+    t.setflags(write=False)
+    return t
 
 
 def apply_local(op: LocalOperator, state: PureState) -> PureState:

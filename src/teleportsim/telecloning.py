@@ -11,13 +11,16 @@ on qubits ordered (port, ancilla, clone B, clone C), where
 and phi1 is its 0<->1 mirror.  A Bell measurement on (input, port) followed
 by the same Pauli correction on each of (ancilla, B, C) maps every branch
 exactly onto x*phi0 + y*phi1 for input x|0> + y|1>; the clones are partial
-traces of that state.  The global clone fidelity scores each corrected
-branch c_k (probability p_k) on its amplitudes,
+traces of that state.  As a ``ProtocolSpec`` (``protocol_spec``) the
+protocol has transfer operators T (4 x 8 x 2): outcome k maps the input z to
+the corrected, unnormalised branch T[k] z on (ancilla, B, C).  The global
+clone fidelity is one contraction of T with both signal states,
 
-    (1/2) sum_j sum_k p_k ||(I_ancilla (x) <psi_j psi_j|_BC) c_k||^2,
+    (1/2) sum_j sum_k ||(I_ancilla (x) <psi_j psi_j|_BC) T[k] psi_j||^2,
 
 which equals (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> without
-building rho_BC; it is still a full protocol run, and verify's
+building rho_BC or a branch state; T comes from a Bell projection of the
+resource, so it is still a protocol run, and verify's
 teleclone-faithfulness check compares it with the direct cloner map
 (``apply_cloner``).  The universal choice (a, b, c) =
 (sqrt(2/3), sqrt(1/6), 0) reproduces the symmetric universal cloner; for a
@@ -33,12 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import TwoStateEnsemble, make_states
-from .protocols import STANDARD_CORRECTION_MATRICES, ProtocolSpec
+from .protocols import STANDARD_CORRECTION_MATRICES, ProtocolSpec, _branch_weights
 from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
-    _marginal_fidelity,
     _measure_and_correct,
     partial_trace,
     tensor,
@@ -182,23 +184,24 @@ def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
     """Ensemble-averaged overlap of the joint clone state with the ideal pair.
 
     (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j>, with rho_BC^(j) the
-    clones' joint state after the full telecloning protocol on psi_j.  Each
-    corrected branch c_k (probability p_k) is scored on its amplitudes,
+    clones' joint state after the full telecloning protocol on psi_j.  With
+    the transfer operators T of the clone spec this is
 
-        <psi_j psi_j| rho_BC^(j) |psi_j psi_j>
-            = sum_k p_k ||(I_ancilla (x) <psi_j psi_j|_BC) c_k||^2,
+        (1/2) sum_j sum_k ||(I_ancilla (x) <psi_j psi_j|_BC) T[k] psi_j||^2,
 
-    so no density matrix is built; verify's teleclone-faithfulness check
-    compares the result with the direct cloner map.
+    one contraction for both signal states, so no state or density matrix is
+    built per branch; verify's teleclone-faithfulness check compares the
+    result with the direct cloner map.
     """
-    system = build_telecloning_state(coeffs)
-    total = 0.0
-    for psi in make_states(ens):
-        pair = np.outer(psi.amplitudes, psi.amplitudes).ravel()
-        joint = tensor(psi, system.state)
-        for p, corrected in _measure_and_correct(joint, (0, 1), _CLONE_CORRECTIONS):
-            total += 0.5 * p * _marginal_fidelity(corrected.amplitudes, pair, (1, 2))
-    return total
+    return _global_clone_fidelity(ens, build_telecloning_state(coeffs))
+
+
+def _global_clone_fidelity(ens: TwoStateEnsemble, system: TelecloningSystem) -> float:
+    """global_clone_fidelity on an already validated ``system``."""
+    signals = np.array([psi.amplitudes for psi in make_states(ens)])
+    pairs = np.einsum("ja,jb->jab", signals, signals).reshape(len(signals), 4)
+    _, w = _branch_weights(protocol_spec(system, targets=(1, 2)), signals, pairs)
+    return float(0.5 * w.sum())
 
 
 def optimize_coeffs(ens: TwoStateEnsemble) -> CloneCoeffs:

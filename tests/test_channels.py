@@ -26,6 +26,12 @@ class TestDirectFidelity:
         for t in np.linspace(0, np.pi, 15):
             assert abs(direct_fidelity_state(t, Channel.maximal()) - 1.0) < 1e-12
 
+    def test_never_rounds_above_one_at_the_maximal_channel(self):
+        # the sum cos^4 + sin^4 + alpha beta sin^2 rounded to 1 + 2.2e-16 on
+        # 6 of these angles, e.g. theta = 0.02575
+        for t in np.linspace(0, np.pi / 2, 62):
+            assert direct_fidelity_state(t, Channel.maximal()) <= 1.0
+
     def test_product_channel_equatorial_state(self):
         assert abs(direct_fidelity_state(np.pi / 2, Channel(0.0)) - 0.5) < 1e-15
 

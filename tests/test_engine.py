@@ -16,15 +16,16 @@ their amplitudes: ``teleclone``, its ``joint_clones`` and ``fidelity``.
 import numpy as np
 import pytest
 
+from teleportsim import protocols, states, telecloning
 from teleportsim import rng as rngmod
-from teleportsim import states, telecloning
 from teleportsim.ensembles import Channel, TwoStateEnsemble, channel_state, make_states
 from teleportsim.protocols import (
     STANDARD_CORRECTION_MATRICES,
+    ProtocolSpec,
     _branch_table,
-    _transfer_operators,
     enumerate_protocol_fidelity,
     mc_haar_average_fidelity,
+    mc_protocol_fidelity,
     standard_teleportation,
 )
 from teleportsim.states import (
@@ -48,6 +49,11 @@ from teleportsim.telecloning import (
     teleclone,
     universal_coeffs,
 )
+
+
+def _transfer_operators(channel):
+    return standard_teleportation(channel).transfer
+
 
 THETAS = (0.0, np.pi / 4, np.pi / 2)
 ALPHAS = (0.0, 0.3, 1 / np.sqrt(2))
@@ -397,3 +403,109 @@ class TestHaarTransferOperators:
         t = _transfer_operators(Channel(0.0))
         for k, b in ((0, 0), (1, 0), (2, 1), (3, 1)):
             assert np.all(t[k, :, b] == 0)
+
+
+class TestProtocolTransferOperators:
+    """Scoring as contractions on each spec's transfer operators T."""
+
+    COEFF_SETS = (universal_coeffs(), CloneCoeffs(0.5, 0.5, 0.5), CloneCoeffs(1.0, 0.0, 0.0))
+
+    def test_clone_spec_subset_targets_match_reference_loop(self):
+        rng = np.random.default_rng(111)
+        coeff_sets = self.COEFF_SETS + (random_coeffs(rng),)
+        with np.errstate(divide="raise", invalid="raise"):
+            for coeffs in coeff_sets:
+                system = build_telecloning_state(coeffs)
+                for targets in ((1,), (0, 2)):
+                    spec = protocol_spec(system, targets=targets)
+                    for theta in THETAS:
+                        for psi in inputs_for(theta, rng):
+                            target = psi if len(targets) == 1 else reference_tensor(psi, psi)
+                            expected = reference_branch_table(psi, spec, target)
+                            assert_rows_match(_branch_table(psi, spec, target), expected)
+                            total = sum(p * f for p, f in expected)
+                            got = enumerate_protocol_fidelity(psi, spec, target)
+                            assert abs(got - total) < 1e-12
+
+    def test_operators_are_complete_and_read_only(self):
+        specs = [standard_teleportation(Channel(alpha)) for alpha in ALPHAS]
+        specs += [protocol_spec(build_telecloning_state(c)) for c in self.COEFF_SETS]
+        with np.errstate(divide="raise", invalid="raise"):
+            for spec in specs:
+                t = spec.transfer
+                assert t.shape == (4, 2 ** (spec.resource_state.n_qubits - 1), 2)
+                total = sum(tk.conj().T @ tk for tk in t)
+                assert np.abs(total - np.eye(2)).max() < 1e-14
+                with pytest.raises(ValueError):
+                    t[0, 0, 0] = 1.0
+
+    def test_operators_follow_the_spec_corrections(self):
+        # identity corrections: a different protocol, still matched branch by branch
+        channel_spec = standard_teleportation(Channel(0.3))
+        bare = ProtocolSpec(
+            resource_state=channel_spec.resource_state,
+            measured_pair=(0, 1),
+            corrections={k: LocalOperator.identity(1) for k in (1, 2, 3, 4)},
+            evaluation_targets=(0,),
+        )
+        rng = np.random.default_rng(112)
+        with np.errstate(divide="raise", invalid="raise"):
+            for psi in inputs_for(np.pi / 4, rng):
+                assert_rows_match(
+                    _branch_table(psi, bare, psi), reference_branch_table(psi, bare, psi)
+                )
+            psi, _ = make_states(TwoStateEnsemble(np.pi / 4))
+            gap = enumerate_protocol_fidelity(psi, channel_spec) - enumerate_protocol_fidelity(
+                psi, bare
+            )
+            assert gap > 0.1
+
+    def test_built_once_per_spec(self, monkeypatch):
+        calls = []
+        build = protocols._bell_transfer
+
+        def counting_build(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(protocols, "_bell_transfer", counting_build)
+        spec = standard_teleportation(Channel(0.3))
+        assert len(calls) == 1
+        psi, psi2 = make_states(TwoStateEnsemble(np.pi / 4))
+        for _ in range(3):
+            enumerate_protocol_fidelity(psi, spec)
+            enumerate_protocol_fidelity(psi2, spec)
+            _branch_table(psi, spec, psi)
+        mc_protocol_fidelity(psi, spec, 1000, seed=1)
+        assert len(calls) == 1
+        # the clone fidelity scores both signal states on one clone spec
+        global_clone_fidelity(TwoStateEnsemble(np.pi / 4), universal_coeffs())
+        assert len(calls) == 2
+
+    def test_rejects_malformed_inputs_and_corrections(self):
+        spec = standard_teleportation(Channel(0.3))
+        # a PureState is normalised within 1e-12; bypass it to reach the check
+        scaled = np.array([[1.0 + 1e-9, 0.0]])
+        with pytest.raises(ValueError, match="not normalized"):
+            protocols._branch_weights(spec, scaled, scaled)
+        pair = reference_tensor(ZERO, ZERO)
+        with pytest.raises(ValueError, match="single qubit"):
+            enumerate_protocol_fidelity(pair, spec, ZERO)
+        with pytest.raises(ValueError, match="1 remain"):
+            ProtocolSpec(
+                resource_state=spec.resource_state,
+                measured_pair=(0, 1),
+                corrections={k: LocalOperator.identity(2) for k in (1, 2, 3, 4)},
+                evaluation_targets=(0,),
+            )
+        # each factor passes the 1e-12 unitarity check, their product on three
+        # qubits scales a branch norm by 1 + 2.4e-12
+        stretched = LocalOperator.uniform(3, (1 + 4e-13) * np.eye(2))
+        system = build_telecloning_state(universal_coeffs())
+        with pytest.raises(ValueError, match="not normalized"):
+            ProtocolSpec(
+                resource_state=system.state,
+                measured_pair=(0, 1),
+                corrections={k: stretched for k in (1, 2, 3, 4)},
+                evaluation_targets=(1, 2),
+            )
