@@ -45,13 +45,13 @@ class ClassicalStrategy:
             m = np.asarray(m, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError(f"POVM elements must be 2x2, got {m.shape}")
-            if np.abs(m - m.conj().T).max() > 1e-12:
+            if not np.abs(m - m.conj().T).max() <= 1e-12:
                 raise ValueError("POVM element not Hermitian")
-            if float(np.linalg.eigvalsh(m).min()) < _POVM_EIG_FLOOR:
+            if not float(np.linalg.eigvalsh(m).min()) >= _POVM_EIG_FLOOR:
                 raise ValueError("POVM element has a negative eigenvalue")
             ops.append(m)
         total = sum(ops)
-        if np.abs(total - np.eye(2)).max() > _POVM_SUM_ATOL:
+        if not np.abs(total - np.eye(2)).max() <= _POVM_SUM_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
         if len(self.guesses) != len(ops):
             raise ValueError("need exactly one guess state per POVM element")

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -244,11 +245,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if config.command == "verify":
-        return cmd_verify(config)
-
+    code = 0
     try:
-        if config.command == "fig-classical":
+        if config.command == "verify":
+            report = io.StringIO()
+            code = cmd_verify(config, stream=report)
+            text = report.getvalue()
+        elif config.command == "fig-classical":
             text = cmd_fig_classical(config)
         elif config.command == "fig-channel":
             text = cmd_fig_channel(config)
@@ -269,7 +272,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return 0
+    return code
 
 
 def entrypoint() -> None:

@@ -125,7 +125,7 @@ def _branch_weights(spec: ProtocolSpec, inputs: np.ndarray, targets: np.ndarray)
     v = (t @ inputs.T).transpose(2, 0, 1)
     p = (np.abs(v) ** 2).sum(axis=2)
     for total in p.sum(axis=1).tolist():
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
     # (m, 4, 2^rest, 2^kept): each branch's amplitudes, rest qubits by scored qubits
     split = v.reshape([m, 4] + [2] * n).transpose([0, 1] + [q + 2 for q in rest + kept])

@@ -66,7 +66,7 @@ class PureState:
         a = _read_only(np.asarray(self.amplitudes).ravel())
         _n_qubits_for(a.size)
         norm = float(np.vdot(a, a).real)
-        if abs(norm - 1.0) > _NORM_ATOL:
+        if not abs(norm - 1.0) <= _NORM_ATOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", a)
 
@@ -90,13 +90,13 @@ class DensityMatrix:
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"density matrix must be square, got {e.shape}")
         _n_qubits_for(e.shape[0])
-        if np.abs(e - e.conj().T).max() > _HERM_ATOL:
+        if not np.abs(e - e.conj().T).max() <= _HERM_ATOL:
             raise ValueError("density matrix not Hermitian within 1e-12")
         tr = complex(np.trace(e))
-        if abs(tr - 1.0) > _NORM_ATOL:
+        if not abs(tr - 1.0) <= _NORM_ATOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
         low = float(np.linalg.eigvalsh((e + e.conj().T) / 2).min())
-        if low < _EIG_FLOOR:
+        if not low >= _EIG_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {low} < -1e-10")
         object.__setattr__(self, "elements", _read_only(e))
 
@@ -117,7 +117,7 @@ class LocalOperator:
             f = np.asarray(f, dtype=complex)
             if f.shape != (2, 2):
                 raise ValueError(f"factor must be 2x2, got {f.shape}")
-            if np.abs(f @ f.conj().T - np.eye(2)).max() > _HERM_ATOL:
+            if not np.abs(f @ f.conj().T - np.eye(2)).max() <= _HERM_ATOL:
                 raise ValueError("factor is not unitary within 1e-12")
             fs.append(_read_only(f))
         if not fs:
@@ -206,8 +206,13 @@ def bell_measure(state: PureState, pair: tuple) -> list:
     projections; post-states keep the relative order of the remaining
     qubits.
     """
-    rows = _measure_and_correct(state, pair)
-    return [BellOutcome(k + 1, p, post) for k, (p, post) in enumerate(rows)]
+    n = state.n_qubits
+    outcomes = []
+    for k, residual in enumerate(_bell_residuals(state.amplitudes[None], n, pair)[:, 0]):
+        p = float(np.vdot(residual, residual).real)
+        post = PureState(residual / np.sqrt(p)) if n > 2 and p > 1e-30 else None
+        outcomes.append(BellOutcome(k + 1, p, post))
+    return outcomes
 
 
 def _bell_residuals(amplitudes: np.ndarray, n: int, pair: tuple) -> np.ndarray:
@@ -216,7 +221,7 @@ def _bell_residuals(amplitudes: np.ndarray, n: int, pair: tuple) -> np.ndarray:
     ``amplitudes`` is (rows, 2^n); the result is (4, rows, 2^(n-2)), one
     unnormalised residual per Bell outcome and row from one matmul, with the
     remaining qubits in their relative order.  This is the only Bell
-    projection: ``_measure_and_correct`` and ``_bell_transfer`` share it.
+    projection: ``bell_measure`` and ``_bell_transfer`` share it.
     """
     i, j = int(pair[0]), int(pair[1])
     if i == j:
@@ -227,27 +232,6 @@ def _bell_residuals(amplitudes: np.ndarray, n: int, pair: tuple) -> np.ndarray:
     rest = [q + 1 for q in range(n) if q != i and q != j]
     t = amplitudes.reshape([rows] + [2] * n).transpose([i + 1, j + 1, 0] + rest)
     return (_BELL_BRAS @ t.reshape(4, -1)).reshape(4, rows, -1)
-
-
-def _measure_and_correct(state: PureState, pair: tuple, corrections=None) -> list:
-    """(probability, post-state) per Bell outcome on ``pair``, as in bell_measure.
-
-    The branch-by-branch kernel of ``bell_measure`` and ``teleclone``:
-    ``corrections[k]``, if given, acts on outcome k before its post-state is
-    validated.
-    """
-    n = state.n_qubits
-    rows = []
-    for k, residual in enumerate(_bell_residuals(state.amplitudes[None], n, pair)[:, 0]):
-        p = float(np.vdot(residual, residual).real)
-        post = None
-        if n > 2 and p > 1e-30:
-            post = residual / np.sqrt(p)
-            if corrections is not None:
-                post = corrections[k + 1].matrix() @ post
-            post = PureState(post)
-        rows.append((p, post))
-    return rows
 
 
 def _bell_transfer(resource: PureState, pair: tuple, corrections) -> np.ndarray:

@@ -13,8 +13,10 @@ by the same Pauli correction on each of (ancilla, B, C) maps every branch
 exactly onto x*phi0 + y*phi1 for input x|0> + y|1>; the clones are partial
 traces of that state.  As a ``ProtocolSpec`` (``protocol_spec``) the
 protocol has transfer operators T (4 x 8 x 2): outcome k maps the input z to
-the corrected, unnormalised branch T[k] z on (ancilla, B, C).  The global
-clone fidelity is one contraction of T with both signal states,
+the corrected, unnormalised branch v_k = T[k] z on (ancilla, B, C), and
+every routine here runs on T.  ``teleclone`` reads its branches
+(||v_k||^2, v_k / ||v_k||) and the clones from sum_k v_k v_k^dagger.  The
+global clone fidelity is one contraction of T with both signal states,
 
     (1/2) sum_j sum_k ||(I_ancilla (x) <psi_j psi_j|_BC) T[k] psi_j||^2,
 
@@ -31,7 +33,7 @@ compared with is the closed form of Bruss et al., PRA 57, 2368 (1998).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +43,7 @@ from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
-    _measure_and_correct,
     partial_trace,
-    tensor,
     von_neumann_entropy,
 )
 
@@ -63,10 +63,10 @@ class CloneCoeffs:
 
     def __post_init__(self):
         a, b, c = float(self.a), float(self.b), float(self.c)
-        if min(a, b, c) < -1e-12:
+        if not min(a, b, c) >= -1e-12:
             raise ValueError(f"coefficients must be nonnegative, got {(a, b, c)}")
         norm = a * a + 2 * b * b + c * c
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"a^2 + 2b^2 + c^2 = {norm!r}, expected 1")
         object.__setattr__(self, "a", max(a, 0.0))
         object.__setattr__(self, "b", max(b, 0.0))
@@ -75,20 +75,22 @@ class CloneCoeffs:
 
 @dataclass(frozen=True, eq=False)
 class TelecloningSystem:
-    """The 4-qubit resource state together with its defining coefficients."""
+    """The 4-qubit resource state, built once from its defining coefficients.
 
-    state: PureState
+    ``state`` is derived, (|0>phi0 + |1>phi1)/sqrt(2) on (port, ancilla, B,
+    C), so it cannot disagree with ``coeffs``; each of its one-qubit
+    marginals is checked to be I/2 within 1e-10.
+    """
+
     coeffs: CloneCoeffs
+    state: PureState = field(init=False)
 
     def __post_init__(self):
-        expected = _telecloning_amplitudes(self.coeffs)
-        if self.state.n_qubits != 4 or np.abs(
-            self.state.amplitudes - expected
-        ).max() > 1e-12:
-            raise ValueError("state does not match the coefficient construction")
-        for q, reduced in enumerate(_qubit_marginals(self.state.amplitudes)):
-            if np.abs(reduced - np.eye(2) / 2).max() > 1e-10:
+        state = PureState(_telecloning_amplitudes(self.coeffs))
+        for q, reduced in enumerate(_qubit_marginals(state.amplitudes)):
+            if not np.abs(reduced - np.eye(2) / 2).max() <= 1e-10:
                 raise ValueError(f"qubit {q} reduced state is not I/2")
+        object.__setattr__(self, "state", state)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +137,7 @@ def build_clone_states(coeffs: CloneCoeffs):
 
 def build_telecloning_state(coeffs: CloneCoeffs) -> TelecloningSystem:
     """Assemble (|0>phi0 + |1>phi1)/sqrt(2) on (port, ancilla, B, C)."""
-    return TelecloningSystem(
-        state=PureState(_telecloning_amplitudes(coeffs)), coeffs=coeffs
-    )
+    return TelecloningSystem(coeffs)
 
 
 def apply_cloner(input_state: PureState, coeffs: CloneCoeffs) -> PureState:
@@ -162,16 +162,20 @@ def protocol_spec(system: TelecloningSystem, targets=(0, 1, 2)) -> ProtocolSpec:
 def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneResult:
     """Run the telecloning protocol on a single-qubit input.
 
-    Bell-measures (input, port), applies the standard correction P x P x P
-    on (ancilla, B, C), and traces out qubits to extract the clones.  Every
-    corrected branch equals x phi0 + y phi1 exactly, so the four outcome
-    probabilities are 1/4 independent of the input.
+    Bell-measures (input, port) and applies the standard correction
+    P x P x P on (ancilla, B, C) through the transfer operators T of
+    ``protocol_spec(system)``: with v_k = T[k] z, outcome k has probability
+    ||v_k||^2 and branch state v_k / ||v_k||, and the clones are partial
+    traces of sum_k v_k v_k^dagger.  Every corrected branch equals
+    x phi0 + y phi1 exactly, so the four outcome probabilities are 1/4
+    independent of the input.
     """
     if input_state.n_qubits != 1:
         raise ValueError("telecloning input must be a single qubit")
-    joint = tensor(input_state, system.state)
-    per = tuple(_measure_and_correct(joint, (0, 1), _CLONE_CORRECTIONS))
-    rho = DensityMatrix(sum(p * np.outer(c.amplitudes, c.amplitudes.conj()) for p, c in per))
+    v = protocol_spec(system).transfer @ input_state.amplitudes
+    p = (np.abs(v) ** 2).sum(axis=1)
+    per = tuple((float(pk), PureState(vk / np.sqrt(pk))) for pk, vk in zip(p, v))
+    rho = DensityMatrix(v.T @ v.conj())
     return TelecloneResult(
         per_outcome=per,
         clone_b=partial_trace(rho, (1,)),

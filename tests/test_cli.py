@@ -166,6 +166,28 @@ class TestMainEntry:
         target = tmp_path / "no_such_dir" / "x.csv"
         assert main(["fig-classical", "--theta-steps", "3", "--out", str(target)]) == 2
 
+    def test_verify_writes_report_to_out(self, tmp_path, capsys):
+        argv = ["verify", "--samples", "1000"]
+        assert main(argv) == 0
+        report = capsys.readouterr().out
+        assert report.endswith("30/30 checks passed\n")
+        out = tmp_path / "verify.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == ""
+        assert out.read_text() == report
+        # a failing run still writes its report and exits 1
+        assert main(argv + ["--tamper", "--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert "FAIL channel-horodecki-identity" in out.read_text()
+
+    def test_verify_exit_code_2_on_unwritable_out(self, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "verify.txt"
+        assert main(["verify", "--samples", "1000", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as err:
             main(["not-a-command"])

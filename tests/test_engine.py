@@ -1,16 +1,17 @@
-"""The shared measure-and-correct kernel against the per-outcome loop it replaced.
+"""The transfer-operator routes against the per-outcome loops they replaced.
 
 ``reference_bell_measure`` and ``reference_branch_table`` are the loops that
-``states.bell_measure`` and ``protocols._branch_table`` ran before the kernel:
-one Bell vector at a time, a validated post-state per outcome, then
+``states.bell_measure`` and ``protocols._branch_table`` ran before the shared
+kernel: one Bell vector at a time, a validated post-state per outcome, then
 ``apply_local`` and ``fidelity``/``partial_trace``.  ``reference_teleclone``
-is the matching loop of ``telecloning.teleclone``.  ``_mc_haar_reference`` is
-the per-outcome einsum loop, with its one-pass variance, that
-``protocols.mc_haar_average_fidelity`` ran before the transfer operators; it
-rebuilds each input's amplitudes from the same ``rng.haar_bloch`` draws.
-``reference_global_clone_fidelity`` is the density-matrix route that
-``telecloning.global_clone_fidelity`` took before it scored branches on
-their amplitudes: ``teleclone``, its ``joint_clones`` and ``fidelity``.
+is the matching loop that ``telecloning.teleclone`` ran before it read the
+transfer operators T.  ``_mc_haar_reference`` is the per-outcome einsum loop,
+with its one-pass variance, that ``protocols.mc_haar_average_fidelity`` ran
+before the transfer operators; it rebuilds each input's amplitudes from the
+same ``rng.haar_bloch`` draws.  ``reference_global_clone_fidelity`` is the
+density-matrix route that ``telecloning.global_clone_fidelity`` took before
+it scored branches on their amplitudes, built on ``reference_teleclone`` so
+that it shares no T with the code it checks.
 """
 
 import numpy as np
@@ -126,12 +127,12 @@ def reference_teleclone(input_state, system):
 
 
 def reference_global_clone_fidelity(ens, coeffs):
-    """(1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> through teleclone's joint state."""
+    """(1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> through the reference joint state."""
     system = build_telecloning_state(coeffs)
     total = 0.0
     for psi in make_states(ens):
-        result = teleclone(psi, system)
-        total += 0.5 * fidelity(tensor(psi, psi), result.joint_clones)
+        _, rho = reference_teleclone(psi, system)
+        total += 0.5 * fidelity(tensor(psi, psi), partial_trace(rho, (1, 2)))
     return total
 
 
@@ -353,14 +354,29 @@ class TestMarginalCheck:
             assert np.abs(reduced - partial_trace(rho, (q,)).elements).max() < 1e-14
 
     def test_check_still_rejects_non_maximally_mixed_marginals(self, monkeypatch):
-        # every coefficient-matched state has I/2 marginals, so reaching the
-        # check needs the coefficient match bypassed
+        # every coefficient-built state has I/2 marginals, so reaching the
+        # check needs the construction replaced
         rng = np.random.default_rng(107)
         z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         state = PureState(z / np.linalg.norm(z))
         monkeypatch.setattr(telecloning, "_telecloning_amplitudes", lambda _: state.amplitudes)
         with pytest.raises(ValueError, match="is not I/2"):
-            TelecloningSystem(state=state, coeffs=universal_coeffs())
+            TelecloningSystem(universal_coeffs())
+
+    def test_state_is_built_once_per_system(self, monkeypatch):
+        calls = []
+        build = telecloning._telecloning_amplitudes
+
+        def counting_build(coeffs):
+            calls.append(coeffs)
+            return build(coeffs)
+
+        monkeypatch.setattr(telecloning, "_telecloning_amplitudes", counting_build)
+        rng = np.random.default_rng(110)
+        for n, coeffs in enumerate([universal_coeffs()] + [random_coeffs(rng) for _ in range(3)]):
+            system = build_telecloning_state(coeffs)
+            assert len(calls) == n + 1
+            assert system.coeffs is coeffs
 
 
 class TestHaarTransferOperators:

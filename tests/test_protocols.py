@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from teleportsim.channels import average_fidelity_direct, two_state_direct_fidelity
+from teleportsim.channels import (
+    average_fidelity_direct,
+    purification_fidelity_two_state,
+    two_state_direct_fidelity,
+)
 from teleportsim.classical import (
     classical_fidelity,
     fidelity_optimized,
@@ -146,6 +150,18 @@ class TestPurificationBranch:
     def test_branch_arithmetic(self):
         got = simulate_purification_branch(PI4, Channel(np.sqrt(0.3)))
         assert abs(got - 0.9732050807568877) < 1e-12
+
+    def test_matches_closed_form_over_grid(self):
+        # the enumeration route is the independent check of the closed form
+        thetas = np.linspace(0.0, np.pi / 2, 7)
+        alphas = np.append(np.linspace(0.0, 1 / np.sqrt(2), 6), np.sqrt(0.3))
+        with np.errstate(divide="raise", invalid="raise"):
+            for theta in thetas:
+                ens = TwoStateEnsemble(theta)
+                for alpha in alphas:
+                    channel = Channel(alpha)
+                    closed = purification_fidelity_two_state(ens, channel)
+                    assert abs(simulate_purification_branch(ens, channel) - closed) < 1e-12
 
 
 class TestClassicalEnumeration:

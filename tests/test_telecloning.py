@@ -177,10 +177,12 @@ class TestTelecloningSystem:
         for q in range(4):
             assert abs(von_neumann_entropy(partial_trace(rho, (q,))) - 1.0) < 1e-10
 
-    def test_rejects_mismatched_state(self):
-        good = build_telecloning_state(universal_coeffs())
-        with pytest.raises(ValueError):
-            TelecloningSystem(state=good.state, coeffs=CloneCoeffs(1.0, 0.0, 0.0))
+    def test_state_is_built_from_the_coefficients(self):
+        # the state is derived, so it cannot disagree with the coefficients
+        system = TelecloningSystem(CloneCoeffs(1.0, 0.0, 0.0))
+        ghz = np.zeros(16)
+        ghz[0], ghz[15] = 1 / np.sqrt(2), 1 / np.sqrt(2)
+        assert np.array_equal(system.state.amplitudes, ghz)
 
 
 class TestTeleclone:

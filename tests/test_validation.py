@@ -1,0 +1,39 @@
+"""Validating constructors reject NaN and infinite entries.
+
+Each check is written ``if not deviation <= tolerance: raise``, so a NaN
+deviation, for which every comparison is false, fails it too.
+"""
+
+import numpy as np
+import pytest
+
+from teleportsim.classical import ClassicalStrategy
+from teleportsim.states import DensityMatrix, LocalOperator, PureState
+from teleportsim.telecloning import CloneCoeffs
+
+ZERO = PureState(np.array([1.0, 0.0]))
+ONE = PureState(np.array([0.0, 1.0]))
+
+
+def _povm(bad):
+    return ClassicalStrategy((np.diag([bad, 0.0]), np.diag([0.0, 1.0])), (ZERO, ONE))
+
+
+CONSTRUCTORS = {
+    "PureState": lambda bad: PureState(np.array([bad, 0.0])),
+    "PureState-second-entry": lambda bad: PureState(np.array([1.0, bad])),
+    "CloneCoeffs": lambda bad: CloneCoeffs(bad, 0.5, 0.5),
+    "CloneCoeffs-b": lambda bad: CloneCoeffs(0.5, bad, 0.5),
+    "LocalOperator": lambda bad: LocalOperator((np.array([[bad, 0.0], [0.0, 1.0]]),)),
+    "DensityMatrix": lambda bad: DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]])),
+    "DensityMatrix-coherence": lambda bad: DensityMatrix(np.array([[0.5, bad], [bad, 0.5]])),
+    "ClassicalStrategy": _povm,
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructors_reject_non_finite_entries(name, bad):
+    # inf - inf warns (an error under this suite) before the check rejects it
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
+        CONSTRUCTORS[name](bad)
