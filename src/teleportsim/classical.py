@@ -45,6 +45,8 @@ class ClassicalStrategy:
             m = np.asarray(m, dtype=complex)
             if m.shape != (2, 2):
                 raise ValueError(f"POVM elements must be 2x2, got {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError("POVM element has a non-finite entry")
             if not np.abs(m - m.conj().T).max() <= 1e-12:
                 raise ValueError("POVM element not Hermitian")
             if not float(np.linalg.eigvalsh(m).min()) >= _POVM_EIG_FLOOR:

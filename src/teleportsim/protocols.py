@@ -5,12 +5,14 @@ fidelities elsewhere in the package: it runs measure-and-correct protocols
 by projecting onto the Bell basis and averaging branch fidelities, with no
 reference to any closed form.
 
-Every protocol is linear in its one-qubit input, so four transfer operators
-describe it completely: outcome k maps the input z to the corrected,
-unnormalised output v_k = T[k] z, with probability p_k = ||v_k||^2.  A
-``ProtocolSpec`` builds its T (4 x d_out x 2, read-only) once, at
-construction, from one Bell projection of the basis inputs |0>, |1> (x)
-resource (``states._bell_transfer``).  Scoring an input against a target on
+Every protocol here has one shape: the sender Bell-measures the one-qubit
+input together with the resource's first qubit, and the receivers correct
+the resource's other qubits, the output.  The protocol is linear in its
+input, so four transfer operators describe it completely: outcome k maps
+the input z to the corrected, unnormalised output v_k = T[k] z, with
+probability p_k = ||v_k||^2.  A ``ProtocolSpec`` builds its T
+(4 x d_out x 2, read-only) once, at construction, from one contraction of
+the Bell bras with the resource (``states._bell_transfer``).  Scoring an input against a target on
 the evaluated qubits is then a contraction on T,
 
     w_k = ||(I_rest (x) <target|) T[k] z||^2,
@@ -62,16 +64,16 @@ _STANDARD_CORRECTIONS = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_
 class ProtocolSpec:
     """A measure-and-correct protocol over ``input (x) resource_state``.
 
-    The input is one qubit.  ``measured_pair`` indexes the combined system
-    (input qubit first); ``corrections`` maps each Bell outcome 1..4 to a
-    LocalOperator on the qubits that survive the measurement;
-    ``evaluation_targets`` selects the output qubits (post-measurement
-    indexing) whose state is scored.  ``transfer`` holds the read-only
-    transfer operators T (4 x d_out x 2), built at construction.
+    The input is one qubit, Bell-measured together with the resource's first
+    qubit.  ``corrections`` maps each Bell outcome 1..4 to a LocalOperator
+    on the resource's other qubits, the output; ``evaluation_targets``
+    selects the output qubits (indexed from 0) whose state is scored,
+    either all of them in order or a proper subset, which is stored in
+    ascending order.  ``transfer`` holds the read-only transfer operators
+    T (4 x d_out x 2), built at construction.
     """
 
     resource_state: PureState
-    measured_pair: tuple
     corrections: Mapping[int, LocalOperator]
     evaluation_targets: tuple
     transfer: np.ndarray = field(init=False, repr=False)
@@ -80,23 +82,23 @@ class ProtocolSpec:
         missing = {1, 2, 3, 4} - set(self.corrections)
         if missing:
             raise ValueError(f"corrections missing for outcomes {sorted(missing)}")
-        object.__setattr__(self, "measured_pair", tuple(int(q) for q in self.measured_pair))
-        object.__setattr__(
-            self, "evaluation_targets", tuple(int(q) for q in self.evaluation_targets)
-        )
         object.__setattr__(self, "corrections", dict(self.corrections))
-        object.__setattr__(
-            self,
-            "transfer",
-            _bell_transfer(self.resource_state, self.measured_pair, self.corrections),
-        )
+        t = _bell_transfer(self.resource_state, self.corrections)
+        n = _n_qubits_for(t.shape[1])
+        targets = tuple(int(q) for q in self.evaluation_targets)
+        if targets != tuple(range(n)):
+            kept = tuple(_kept_qubits(targets, n))
+            if len(kept) != len(targets):
+                raise ValueError(f"dimension mismatch: evaluation_targets {targets} repeat a qubit")
+            targets = kept
+        object.__setattr__(self, "evaluation_targets", targets)
+        object.__setattr__(self, "transfer", t)
 
 
 def standard_teleportation(channel: Channel) -> ProtocolSpec:
     """One-qubit teleportation through ``channel`` with standard corrections."""
     return ProtocolSpec(
         resource_state=channel_state(channel),
-        measured_pair=(0, 1),
         corrections=_STANDARD_CORRECTIONS,
         evaluation_targets=(0,),
     )
@@ -106,20 +108,17 @@ def _branch_weights(spec: ProtocolSpec, inputs: np.ndarray, targets: np.ndarray)
     """(p, w), each (m, 4), for the m one-qubit input rows of ``inputs``.
 
     With v_k = T[k] z: p_k = ||v_k||^2 and w_k = ||(I_rest (x) <target|) v_k||^2
-    over ``spec.evaluation_targets``, scored against the matching row of
-    ``targets``.  Each input's probabilities must sum to 1 within 1e-12.
+    over ``spec.evaluation_targets`` (validated by the spec), scored against
+    the matching row of ``targets``.  Each input's probabilities must sum to
+    1 within 1e-12.
     """
     t = spec.transfer
     if inputs.shape[1] != t.shape[2]:
         raise ValueError("protocol input must be a single qubit")
-    if targets.shape[1] != 2 ** len(spec.evaluation_targets):
+    kept = list(spec.evaluation_targets)
+    if targets.shape[1] != 2 ** len(kept):
         raise ValueError("target dimension does not match evaluation_targets")
     n = _n_qubits_for(t.shape[1])
-    kept = list(spec.evaluation_targets)
-    if spec.evaluation_targets != tuple(range(n)):
-        kept = _kept_qubits(kept, n)
-        if targets.shape[1] != 2 ** len(kept):
-            raise ValueError("dimension mismatch")
     rest = [q for q in range(n) if q not in kept]
     m = len(inputs)
     v = (t @ inputs.T).transpose(2, 0, 1)
@@ -160,25 +159,19 @@ def enumerate_protocol_fidelity(
     return float(w.sum())
 
 
-def mc_protocol_fidelity(
-    input_state: PureState,
-    spec: ProtocolSpec,
-    samples: int,
-    seed: int,
-    target: Optional[PureState] = None,
-):
+def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: int, seed: int):
     """Monte Carlo protocol fidelity: (mean, standard error).
 
     Bell outcomes are sampled from their exact distribution in fixed-size
     chunks with split seeds, so results are bit-identical for a given
-    (samples, seed) pair.
+    (samples, seed) pair.  The target is the input state itself, on the
+    spec's evaluation targets.
     """
     sizes = rngmod.chunk_sizes(samples)
     if samples < 100:
         raise ValueError("samples must be >= 100")
     gens = rngmod.substreams(seed, len(sizes))
-    target = input_state if target is None else target
-    rows = _branch_table(input_state, spec, target)
+    rows = _branch_table(input_state, spec, input_state)
     probs = np.array([p for p, _ in rows])
     fids = np.array([f for _, f in rows])
     probs = probs / probs.sum()

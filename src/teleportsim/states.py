@@ -90,6 +90,8 @@ class DensityMatrix:
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"density matrix must be square, got {e.shape}")
         _n_qubits_for(e.shape[0])
+        if not np.isfinite(e).all():
+            raise ValueError("density matrix has a non-finite entry")
         if not np.abs(e - e.conj().T).max() <= _HERM_ATOL:
             raise ValueError("density matrix not Hermitian within 1e-12")
         tr = complex(np.trace(e))
@@ -117,6 +119,8 @@ class LocalOperator:
             f = np.asarray(f, dtype=complex)
             if f.shape != (2, 2):
                 raise ValueError(f"factor must be 2x2, got {f.shape}")
+            if not np.isfinite(f).all():
+                raise ValueError("factor has a non-finite entry")
             if not np.abs(f @ f.conj().T - np.eye(2)).max() <= _HERM_ATOL:
                 raise ValueError("factor is not unitary within 1e-12")
             fs.append(_read_only(f))
@@ -132,13 +136,6 @@ class LocalOperator:
     @classmethod
     def identity(cls, n_qubits: int) -> "LocalOperator":
         return cls(tuple(PAULI_I for _ in range(n_qubits)))
-
-    @classmethod
-    def at(cls, n_qubits: int, position: int, matrix: np.ndarray) -> "LocalOperator":
-        """Single-qubit operator at ``position``, identity elsewhere."""
-        fs = [PAULI_I] * n_qubits
-        fs[position] = matrix
-        return cls(tuple(fs))
 
     @classmethod
     def uniform(cls, n_qubits: int, matrix: np.ndarray) -> "LocalOperator":
@@ -203,56 +200,44 @@ def bell_measure(state: PureState, pair: tuple) -> list:
 
     Returns the four :class:`BellOutcome` values in the fixed order
     (phi+, phi-, psi+, psi-).  Probabilities are squared norms of the
-    projections; post-states keep the relative order of the remaining
-    qubits.
+    projections, all four from one matmul with the Bell bras; post-states
+    keep the relative order of the remaining qubits.
     """
     n = state.n_qubits
+    i, j = int(pair[0]), int(pair[1])
+    if i == j:
+        raise ValueError("measured pair must be two distinct qubits")
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"pair {pair} out of range for {n} qubits")
+    rest = [q for q in range(n) if q != i and q != j]
+    t = state.amplitudes.reshape([2] * n).transpose([i, j] + rest)
     outcomes = []
-    for k, residual in enumerate(_bell_residuals(state.amplitudes[None], n, pair)[:, 0]):
+    for k, residual in enumerate(_BELL_BRAS @ t.reshape(4, -1)):
         p = float(np.vdot(residual, residual).real)
         post = PureState(residual / np.sqrt(p)) if n > 2 and p > 1e-30 else None
         outcomes.append(BellOutcome(k + 1, p, post))
     return outcomes
 
 
-def _bell_residuals(amplitudes: np.ndarray, n: int, pair: tuple) -> np.ndarray:
-    """Projections of each row of ``amplitudes`` onto the Bell vectors of ``pair``.
-
-    ``amplitudes`` is (rows, 2^n); the result is (4, rows, 2^(n-2)), one
-    unnormalised residual per Bell outcome and row from one matmul, with the
-    remaining qubits in their relative order.  This is the only Bell
-    projection: ``bell_measure`` and ``_bell_transfer`` share it.
-    """
-    i, j = int(pair[0]), int(pair[1])
-    if i == j:
-        raise ValueError("measured pair must be two distinct qubits")
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"pair {pair} out of range for {n} qubits")
-    rows = amplitudes.shape[0]
-    rest = [q + 1 for q in range(n) if q != i and q != j]
-    t = amplitudes.reshape([rows] + [2] * n).transpose([i + 1, j + 1, 0] + rest)
-    return (_BELL_BRAS @ t.reshape(4, -1)).reshape(4, rows, -1)
-
-
-def _bell_transfer(resource: PureState, pair: tuple, corrections) -> np.ndarray:
+def _bell_transfer(resource: PureState, corrections) -> np.ndarray:
     """Read-only (4, d_out, 2) transfer operators of a one-qubit input and ``resource``.
 
-    Outcome k maps the input z to its corrected, unnormalised output
-    ``T[k] @ z`` on the unmeasured qubits.  One Bell projection of both basis
-    inputs |b> (x) resource gives the residuals, and the stacked
-    ``corrections[k]`` act on outcome k.  Every basis branch of weight above
-    1e-30 is checked to stay normalised within 1e-12, the check that a
-    validated post-state makes.
+    The input is Bell-measured together with the resource's first qubit, and
+    outcome k maps the input z to its corrected, unnormalised output
+    ``T[k] @ z`` on the resource's other qubits.  For the basis input |b> the
+    residual of outcome k is sum_j <Bell_k|b j> resource[j, :], so one
+    contraction of the Bell bras (as 4 x 2 x 2) with the resource (as
+    2 x d_out) gives every residual, and the stacked ``corrections[k]`` act
+    on outcome k.  Every basis branch of weight above 1e-30 is checked to
+    stay normalised within 1e-12, the check that a validated post-state
+    makes.
     """
-    n = resource.n_qubits + 1
+    n_out = resource.n_qubits - 1
     ops = [corrections[k] for k in (1, 2, 3, 4)]
     for k, op in enumerate(ops):
-        if op.n_qubits != n - 2:
-            raise ValueError(f"correction {k + 1} acts on {op.n_qubits} qubits, {n - 2} remain")
-    d = resource.amplitudes.size
-    basis_joint = np.zeros((2, 2 * d), dtype=complex)
-    basis_joint[0, :d] = basis_joint[1, d:] = resource.amplitudes
-    residuals = _bell_residuals(basis_joint, n, pair)
+        if op.n_qubits != n_out:
+            raise ValueError(f"correction {k + 1} acts on {op.n_qubits} qubits, {n_out} remain")
+    residuals = _BELL_BRAS.reshape(4, 2, 2) @ resource.amplitudes.reshape(2, -1)
     t = np.array([op.matrix() for op in ops]) @ residuals.transpose(0, 2, 1)
     p = (np.abs(residuals) ** 2).sum(axis=2)
     norm = (np.abs(t) ** 2).sum(axis=1)

@@ -133,7 +133,8 @@ class TestVerifyCommand:
         code = cmd_verify(RunConfig(command="verify", samples=10_000, tamper=True), stream=stream)
         output = stream.getvalue()
         assert code == 1
-        assert "FAIL channel-horodecki-identity" in output
+        fails = [line for line in output.split("\n") if line.startswith("FAIL")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL channel-horodecki-identity")
 
 
 class TestMainEntry:

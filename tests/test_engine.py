@@ -100,7 +100,7 @@ def reference_branch_table(input_state, spec, target):
     joint = reference_tensor(input_state, spec.resource_state)
     n_rem = joint.n_qubits - 2
     rows = []
-    for k, (p, post) in enumerate(reference_bell_measure(joint, spec.measured_pair)):
+    for k, (p, post) in enumerate(reference_bell_measure(joint, (0, 1))):
         if post is None:
             rows.append((p, 0.0))
             continue
@@ -460,7 +460,6 @@ class TestProtocolTransferOperators:
         channel_spec = standard_teleportation(Channel(0.3))
         bare = ProtocolSpec(
             resource_state=channel_spec.resource_state,
-            measured_pair=(0, 1),
             corrections={k: LocalOperator.identity(1) for k in (1, 2, 3, 4)},
             evaluation_targets=(0,),
         )
@@ -510,7 +509,6 @@ class TestProtocolTransferOperators:
         with pytest.raises(ValueError, match="1 remain"):
             ProtocolSpec(
                 resource_state=spec.resource_state,
-                measured_pair=(0, 1),
                 corrections={k: LocalOperator.identity(2) for k in (1, 2, 3, 4)},
                 evaluation_targets=(0,),
             )
@@ -521,7 +519,6 @@ class TestProtocolTransferOperators:
         with pytest.raises(ValueError, match="not normalized"):
             ProtocolSpec(
                 resource_state=system.state,
-                measured_pair=(0, 1),
                 corrections={k: stretched for k in (1, 2, 3, 4)},
                 evaluation_targets=(1, 2),
             )

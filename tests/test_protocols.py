@@ -28,6 +28,7 @@ from teleportsim.protocols import (
 )
 from teleportsim.rng import chunk_sizes
 from teleportsim.states import LocalOperator, PureState
+from teleportsim.telecloning import build_telecloning_state, optimize_coeffs, protocol_spec
 
 PI4 = TwoStateEnsemble(np.pi / 4)
 
@@ -91,7 +92,6 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             ProtocolSpec(
                 resource_state=spec.resource_state,
-                measured_pair=(0, 1),
                 corrections={1: LocalOperator.identity(1)},
                 evaluation_targets=(0,),
             )
@@ -112,6 +112,26 @@ class TestMonteCarlo:
         exact = enumerate_protocol_fidelity(psi1, spec)
         mean, stderr = mc_protocol_fidelity(psi1, spec, 1_000_000, seed=11)
         assert abs(mean - exact) <= 4 * stderr
+
+    def test_agrees_with_enumeration_at_edges_and_on_clone_targets(self):
+        # both signal states at the theta and alpha edges through the channel,
+        # and through the clone spec scored on one clone: a subset target
+        # needs nothing beyond the spec's evaluation_targets
+        cases = []
+        for theta in (0.0, np.pi / 4, np.pi / 2):
+            ens = TwoStateEnsemble(theta)
+            for alpha in (0.0, 1 / np.sqrt(2)):
+                spec = standard_teleportation(Channel(alpha))
+                cases += [(psi, spec) for psi in make_states(ens)]
+            system = build_telecloning_state(optimize_coeffs(ens))
+            for q in (1, 2):
+                spec = protocol_spec(system, targets=(q,))
+                cases += [(psi, spec) for psi in make_states(ens)]
+        with np.errstate(divide="raise", invalid="raise"):
+            for seed, (psi, spec) in enumerate(cases):
+                exact = enumerate_protocol_fidelity(psi, spec)
+                mean, stderr = mc_protocol_fidelity(psi, spec, 100_000, seed)
+                assert abs(mean - exact) <= max(4 * stderr, 1e-12)
 
     def test_same_seed_identical_output(self):
         c = Channel(0.5)

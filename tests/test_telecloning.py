@@ -400,6 +400,20 @@ class TestCoeffValidation:
         with pytest.raises(ValueError):
             CloneCoeffs(-np.sqrt(2 / 3), np.sqrt(1 / 6), 0.0)
 
+    def test_accepted_coefficients_build_every_state(self):
+        # norm errors up to 1e-10 are accepted; every state built from the
+        # coefficients checks its norm within 1e-12
+        ens = TwoStateEnsemble(np.pi / 4)
+        for scale in (1 + 2e-11, 1 - 2e-11, 1 + 4.9e-11):
+            coeffs = CloneCoeffs(np.sqrt(2 / 3) * scale, np.sqrt(1 / 6), 0.0)
+            norm = coeffs.a**2 + 2 * coeffs.b**2 + coeffs.c**2
+            assert abs(norm - 1.0) < 1e-15
+            system = build_telecloning_state(coeffs)
+            assert abs(global_clone_fidelity(ens, coeffs) - 2 / 3) < 1e-10
+            for psi in make_states(ens):
+                assert apply_cloner(psi, coeffs).n_qubits == 3
+                assert len(teleclone(psi, system).per_outcome) == 4
+
     def test_rejects_multi_qubit_input(self):
         system = build_telecloning_state(universal_coeffs())
         two = PureState(np.array([1.0, 0, 0, 0]))
