@@ -225,9 +225,7 @@ def unambiguous_strategy(ens: TwoStateEnsemble) -> ClassicalStrategy:
     )
 
 
-def unknown_state_classical_fidelity(
-    samples: int, seed: int, fixed_input: Optional[PureState] = None
-) -> float:
+def unknown_state_classical_fidelity(samples: int, seed: int) -> float:
     """Monte Carlo classical fidelity for a completely unknown input state.
 
     Haar-uniform inputs are measured in the computational basis and the
@@ -235,21 +233,12 @@ def unknown_state_classical_fidelity(
     gives outcome 0 with probability u = (1 + r_z)/2, so it scores
     u^2 + (1 - u)^2 = (1 + r_z^2)/2; only r_z is drawn
     (``rng.haar_bloch_z``, the same draws ``rng.haar_bloch`` starts with).
-    The average converges to 2/3.  With ``fixed_input``, a single-qubit
-    PureState, the input distribution is concentrated on that state instead
-    (degenerate test mode, r_z = |a_0|^2 - |a_1|^2).
+    The average converges to 2/3.
     """
     sizes = rngmod.chunk_sizes(samples)
-    if fixed_input is not None:
-        if not isinstance(fixed_input, PureState) or fixed_input.n_qubits != 1:
-            raise ValueError("fixed_input must be a single-qubit PureState")
-        p0, p1 = np.abs(fixed_input.amplitudes) ** 2
     gens = rngmod.substreams(seed, len(sizes))
     total = 0.0
     for size, gen in zip(sizes, gens):
-        if fixed_input is None:
-            rz = rngmod.haar_bloch_z(gen, size)
-        else:
-            rz = np.full(size, p0 - p1)
+        rz = rngmod.haar_bloch_z(gen, size)
         total += float(np.sum(0.5 * (1.0 + rz**2)))
     return total / samples

@@ -173,9 +173,8 @@ def cmd_fig_telecloning(config: RunConfig) -> str:
     return _csv(meta, header, rows)
 
 
-def cmd_verify(config: RunConfig, stream=None) -> int:
-    """Run the invariant suite; print one line per check; 0 iff all pass."""
-    stream = stream if stream is not None else sys.stdout
+def cmd_verify(config: RunConfig, stream) -> int:
+    """Run the invariant suite; write one line per check to ``stream``; 0 iff all pass."""
     results = run_checks(
         VerifyConfig(samples=config.samples, seed=config.seed, tamper=config.tamper)
     )
@@ -188,12 +187,17 @@ def cmd_verify(config: RunConfig, stream=None) -> int:
     return 1 if failed else 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--theta-steps", type=int, default=181)
-    parser.add_argument("--alpha-steps", type=int, default=101)
-    parser.add_argument("--samples", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
+    """A subcommand with the common options; an option not given takes its RunConfig default."""
+    parser = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--theta-steps", type=int)
+    parser.add_argument("--alpha-steps", type=int)
+    parser.add_argument("--samples", type=int)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument(
+        "--out", dest="output_path", metavar="OUT", help="output path (default stdout)"
+    )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,21 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fig-classical", help="classical strategy fidelities vs theta")
-    _add_common(p)
+    _add_command(sub, "fig-classical", "classical strategy fidelities vs theta")
 
-    p = sub.add_parser("fig-channel", help="channel strategy fidelities vs alpha^2")
-    _add_common(p)
-    p.add_argument("--theta", type=float, default=np.pi / 4, help="ensemble angle (radians)")
+    p = _add_command(sub, "fig-channel", "channel strategy fidelities vs alpha^2")
+    p.add_argument("--theta", type=float, help="ensemble angle (radians)")
     p.add_argument(
         "--unknown", action="store_true", help="unknown-state variant instead of two-state"
     )
 
-    p = sub.add_parser("fig-telecloning", help="two-state telecloning sweep vs theta")
-    _add_common(p)
+    _add_command(sub, "fig-telecloning", "two-state telecloning sweep vs theta")
 
-    p = sub.add_parser("verify", help="run the invariant verification suite")
-    _add_common(p)
+    p = _add_command(sub, "verify", "run the invariant verification suite")
     p.add_argument(
         "--tamper",
         action="store_true",
@@ -230,35 +230,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            theta_steps=args.theta_steps,
-            alpha_steps=args.alpha_steps,
-            samples=args.samples,
-            seed=args.seed,
-            output_path=args.out,
-            theta=getattr(args, "theta", np.pi / 4),
-            unknown=getattr(args, "unknown", False),
-            tamper=getattr(args, "tamper", False),
-        )
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    figures = {
+        "fig-classical": cmd_fig_classical,
+        "fig-channel": cmd_fig_channel,
+        "fig-telecloning": cmd_fig_telecloning,
+    }
     code = 0
     try:
         if config.command == "verify":
             report = io.StringIO()
-            code = cmd_verify(config, stream=report)
+            code = cmd_verify(config, report)
             text = report.getvalue()
-        elif config.command == "fig-classical":
-            text = cmd_fig_classical(config)
-        elif config.command == "fig-channel":
-            text = cmd_fig_channel(config)
-        elif config.command == "fig-telecloning":
-            text = cmd_fig_telecloning(config)
-        else:  # unreachable with required=True
-            return 2
+        else:
+            text = figures[config.command](config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

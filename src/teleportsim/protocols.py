@@ -12,12 +12,13 @@ input, so four transfer operators describe it completely: outcome k maps
 the input z to the corrected, unnormalised output v_k = T[k] z, with
 probability p_k = ||v_k||^2.  A ``ProtocolSpec`` builds its T
 (4 x d_out x 2, read-only) once, at construction, from one contraction of
-the Bell bras with the resource (``states._bell_transfer``).  Scoring an input against a target on
-the evaluated qubits is then a contraction on T,
+the Bell bras with the resource (``states._bell_transfer``).  Every
+evaluated qubit is scored against a copy of the input, so with n_t
+evaluated qubits the score is a contraction on T,
 
-    w_k = ||(I_rest (x) <target|) T[k] z||^2,
+    w_k = ||(I_rest (x) <z|^{(x) n_t}) T[k] z||^2,
 
-which is |<target|T[k] z>|^2 when the target covers every output qubit; the
+which is |<z|^{(x) n_t} T[k] z|^2 when every output qubit is evaluated; the
 protocol fidelity is sum_k w_k and the branch fidelity w_k / p_k.  No branch
 is renormalised.  The Haar Monte Carlo scores every sampled input z as
 sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector.
@@ -31,7 +32,7 @@ global phase on a maximally entangled channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -67,10 +68,12 @@ class ProtocolSpec:
     The input is one qubit, Bell-measured together with the resource's first
     qubit.  ``corrections`` maps each Bell outcome 1..4 to a LocalOperator
     on the resource's other qubits, the output; ``evaluation_targets``
-    selects the output qubits (indexed from 0) whose state is scored,
-    either all of them in order or a proper subset, which is stored in
-    ascending order.  ``transfer`` holds the read-only transfer operators
-    T (4 x d_out x 2), built at construction.
+    selects the output qubits (indexed from 0) that are scored, either all
+    of them in order or a proper subset, which is stored in ascending
+    order.  Each evaluated qubit is scored against the input itself, so the
+    order of ``evaluation_targets`` cannot change a score.  ``transfer``
+    holds the read-only transfer operators T (4 x d_out x 2), built at
+    construction.
     """
 
     resource_state: PureState
@@ -104,20 +107,17 @@ def standard_teleportation(channel: Channel) -> ProtocolSpec:
     )
 
 
-def _branch_weights(spec: ProtocolSpec, inputs: np.ndarray, targets: np.ndarray):
-    """(p, w), each (m, 4), for the m one-qubit input rows of ``inputs``.
+def _branch_weights(spec: ProtocolSpec, inputs: np.ndarray):
+    """(p, w), each (m, 4), for the m one-qubit input rows z of ``inputs``.
 
-    With v_k = T[k] z: p_k = ||v_k||^2 and w_k = ||(I_rest (x) <target|) v_k||^2
-    over ``spec.evaluation_targets`` (validated by the spec), scored against
-    the matching row of ``targets``.  Each input's probabilities must sum to
-    1 within 1e-12.
+    With v_k = T[k] z: p_k = ||v_k||^2 and w_k = ||(I_rest (x) <z|^{(x) n_t}) v_k||^2,
+    where the n_t copies of z sit on ``spec.evaluation_targets`` (validated
+    by the spec).  Each input's probabilities must sum to 1 within 1e-12.
     """
     t = spec.transfer
     if inputs.shape[1] != t.shape[2]:
         raise ValueError("protocol input must be a single qubit")
     kept = list(spec.evaluation_targets)
-    if targets.shape[1] != 2 ** len(kept):
-        raise ValueError("target dimension does not match evaluation_targets")
     n = _n_qubits_for(t.shape[1])
     rest = [q for q in range(n) if q not in kept]
     m = len(inputs)
@@ -126,36 +126,36 @@ def _branch_weights(spec: ProtocolSpec, inputs: np.ndarray, targets: np.ndarray)
     for total in p.sum(axis=1).tolist():
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
+    copies = inputs
+    for _ in kept[1:]:
+        copies = np.einsum("ja,jb->jab", copies, inputs).reshape(m, -1)
     # (m, 4, 2^rest, 2^kept): each branch's amplitudes, rest qubits by scored qubits
     split = v.reshape([m, 4] + [2] * n).transpose([0, 1] + [q + 2 for q in rest + kept])
-    scored = split.reshape(m, 4, 2 ** len(rest), -1) @ targets.conj()[:, None, :, None]
+    scored = split.reshape(m, 4, 2 ** len(rest), -1) @ copies.conj()[:, None, :, None]
     w = (np.abs(scored) ** 2).sum(axis=(2, 3))
     return p, w
 
 
-def _branch_table(input_state: PureState, spec: ProtocolSpec, target: PureState):
+def _branch_table(input_state: PureState, spec: ProtocolSpec):
     """(probability, branch fidelity) for each of the four Bell outcomes.
 
     The branch fidelity is w_k / p_k, and 0.0 for a branch of probability
     at most 1e-30.
     """
-    p, w = _branch_weights(spec, input_state.amplitudes[None], target.amplitudes[None])
+    p, w = _branch_weights(spec, input_state.amplitudes[None])
     return [
         (float(pk), float(wk / pk) if pk > 1e-30 else 0.0) for pk, wk in zip(p[0], w[0])
     ]
 
 
-def enumerate_protocol_fidelity(
-    input_state: PureState, spec: ProtocolSpec, target: Optional[PureState] = None
-) -> float:
+def enumerate_protocol_fidelity(input_state: PureState, spec: ProtocolSpec) -> float:
     """Exact protocol fidelity: sum of probability * branch fidelity, i.e. sum_k w_k.
 
-    ``target`` defaults to the input state itself (teleportation); pass an
-    explicit target when the evaluated output has a different size, e.g. a
-    two-clone target.
+    Each of the spec's evaluated qubits is scored against the input: the
+    received qubit against psi for teleportation, the clone pair against
+    psi (x) psi for ``telecloning.protocol_spec``.
     """
-    target = input_state if target is None else target
-    _, w = _branch_weights(spec, input_state.amplitudes[None], target.amplitudes[None])
+    _, w = _branch_weights(spec, input_state.amplitudes[None])
     return float(w.sum())
 
 
@@ -164,14 +164,15 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
 
     Bell outcomes are sampled from their exact distribution in fixed-size
     chunks with split seeds, so results are bit-identical for a given
-    (samples, seed) pair.  The target is the input state itself, on the
+    (samples, seed) pair.  Each branch scores as in
+    ``enumerate_protocol_fidelity``: the input copied onto each of the
     spec's evaluation targets.
     """
     sizes = rngmod.chunk_sizes(samples)
     if samples < 100:
         raise ValueError("samples must be >= 100")
     gens = rngmod.substreams(seed, len(sizes))
-    rows = _branch_table(input_state, spec, input_state)
+    rows = _branch_table(input_state, spec)
     probs = np.array([p for p, _ in rows])
     fids = np.array([f for _, f in rows])
     probs = probs / probs.sum()

@@ -34,19 +34,20 @@ def substreams(seed: int, count: int):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
-def chunk_sizes(total: int, chunk: int = DEFAULT_CHUNK):
-    """Fixed partition of ``total`` samples into chunks of at most ``chunk``.
+def chunk_sizes(total: int):
+    """Fixed partition of ``total`` samples: full ``DEFAULT_CHUNK`` chunks, then the rest.
 
-    ``total`` must be an integer >= 1; a bool or a float, even an integral
-    one, raises ValueError.
+    Every estimator draws one substream per chunk, so this partition fixes
+    which draws a seeded result uses.  ``total`` must be an integer >= 1; a
+    bool or a float, even an integral one, raises ValueError.
     """
     if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
         raise ValueError(f"samples must be an integer, got {total!r}")
     if total < 1:
         raise ValueError("samples must be >= 1")
-    sizes = [chunk] * (total // chunk)
-    if total % chunk:
-        sizes.append(total % chunk)
+    sizes = [DEFAULT_CHUNK] * (total // DEFAULT_CHUNK)
+    if total % DEFAULT_CHUNK:
+        sizes.append(total % DEFAULT_CHUNK)
     return sizes
 
 

@@ -16,13 +16,15 @@ protocol has transfer operators T (4 x 8 x 2): outcome k maps the input z to
 the corrected, unnormalised branch v_k = T[k] z on (ancilla, B, C), and
 every routine here runs on T.  ``teleclone`` reads its branches
 (||v_k||^2, v_k / ||v_k||) and the clones from sum_k v_k v_k^dagger.  The
-global clone fidelity is one contraction of T with both signal states,
+spec evaluates the two clones (B, C) by default, and a protocol scores each
+evaluated qubit against the input, so the global clone fidelity is the
+protocol score of both signal states in one contraction of T,
 
     (1/2) sum_j sum_k ||(I_ancilla (x) <psi_j psi_j|_BC) T[k] psi_j||^2,
 
 which equals (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> without
-building rho_BC or a branch state; T comes from a Bell projection of the
-resource, so it is still a protocol run, and verify's
+building rho_BC, a branch state or a clone-pair array; T comes from a Bell
+projection of the resource, so it is still a protocol run, and verify's
 teleclone-faithfulness check compares it with the direct cloner map
 (``apply_cloner``).  The universal choice (a, b, c) =
 (sqrt(2/3), sqrt(1/6), 0) reproduces the symmetric universal cloner; for a
@@ -154,8 +156,13 @@ def apply_cloner(input_state: PureState, coeffs: CloneCoeffs) -> PureState:
     return PureState(x * phi0 + y * phi1)
 
 
-def protocol_spec(system: TelecloningSystem, targets=(0, 1, 2)) -> ProtocolSpec:
-    """Telecloning as a generic protocol, for enumeration cross-checks."""
+def protocol_spec(system: TelecloningSystem, targets=(1, 2)) -> ProtocolSpec:
+    """Telecloning as a generic protocol on (ancilla, B, C), output qubits 0, 1, 2.
+
+    Each qubit in ``targets`` is scored against the input, so the default,
+    the two clones (1, 2), scores the clone pair against psi (x) psi, and
+    ``(1,)`` or ``(2,)`` scores one clone against psi.
+    """
     return ProtocolSpec(
         resource_state=system.state,
         corrections=_CLONE_CORRECTIONS,
@@ -207,8 +214,7 @@ def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
 def _global_clone_fidelity(ens: TwoStateEnsemble, system: TelecloningSystem) -> float:
     """global_clone_fidelity on an already validated ``system``."""
     signals = np.array([psi.amplitudes for psi in make_states(ens)])
-    pairs = np.einsum("ja,jb->jab", signals, signals).reshape(len(signals), 4)
-    _, w = _branch_weights(protocol_spec(system, targets=(1, 2)), signals, pairs)
+    _, w = _branch_weights(protocol_spec(system), signals)
     return float(0.5 * w.sum())
 
 

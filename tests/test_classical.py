@@ -189,40 +189,25 @@ class TestUnknownStateMC:
         b = unknown_state_classical_fidelity(50_000, seed=7)
         assert a == b
 
-    def test_fixed_input_basis_state_gives_one(self):
-        zero = PureState(np.array([1.0, 0.0]))
-        assert unknown_state_classical_fidelity(1000, seed=1, fixed_input=zero) == 1.0
-
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
             unknown_state_classical_fidelity(0, seed=1)
 
-    def test_fixed_input_scores_its_bloch_z(self):
-        # |<0|psi>|^4 + |<1|psi>|^4 for a complex input, through r_z alone
-        psi = PureState(np.array([np.cos(0.4), np.exp(0.9j) * np.sin(0.4)]))
-        u = np.cos(0.4) ** 2
-        got = unknown_state_classical_fidelity(1000, seed=1, fixed_input=psi)
-        assert abs(got - (u**2 + (1 - u) ** 2)) < 1e-15
-
-    @pytest.mark.parametrize(
-        "fixed_input",
-        [
-            PureState(np.array([1.0, 0.0, 0.0, 0.0])),
-            np.array([1.0, 0.0]),
-            (1.0, 0.0),
-        ],
-        ids=["two-qubit", "array", "tuple"],
-    )
-    def test_rejects_fixed_input_that_is_not_one_qubit_state(self, fixed_input, monkeypatch):
+    def test_fixed_input_scores_its_bloch_z(self, monkeypatch):
+        # every draw at one input: |<0|psi>|^4 + |<1|psi>|^4 through r_z alone,
+        # and exactly 1 for a basis state
         from teleportsim import rng
 
-        def no_draws(*_):
-            raise AssertionError("drew samples before validating fixed_input")
-
-        monkeypatch.setattr(rng, "substreams", no_draws)
-        monkeypatch.setattr(rng, "haar_bloch_z", no_draws)
-        with pytest.raises(ValueError, match="fixed_input must be a single-qubit PureState"):
-            unknown_state_classical_fidelity(1000, seed=1, fixed_input=fixed_input)
+        psi = PureState(np.array([np.cos(0.4), np.exp(0.9j) * np.sin(0.4)]))
+        p0, p1 = np.abs(psi.amplitudes) ** 2
+        u = np.cos(0.4) ** 2
+        for rz in (p0 - p1, 1.0, -1.0):
+            monkeypatch.setattr(rng, "haar_bloch_z", lambda _, count, rz=rz: np.full(count, rz))
+            got = unknown_state_classical_fidelity(1000, seed=1)
+            if abs(rz) == 1.0:
+                assert got == 1.0
+            else:
+                assert abs(got - (u**2 + (1 - u) ** 2)) < 1e-15
 
 
 class TestStrategyValidation:

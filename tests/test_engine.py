@@ -179,7 +179,7 @@ class TestBranchTable:
                 spec = standard_teleportation(Channel(alpha))
                 for theta in THETAS:
                     for psi in inputs_for(theta, rng):
-                        got = _branch_table(psi, spec, psi)
+                        got = _branch_table(psi, spec)
                         expected = reference_branch_table(psi, spec, psi)
                         assert_rows_match(got, expected)
                         total = sum(p * f for p, f in expected)
@@ -190,7 +190,7 @@ class TestBranchTable:
         spec = standard_teleportation(Channel(0.0))
         with np.errstate(divide="raise", invalid="raise"):
             for psi, empty in ((ZERO, (0, 1)), (ONE, (2, 3))):
-                rows = _branch_table(psi, spec, psi)
+                rows = _branch_table(psi, spec)
                 outcomes = bell_measure(reference_tensor(psi, spec.resource_state), (0, 1))
                 for k in empty:
                     assert rows[k] == (0.0, 0.0)
@@ -218,7 +218,7 @@ class TestBranchTable:
                 target = psi
                 for _ in targets[1:]:
                     target = reference_tensor(target, psi)
-                got = _branch_table(psi, spec, target)
+                got = _branch_table(psi, spec)
                 assert_rows_match(got, reference_branch_table(psi, spec, target))
 
     def test_rejects_bad_evaluation_targets(self):
@@ -231,7 +231,7 @@ class TestBranchTable:
             ((1, 1), pair, "dimension mismatch"),
         ):
             with pytest.raises(ValueError, match=message):
-                _branch_table(psi, protocol_spec(system, targets=targets), target)
+                _branch_table(psi, protocol_spec(system, targets=targets))
 
     def test_correction_constants_are_read_only(self):
         spec = standard_teleportation(Channel(0.3))
@@ -328,7 +328,7 @@ class TestGlobalCloneFidelity:
         system = build_telecloning_state(coeffs)
         psi, _ = make_states(ens)
         global_clone_fidelity(ens, coeffs)
-        _branch_table(psi, protocol_spec(system, targets=(1,)), psi)
+        _branch_table(psi, protocol_spec(system, targets=(1,)))
         assert counts == {"DensityMatrix": 0, "partial_trace": 0}
         # the counters do see the density-matrix route
         teleclone(psi, system)
@@ -438,9 +438,9 @@ class TestProtocolTransferOperators:
                         for psi in inputs_for(theta, rng):
                             target = psi if len(targets) == 1 else reference_tensor(psi, psi)
                             expected = reference_branch_table(psi, spec, target)
-                            assert_rows_match(_branch_table(psi, spec, target), expected)
+                            assert_rows_match(_branch_table(psi, spec), expected)
                             total = sum(p * f for p, f in expected)
-                            got = enumerate_protocol_fidelity(psi, spec, target)
+                            got = enumerate_protocol_fidelity(psi, spec)
                             assert abs(got - total) < 1e-12
 
     def test_operators_are_complete_and_read_only(self):
@@ -467,7 +467,7 @@ class TestProtocolTransferOperators:
         with np.errstate(divide="raise", invalid="raise"):
             for psi in inputs_for(np.pi / 4, rng):
                 assert_rows_match(
-                    _branch_table(psi, bare, psi), reference_branch_table(psi, bare, psi)
+                    _branch_table(psi, bare), reference_branch_table(psi, bare, psi)
                 )
             psi, _ = make_states(TwoStateEnsemble(np.pi / 4))
             gap = enumerate_protocol_fidelity(psi, channel_spec) - enumerate_protocol_fidelity(
@@ -490,7 +490,7 @@ class TestProtocolTransferOperators:
         for _ in range(3):
             enumerate_protocol_fidelity(psi, spec)
             enumerate_protocol_fidelity(psi2, spec)
-            _branch_table(psi, spec, psi)
+            _branch_table(psi, spec)
         mc_protocol_fidelity(psi, spec, 1000, seed=1)
         assert len(calls) == 1
         # the clone fidelity scores both signal states on one clone spec
@@ -502,10 +502,10 @@ class TestProtocolTransferOperators:
         # a PureState is normalised within 1e-12; bypass it to reach the check
         scaled = np.array([[1.0 + 1e-9, 0.0]])
         with pytest.raises(ValueError, match="not normalized"):
-            protocols._branch_weights(spec, scaled, scaled)
+            protocols._branch_weights(spec, scaled)
         pair = reference_tensor(ZERO, ZERO)
         with pytest.raises(ValueError, match="single qubit"):
-            enumerate_protocol_fidelity(pair, spec, ZERO)
+            enumerate_protocol_fidelity(pair, spec)
         with pytest.raises(ValueError, match="1 remain"):
             ProtocolSpec(
                 resource_state=spec.resource_state,

@@ -27,8 +27,14 @@ from teleportsim.protocols import (
     standard_teleportation,
 )
 from teleportsim.rng import chunk_sizes
-from teleportsim.states import LocalOperator, PureState
-from teleportsim.telecloning import build_telecloning_state, optimize_coeffs, protocol_spec
+from teleportsim.states import LocalOperator, PureState, fidelity, tensor
+from teleportsim.telecloning import (
+    CloneCoeffs,
+    build_telecloning_state,
+    optimize_coeffs,
+    protocol_spec,
+    teleclone,
+)
 
 PI4 = TwoStateEnsemble(np.pi / 4)
 
@@ -87,6 +93,21 @@ class TestEnumeration:
             psi = PureState(np.array([np.cos(t / 2), np.sin(t / 2) * np.exp(1j * phi)]))
             assert abs(enumerate_protocol_fidelity(psi, spec) - f0) < 1e-12
 
+    def test_clone_pair_is_scored_against_two_copies_in_either_order(self):
+        # psi (x) psi does not change when the clones are swapped, so (2, 1)
+        # and (1, 2) both score the clone pair the way teleclone's does
+        rng = np.random.default_rng(23)
+        with np.errstate(divide="raise", invalid="raise"):
+            for _ in range(6):
+                u = np.abs(rng.standard_normal(3))
+                u /= np.linalg.norm(u)
+                system = build_telecloning_state(CloneCoeffs(u[0], u[1] / np.sqrt(2), u[2]))
+                psi = random_qubit(rng)
+                expected = fidelity(tensor(psi, psi), teleclone(psi, system).joint_clones)
+                for targets in ((1, 2), (2, 1)):
+                    got = enumerate_protocol_fidelity(psi, protocol_spec(system, targets=targets))
+                    assert abs(got - expected) < 1e-12
+
     def test_missing_correction_rejected(self):
         spec = standard_teleportation(Channel(0.4))
         with pytest.raises(ValueError):
@@ -115,8 +136,8 @@ class TestMonteCarlo:
 
     def test_agrees_with_enumeration_at_edges_and_on_clone_targets(self):
         # both signal states at the theta and alpha edges through the channel,
-        # and through the clone spec scored on one clone: a subset target
-        # needs nothing beyond the spec's evaluation_targets
+        # and through the clone spec scored on one clone and on the clone
+        # pair: a subset target needs nothing beyond the spec's evaluation_targets
         cases = []
         for theta in (0.0, np.pi / 4, np.pi / 2):
             ens = TwoStateEnsemble(theta)
@@ -124,8 +145,8 @@ class TestMonteCarlo:
                 spec = standard_teleportation(Channel(alpha))
                 cases += [(psi, spec) for psi in make_states(ens)]
             system = build_telecloning_state(optimize_coeffs(ens))
-            for q in (1, 2):
-                spec = protocol_spec(system, targets=(q,))
+            for targets in ((1,), (2,), (1, 2)):
+                spec = protocol_spec(system, targets=targets)
                 cases += [(psi, spec) for psi in make_states(ens)]
         with np.errstate(divide="raise", invalid="raise"):
             for seed, (psi, spec) in enumerate(cases):
