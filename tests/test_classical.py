@@ -193,21 +193,24 @@ class TestUnknownStateMC:
         with pytest.raises(ValueError):
             unknown_state_classical_fidelity(0, seed=1)
 
+    def test_fixed_input_basis_state_gives_one(self, monkeypatch):
+        # every draw at |0> (r_z = 1) or |1> (r_z = -1) scores exactly 1
+        from teleportsim import rng
+
+        for rz in (1.0, -1.0):
+            monkeypatch.setattr(rng, "haar_bloch_z", lambda _, count, rz=rz: np.full(count, rz))
+            assert unknown_state_classical_fidelity(1000, seed=1) == 1.0
+
     def test_fixed_input_scores_its_bloch_z(self, monkeypatch):
-        # every draw at one input: |<0|psi>|^4 + |<1|psi>|^4 through r_z alone,
-        # and exactly 1 for a basis state
+        # every draw at one input: |<0|psi>|^4 + |<1|psi>|^4 through r_z alone
         from teleportsim import rng
 
         psi = PureState(np.array([np.cos(0.4), np.exp(0.9j) * np.sin(0.4)]))
         p0, p1 = np.abs(psi.amplitudes) ** 2
         u = np.cos(0.4) ** 2
-        for rz in (p0 - p1, 1.0, -1.0):
-            monkeypatch.setattr(rng, "haar_bloch_z", lambda _, count, rz=rz: np.full(count, rz))
-            got = unknown_state_classical_fidelity(1000, seed=1)
-            if abs(rz) == 1.0:
-                assert got == 1.0
-            else:
-                assert abs(got - (u**2 + (1 - u) ** 2)) < 1e-15
+        monkeypatch.setattr(rng, "haar_bloch_z", lambda _, count: np.full(count, p0 - p1))
+        got = unknown_state_classical_fidelity(1000, seed=1)
+        assert abs(got - (u**2 + (1 - u) ** 2)) < 1e-15
 
 
 class TestStrategyValidation:
