@@ -52,11 +52,9 @@ from .ensembles import (
 from .protocols import (
     ProtocolSpec,
     STANDARD_CORRECTION_MATRICES,
-    enumerate_classical_strategy,
     enumerate_protocol_fidelity,
     mc_haar_average_fidelity,
     mc_protocol_fidelity,
-    simulate_purification_branch,
     standard_teleportation,
 )
 from .states import (

@@ -31,7 +31,7 @@ from . import classical as cl
 from . import telecloning as tc
 from .ensembles import Channel, TwoStateEnsemble
 from .rng import GENERATOR_NAME
-from .verification import VerifyConfig, run_checks
+from .verification import run_checks
 
 
 # Size caps: a mistyped value exits 2 at once instead of running for hours.
@@ -175,9 +175,7 @@ def cmd_fig_telecloning(config: RunConfig) -> str:
 
 def cmd_verify(config: RunConfig, stream) -> int:
     """Run the invariant suite; write one line per check to ``stream``; 0 iff all pass."""
-    results = run_checks(
-        VerifyConfig(samples=config.samples, seed=config.seed, tamper=config.tamper)
-    )
+    results = run_checks(config)
     for r in results:
         stream.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
     failed = [r for r in results if not r.passed]

@@ -23,6 +23,11 @@ protocol fidelity is sum_k w_k and the branch fidelity w_k / p_k.  No branch
 is renormalised.  The Haar Monte Carlo scores every sampled input z as
 sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector.
 
+The protocol Monte Carlo (``mc_protocol_fidelity``) reads no T: it
+Bell-measures input (x) resource state by state, corrects each post-state
+and scores it with ``states.fidelity``, so it checks the enumeration
+through a route that shares no transfer operator with it.
+
 The standard correction table is phi+ -> I, phi- -> Z, psi+ -> X,
 psi- -> ZX (apply X, then Z); with this convention every corrected branch
 of the standard protocol reproduces the transmitted state without even a
@@ -37,8 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from . import rng as rngmod
-from .classical import ClassicalStrategy
-from .ensembles import Channel, TwoStateEnsemble, channel_state, make_states
+from .ensembles import Channel, channel_state
 from .states import (
     LocalOperator,
     PAULI_I,
@@ -49,7 +53,11 @@ from .states import (
     _bell_transfer,
     _kept_qubits,
     _n_qubits_for,
+    apply_local,
+    bell_measure,
     fidelity,
+    partial_trace,
+    tensor,
 )
 
 STANDARD_CORRECTION_MATRICES = {
@@ -68,10 +76,10 @@ class ProtocolSpec:
     The input is one qubit, Bell-measured together with the resource's first
     qubit.  ``corrections`` maps each Bell outcome 1..4 to a LocalOperator
     on the resource's other qubits, the output; ``evaluation_targets``
-    selects the output qubits (indexed from 0) that are scored, either all
-    of them in order or a proper subset, which is stored in ascending
-    order.  Each evaluated qubit is scored against the input itself, so the
-    order of ``evaluation_targets`` cannot change a score.  ``transfer``
+    selects the output qubits (indexed from 0) that are scored, all of them
+    or a proper subset, given in any order and stored in ascending order.
+    Each evaluated qubit is scored against the input itself, so the order
+    of ``evaluation_targets`` cannot change a score.  ``transfer``
     holds the read-only transfer operators T (4 x d_out x 2), built at
     construction.
     """
@@ -88,12 +96,11 @@ class ProtocolSpec:
         object.__setattr__(self, "corrections", dict(self.corrections))
         t = _bell_transfer(self.resource_state, self.corrections)
         n = _n_qubits_for(t.shape[1])
-        targets = tuple(int(q) for q in self.evaluation_targets)
+        targets = tuple(sorted(int(q) for q in self.evaluation_targets))
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"dimension mismatch: evaluation_targets {targets} repeat a qubit")
         if targets != tuple(range(n)):
-            kept = tuple(_kept_qubits(targets, n))
-            if len(kept) != len(targets):
-                raise ValueError(f"dimension mismatch: evaluation_targets {targets} repeat a qubit")
-            targets = kept
+            _kept_qubits(targets, n)
         object.__setattr__(self, "evaluation_targets", targets)
         object.__setattr__(self, "transfer", t)
 
@@ -136,18 +143,6 @@ def _branch_weights(spec: ProtocolSpec, inputs: np.ndarray):
     return p, w
 
 
-def _branch_table(input_state: PureState, spec: ProtocolSpec):
-    """(probability, branch fidelity) for each of the four Bell outcomes.
-
-    The branch fidelity is w_k / p_k, and 0.0 for a branch of probability
-    at most 1e-30.
-    """
-    p, w = _branch_weights(spec, input_state.amplitudes[None])
-    return [
-        (float(pk), float(wk / pk) if pk > 1e-30 else 0.0) for pk, wk in zip(p[0], w[0])
-    ]
-
-
 def enumerate_protocol_fidelity(input_state: PureState, spec: ProtocolSpec) -> float:
     """Exact protocol fidelity: sum of probability * branch fidelity, i.e. sum_k w_k.
 
@@ -162,19 +157,34 @@ def enumerate_protocol_fidelity(input_state: PureState, spec: ProtocolSpec) -> f
 def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: int, seed: int):
     """Monte Carlo protocol fidelity: (mean, standard error).
 
-    Bell outcomes are sampled from their exact distribution in fixed-size
-    chunks with split seeds, so results are bit-identical for a given
-    (samples, seed) pair.  Each branch scores as in
-    ``enumerate_protocol_fidelity``: the input copied onto each of the
-    spec's evaluation targets.
+    This route reads no transfer operator, so it checks
+    ``enumerate_protocol_fidelity`` independently: it Bell-measures
+    ``input (x) resource`` on qubits (0, 1) with ``states.bell_measure``,
+    applies ``spec.corrections[k]`` to each post-state and scores it with
+    ``states.fidelity`` against the input copied onto each of the spec's
+    evaluation targets, after a ``partial_trace`` onto them when they are a
+    proper subset; a branch with no post-state scores 0.  Bell outcomes are
+    then sampled from their distribution in fixed-size chunks with split
+    seeds, so results are bit-identical for a given (samples, seed) pair.
     """
     sizes = rngmod.chunk_sizes(samples)
     if samples < 100:
         raise ValueError("samples must be >= 100")
     gens = rngmod.substreams(seed, len(sizes))
-    rows = _branch_table(input_state, spec)
-    probs = np.array([p for p, _ in rows])
-    fids = np.array([f for _, f in rows])
+    if input_state.n_qubits != 1:
+        raise ValueError("protocol input must be a single qubit")
+    kept = spec.evaluation_targets
+    full = kept == tuple(range(spec.resource_state.n_qubits - 1))
+    target = input_state
+    for _ in kept[1:]:
+        target = tensor(target, input_state)
+    outcomes = bell_measure(tensor(input_state, spec.resource_state), (0, 1))
+    probs = np.array([o.probability for o in outcomes])
+    fids = np.zeros(4)
+    for k, o in enumerate(outcomes):
+        if o.post_state is not None:
+            out = apply_local(spec.corrections[o.index], o.post_state)
+            fids[k] = fidelity(target, out if full else partial_trace(out.density(), kept))
     probs = probs / probs.sum()
     counts = np.zeros(4, dtype=np.int64)
     for size, gen in zip(sizes, gens):
@@ -182,42 +192,6 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
     mean = float(counts @ fids) / samples
     var = float(counts @ (fids - mean) ** 2) / max(samples - 1, 1)
     return mean, float(np.sqrt(var / samples))
-
-
-def enumerate_classical_strategy(
-    strategy: ClassicalStrategy, ens: TwoStateEnsemble
-) -> float:
-    """Exact measure-and-prepare fidelity by summing over outcomes and states.
-
-    Outcome probabilities are taken as Tr(A_i rho_j) on the signal-state
-    projectors, a deliberately different route from the amplitude quadratic
-    forms used by the classical module's evaluator.
-    """
-    f = 0.0
-    for psi in make_states(ens):
-        rho = psi.density().elements
-        for m, g in zip(strategy.povm, strategy.guesses):
-            p = float(np.real(np.trace(m @ rho)))
-            f += 0.5 * p * fidelity(g, psi)
-    return f
-
-
-def simulate_purification_branch(ens: TwoStateEnsemble, channel: Channel) -> float:
-    """Expected fidelity of the purify-then-teleport strategy, by enumeration.
-
-    Filtering succeeds with probability 2 alpha^2, after which teleportation
-    through the maximal channel is enumerated exactly; on failure the
-    optimized classical strategy is enumerated.
-    """
-    from .classical import optimized_strategy
-
-    p_succ = min(2.0 * channel.alpha**2, 1.0)
-    spec = standard_teleportation(Channel.maximal())
-    f_tele = 0.5 * sum(
-        enumerate_protocol_fidelity(psi, spec) for psi in make_states(ens)
-    )
-    f_cl = enumerate_classical_strategy(optimized_strategy(ens), ens)
-    return p_succ * f_tele + (1.0 - p_succ) * f_cl
 
 
 def _bloch_quadratic_form(t: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ compared with is the closed form of Bruss et al., PRA 57, 2368 (1998).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,7 +87,8 @@ class TelecloningSystem:
 
     ``state`` is derived, (|0>phi0 + |1>phi1)/sqrt(2) on (port, ancilla, B,
     C), so it cannot disagree with ``coeffs``; each of its one-qubit
-    marginals is checked to be I/2 within 1e-10.
+    marginals is checked to be I/2 within 1e-10.  The clone ``ProtocolSpec``,
+    with its transfer operators, is built on first use and then kept.
     """
 
     coeffs: CloneCoeffs
@@ -98,6 +100,10 @@ class TelecloningSystem:
             if not np.abs(reduced - np.eye(2) / 2).max() <= 1e-10:
                 raise ValueError(f"qubit {q} reduced state is not I/2")
         object.__setattr__(self, "state", state)
+
+    @cached_property
+    def _clone_spec(self) -> ProtocolSpec:
+        return protocol_spec(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,15 +181,15 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
 
     Bell-measures (input, port) and applies the standard correction
     P x P x P on (ancilla, B, C) through the transfer operators T of
-    ``protocol_spec(system)``: with v_k = T[k] z, outcome k has probability
-    ||v_k||^2 and branch state v_k / ||v_k||, and the clones are partial
-    traces of sum_k v_k v_k^dagger.  Every corrected branch equals
+    ``protocol_spec(system)``, built once per system: with v_k = T[k] z,
+    outcome k has probability ||v_k||^2 and branch state v_k / ||v_k||, and
+    the clones are partial traces of sum_k v_k v_k^dagger.  Every corrected branch equals
     x phi0 + y phi1 exactly, so the four outcome probabilities are 1/4
     independent of the input.
     """
     if input_state.n_qubits != 1:
         raise ValueError("telecloning input must be a single qubit")
-    v = protocol_spec(system).transfer @ input_state.amplitudes
+    v = system._clone_spec.transfer @ input_state.amplitudes
     p = (np.abs(v) ** 2).sum(axis=1)
     per = tuple((float(pk), PureState(vk / np.sqrt(pk))) for pk, vk in zip(p, v))
     rho = DensityMatrix(v.T @ v.conj())
@@ -214,7 +220,7 @@ def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
 def _global_clone_fidelity(ens: TwoStateEnsemble, system: TelecloningSystem) -> float:
     """global_clone_fidelity on an already validated ``system``."""
     signals = np.array([psi.amplitudes for psi in make_states(ens)])
-    _, w = _branch_weights(protocol_spec(system), signals)
+    _, w = _branch_weights(system._clone_spec, signals)
     return float(0.5 * w.sum())
 
 

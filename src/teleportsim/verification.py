@@ -309,7 +309,10 @@ def check_mc_agreement(cfg):
     mean, stderr = pr.mc_protocol_fidelity(psi1, spec, cfg.samples, cfg.seed)
     dev = abs(mean - exact)
     ok = dev <= 4 * stderr or dev <= 1e-12
-    return ok, f"MC mean dev = {dev:.2e} vs 4*stderr = {4 * stderr:.2e}"
+    return ok, (
+        f"Bell-measure MC vs transfer-operator enumeration, dev = {dev:.2e}"
+        f" vs 4*stderr = {4 * stderr:.2e}"
+    )
 
 
 def check_haar_average(cfg):
@@ -486,15 +489,12 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    samples: int = 1_000_000
-    seed: int = 42
-    tamper: bool = False
+def run_checks(cfg):
+    """Run every registered check; returns a list of CheckResult.
 
-
-def run_checks(cfg: VerifyConfig):
-    """Run every registered check; returns a list of CheckResult."""
+    ``cfg`` is the run's ``cli.RunConfig``; the checks read its ``samples``,
+    ``seed`` and ``tamper``.
+    """
     results = []
     for name, fn in CHECKS:
         try:

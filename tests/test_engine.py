@@ -1,9 +1,11 @@
 """The transfer-operator routes against the per-outcome loops they replaced.
 
-``reference_bell_measure`` and ``reference_branch_table`` are the loops that
-``states.bell_measure`` and ``protocols._branch_table`` ran before the shared
-kernel: one Bell vector at a time, a validated post-state per outcome, then
-``apply_local`` and ``fidelity``/``partial_trace``.  ``reference_teleclone``
+``_branch_table`` is the per-outcome (probability, branch fidelity) view of
+``protocols._branch_weights``.  ``reference_bell_measure`` and
+``reference_branch_table`` are the loops that ``states.bell_measure`` and
+that view ran before the shared kernel: one Bell vector at a time, a
+validated post-state per outcome, then ``apply_local`` and
+``fidelity``/``partial_trace``.  ``reference_teleclone``
 is the matching loop that ``telecloning.teleclone`` ran before it read the
 transfer operators T.  ``_mc_haar_reference`` is the per-outcome einsum loop,
 with its one-pass variance, that ``protocols.mc_haar_average_fidelity`` ran
@@ -23,7 +25,6 @@ from teleportsim.ensembles import Channel, TwoStateEnsemble, channel_state, make
 from teleportsim.protocols import (
     STANDARD_CORRECTION_MATRICES,
     ProtocolSpec,
-    _branch_table,
     enumerate_protocol_fidelity,
     mc_haar_average_fidelity,
     mc_protocol_fidelity,
@@ -46,6 +47,7 @@ from teleportsim.telecloning import (
     _qubit_marginals,
     build_telecloning_state,
     global_clone_fidelity,
+    optimize_coeffs,
     protocol_spec,
     teleclone,
     universal_coeffs,
@@ -54,6 +56,12 @@ from teleportsim.telecloning import (
 
 def _transfer_operators(channel):
     return standard_teleportation(channel).transfer
+
+
+def _branch_table(input_state, spec):
+    """(p_k, w_k / p_k) per Bell outcome, with 0.0 for a branch of p_k <= 1e-30."""
+    p, w = protocols._branch_weights(spec, input_state.amplitudes[None])
+    return [(float(pk), float(wk / pk) if pk > 1e-30 else 0.0) for pk, wk in zip(p[0], w[0])]
 
 
 THETAS = (0.0, np.pi / 4, np.pi / 2)
@@ -223,15 +231,14 @@ class TestBranchTable:
 
     def test_rejects_bad_evaluation_targets(self):
         system = build_telecloning_state(universal_coeffs())
-        psi = ZERO
-        pair = reference_tensor(psi, psi)
-        for targets, target, message in (
-            ((3,), psi, "out of range"),
-            ((1, 0, 2), reference_tensor(pair, psi), "proper subset"),
-            ((1, 1), pair, "dimension mismatch"),
+        for targets, message in (
+            ((3,), "out of range"),
+            ((), "nonempty"),
+            ((1, 1), "dimension mismatch"),
+            ((0, 1, 1, 2), "repeat a qubit"),
         ):
             with pytest.raises(ValueError, match=message):
-                _branch_table(psi, protocol_spec(system, targets=targets))
+                protocol_spec(system, targets=targets)
 
     def test_correction_constants_are_read_only(self):
         spec = standard_teleportation(Channel(0.3))
@@ -497,6 +504,25 @@ class TestProtocolTransferOperators:
         global_clone_fidelity(TwoStateEnsemble(np.pi / 4), universal_coeffs())
         assert len(calls) == 2
 
+    def test_clone_spec_built_once_per_system(self, monkeypatch):
+        calls = []
+        build = protocols._bell_transfer
+
+        def counting_build(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(protocols, "_bell_transfer", counting_build)
+        ens = TwoStateEnsemble(np.pi / 4)
+        system = build_telecloning_state(optimize_coeffs(ens))
+        telecloning.alice_receivers_entanglement(system)
+        assert len(calls) == 0
+        psi, _ = make_states(ens)
+        for _ in range(10):
+            teleclone(psi, system)
+        telecloning._global_clone_fidelity(ens, system)
+        assert len(calls) == 1
+
     def test_rejects_malformed_inputs_and_corrections(self):
         spec = standard_teleportation(Channel(0.3))
         # a PureState is normalised within 1e-12; bypass it to reach the check
@@ -506,6 +532,8 @@ class TestProtocolTransferOperators:
         pair = reference_tensor(ZERO, ZERO)
         with pytest.raises(ValueError, match="single qubit"):
             enumerate_protocol_fidelity(pair, spec)
+        with pytest.raises(ValueError, match="single qubit"):
+            mc_protocol_fidelity(pair, spec, 1000, seed=1)
         with pytest.raises(ValueError, match="1 remain"):
             ProtocolSpec(
                 resource_state=spec.resource_state,

@@ -19,15 +19,13 @@ from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.protocols import (
     ProtocolSpec,
     STANDARD_CORRECTION_MATRICES,
-    enumerate_classical_strategy,
     enumerate_protocol_fidelity,
     mc_haar_average_fidelity,
     mc_protocol_fidelity,
-    simulate_purification_branch,
     standard_teleportation,
 )
 from teleportsim.rng import chunk_sizes
-from teleportsim.states import LocalOperator, PureState, fidelity, tensor
+from teleportsim.states import PAULI_Z, LocalOperator, PureState, fidelity, tensor
 from teleportsim.telecloning import (
     CloneCoeffs,
     build_telecloning_state,
@@ -42,6 +40,36 @@ PI4 = TwoStateEnsemble(np.pi / 4)
 def random_qubit(rng):
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return PureState(z / np.linalg.norm(z))
+
+
+def enumerate_classical_strategy(strategy, ens):
+    """Exact measure-and-prepare fidelity by summing over outcomes and states.
+
+    Outcome probabilities are taken as Tr(A_i rho_j) on the signal-state
+    projectors, a deliberately different route from the amplitude quadratic
+    forms used by the classical module's evaluator.
+    """
+    f = 0.0
+    for psi in make_states(ens):
+        rho = psi.density().elements
+        for m, g in zip(strategy.povm, strategy.guesses):
+            p = float(np.real(np.trace(m @ rho)))
+            f += 0.5 * p * fidelity(g, psi)
+    return f
+
+
+def simulate_purification_branch(ens, channel):
+    """Expected fidelity of the purify-then-teleport strategy, by enumeration.
+
+    Filtering succeeds with probability 2 alpha^2, after which teleportation
+    through the maximal channel is enumerated exactly; on failure the
+    optimized classical strategy is enumerated.
+    """
+    p_succ = min(2.0 * channel.alpha**2, 1.0)
+    spec = standard_teleportation(Channel.maximal())
+    f_tele = 0.5 * sum(enumerate_protocol_fidelity(psi, spec) for psi in make_states(ens))
+    f_cl = enumerate_classical_strategy(optimized_strategy(ens), ens)
+    return p_succ * f_tele + (1.0 - p_succ) * f_cl
 
 
 class TestEnumeration:
@@ -95,7 +123,8 @@ class TestEnumeration:
 
     def test_clone_pair_is_scored_against_two_copies_in_either_order(self):
         # psi (x) psi does not change when the clones are swapped, so (2, 1)
-        # and (1, 2) both score the clone pair the way teleclone's does
+        # and (1, 2) both score the clone pair the way teleclone's does, and
+        # a full set scores the same in any order
         rng = np.random.default_rng(23)
         with np.errstate(divide="raise", invalid="raise"):
             for _ in range(6):
@@ -103,8 +132,11 @@ class TestEnumeration:
                 u /= np.linalg.norm(u)
                 system = build_telecloning_state(CloneCoeffs(u[0], u[1] / np.sqrt(2), u[2]))
                 psi = random_qubit(rng)
-                expected = fidelity(tensor(psi, psi), teleclone(psi, system).joint_clones)
-                for targets in ((1, 2), (2, 1)):
+                pair = fidelity(tensor(psi, psi), teleclone(psi, system).joint_clones)
+                full = enumerate_protocol_fidelity(psi, protocol_spec(system, targets=(0, 1, 2)))
+                for targets, expected in (
+                    ((1, 2), pair), ((2, 1), pair), ((1, 0, 2), full), ((2, 1, 0), full)
+                ):
                     got = enumerate_protocol_fidelity(psi, protocol_spec(system, targets=targets))
                     assert abs(got - expected) < 1e-12
 
@@ -153,6 +185,22 @@ class TestMonteCarlo:
                 exact = enumerate_protocol_fidelity(psi, spec)
                 mean, stderr = mc_protocol_fidelity(psi, spec, 100_000, seed)
                 assert abs(mean - exact) <= max(4 * stderr, 1e-12)
+
+    def test_does_not_read_the_transfer_operators(self):
+        # leaving phi- uncorrected in T moves the enumeration, while the
+        # Monte Carlo, which Bell-measures the states themselves, must not move
+        spec = standard_teleportation(Channel(np.sqrt(0.3)))
+        psi1, _ = make_states(PI4)
+        seeded = mc_protocol_fidelity(psi1, spec, 1_000_000, seed=11)
+        t = spec.transfer.copy()
+        t[1] = PAULI_Z @ t[1]
+        t.setflags(write=False)
+        object.__setattr__(spec, "transfer", t)
+        exact = enumerate_protocol_fidelity(psi1, spec)
+        assert abs(exact - 0.8646) < 5e-5
+        mean, stderr = mc_protocol_fidelity(psi1, spec, 1_000_000, seed=11)
+        assert (mean, stderr) == seeded
+        assert abs(mean - exact) > 100 * stderr
 
     def test_same_seed_identical_output(self):
         c = Channel(0.5)
