@@ -148,19 +148,9 @@ def cmd_fig_telecloning(config: RunConfig) -> str:
     rows = []
     for t in np.linspace(0.0, np.pi / 2, config.theta_steps):
         ens = TwoStateEnsemble(t)
-        coeffs = tc.optimize_coeffs(ens)
-        system = tc.build_telecloning_state(coeffs)
-        rows.append(
-            (
-                t,
-                coeffs.a,
-                coeffs.b,
-                coeffs.c,
-                tc._global_clone_fidelity(ens, system),
-                tc.optimal_global_fidelity(ens),
-                tc.alice_receivers_entanglement(system),
-            )
-        )
+        c = tc.optimize_coeffs(ens)
+        f_tc, f_opt = tc.global_clone_fidelity(ens, c), tc.optimal_global_fidelity(ens)
+        rows.append((t, c.a, c.b, c.c, f_tc, f_opt, tc.alice_receivers_entanglement(c)))
     header = (
         "theta",
         "a",
@@ -185,6 +175,14 @@ def cmd_verify(config: RunConfig, stream) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints one ``error:`` line and exits 2, as a configuration error does."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
     """A subcommand with the common options; an option not given takes its RunConfig default."""
     parser = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
@@ -199,7 +197,7 @@ def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="teleportsim",
         description="Two-state teleportation figures and verification suite",
     )

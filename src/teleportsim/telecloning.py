@@ -11,26 +11,16 @@ on qubits ordered (port, ancilla, clone B, clone C), where
 and phi1 is its 0<->1 mirror.  A Bell measurement on (input, port) followed
 by the same Pauli correction on each of (ancilla, B, C) maps every branch
 exactly onto x*phi0 + y*phi1 for input x|0> + y|1>; the clones are partial
-traces of that state.  As a ``ProtocolSpec`` (``protocol_spec``) the
-protocol has transfer operators T (4 x 8 x 2): outcome k maps the input z to
-the corrected, unnormalised branch v_k = T[k] z on (ancilla, B, C), and
-every routine here runs on T.  ``teleclone`` reads its branches
-(||v_k||^2, v_k / ||v_k||) and the clones from sum_k v_k v_k^dagger.  The
-spec evaluates the two clones (B, C) by default, and a protocol scores each
-evaluated qubit against the input, so the global clone fidelity is the
-protocol score of both signal states in one contraction of T,
+traces of that state.
 
-    (1/2) sum_j sum_k ||(I_ancilla (x) <psi_j psi_j|_BC) T[k] psi_j||^2,
-
-which equals (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> without
-building rho_BC, a branch state or a clone-pair array; T comes from a Bell
-projection of the resource, so it is still a protocol run, and verify's
-teleclone-faithfulness check compares it with the direct cloner map
-(``apply_cloner``).  The universal choice (a, b, c) =
-(sqrt(2/3), sqrt(1/6), 0) reproduces the symmetric universal cloner; for a
-two-state ensemble the coefficients maximizing global clone fidelity are the
-top eigenvector of a 3x3 matrix, and the optimal-cloner bound they are
-compared with is the closed form of Bruss et al., PRA 57, 2368 (1998).
+The answers are closed forms that build no 4-qubit state: the global clone
+fidelity u^T M(theta) u with u = (a, sqrt(2) b, c), the top eigenvector of
+M as the optimal coefficients, the (port, ancilla) | (B, C) entanglement
+from the clone pair's spectrum, and the optimal-cloner bound of Bruss et
+al., PRA 57, 2368 (1998).  The protocol is their oracle: ``protocol_spec``
+gives its transfer operators T (4 x 8 x 2), outcome k mapping the input z
+to the corrected branch T[k] z on (ancilla, B, C), which ``teleclone`` and
+protocol enumeration read.
 """
 
 from __future__ import annotations
@@ -40,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import TwoStateEnsemble, make_states
-from .protocols import STANDARD_CORRECTION_MATRICES, ProtocolSpec, _branch_weights
+from .ensembles import TwoStateEnsemble
+from .protocols import STANDARD_CORRECTION_MATRICES, ProtocolSpec
 from .states import (
     DensityMatrix,
     LocalOperator,
@@ -201,46 +191,41 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
     )
 
 
+def _fidelity_matrix(theta: float) -> np.ndarray:
+    """M(theta) = m1 m1^T + m2 m2^T, the 3x3 form of the global clone fidelity.
+
+    m1 = (x^3, sqrt(2) x y^2, x y^2) and m2 = (y^3, sqrt(2) x^2 y, x^2 y) with
+    x, y = cos(theta/2), sin(theta/2): m1 . u and m2 . u are the overlaps of
+    psi1 psi1 with the cloner output on ancilla 0 and 1, and psi2 swaps them.
+    """
+    x, y = np.cos(theta / 2), np.sin(theta / 2)
+    m1 = np.array([x**3, _SQRT2 * x * y**2, x * y**2])
+    m2 = np.array([y**3, _SQRT2 * x**2 * y, x**2 * y])
+    return np.outer(m1, m1) + np.outer(m2, m2)
+
+
 def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
     """Ensemble-averaged overlap of the joint clone state with the ideal pair.
 
-    (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j>, with rho_BC^(j) the
-    clones' joint state after the full telecloning protocol on psi_j.  With
-    the transfer operators T of the clone spec this is
-
-        (1/2) sum_j sum_k ||(I_ancilla (x) <psi_j psi_j|_BC) T[k] psi_j||^2,
-
-    one contraction for both signal states, so no state or density matrix is
-    built per branch; verify's teleclone-faithfulness check compares the
-    result with the direct cloner map.
+    (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> in closed form, as
+    u^T M u with u = (a, sqrt(2) b, c).  The oracle is the protocol: verify's
+    teleclone-faithfulness check compares this with enumeration over
+    ``protocol_spec(system)`` and with the direct cloner map.
     """
-    return _global_clone_fidelity(ens, build_telecloning_state(coeffs))
-
-
-def _global_clone_fidelity(ens: TwoStateEnsemble, system: TelecloningSystem) -> float:
-    """global_clone_fidelity on an already validated ``system``."""
-    signals = np.array([psi.amplitudes for psi in make_states(ens)])
-    _, w = _branch_weights(system._clone_spec, signals)
-    return float(0.5 * w.sum())
+    u = np.array([coeffs.a, _SQRT2 * coeffs.b, coeffs.c])
+    return float(u @ _fidelity_matrix(ens.theta) @ u)
 
 
 def optimize_coeffs(ens: TwoStateEnsemble) -> CloneCoeffs:
     """Coefficients maximizing global clone fidelity for this ensemble.
 
-    On the constraint surface the global fidelity is the quadratic form
-    u^T M u on unit vectors u = (a, sqrt(2) b, c), with M = m1 m1^T + m2 m2^T,
-
-        m1 = (x^3, sqrt(2) x y^2, x y^2),  m2 = (y^3, sqrt(2) x^2 y, x^2 y),
-
-    x = cos(theta/2), y = sin(theta/2).  The maximizer is the top eigenvector
-    of M; M is nonnegative, so by Perron-Frobenius that eigenvector can be
-    taken entrywise nonnegative.  theta = 0 gives (1, 0, 0) and theta = pi/2,
-    where the signal states coincide, the fidelity-1 choice (1/2, 1/2, 1/2).
+    The fidelity is u^T M u on unit vectors u = (a, sqrt(2) b, c), so the
+    maximizer is the top eigenvector of M; M is nonnegative, so by
+    Perron-Frobenius that eigenvector can be taken entrywise nonnegative.
+    theta = 0 gives (1, 0, 0) and theta = pi/2, where the signal states
+    coincide, the fidelity-1 choice (1/2, 1/2, 1/2).
     """
-    x, y = np.cos(ens.theta / 2), np.sin(ens.theta / 2)
-    m1 = np.array([x**3, _SQRT2 * x * y**2, x * y**2])
-    m2 = np.array([y**3, _SQRT2 * x**2 * y, x**2 * y])
-    _, vecs = np.linalg.eigh(np.outer(m1, m1) + np.outer(m2, m2))
+    _, vecs = np.linalg.eigh(_fidelity_matrix(ens.theta))
     u = np.abs(vecs[:, -1])
     return CloneCoeffs(u[0], u[1] / _SQRT2, u[2])
 
@@ -259,21 +244,27 @@ def optimal_global_fidelity(ens: TwoStateEnsemble) -> float:
     return float(0.5 * (1.0 + s**3 + np.sqrt(1.0 - s**2) * np.sqrt(1.0 - s**4)))
 
 
-def alice_receivers_entanglement(system: TelecloningSystem) -> float:
-    """Entropy (ebits) across the (port, ancilla) | (B, C) bipartition."""
-    return von_neumann_entropy(partial_trace(system.state.density(), (2, 3)))
+def alice_receivers_entanglement(coeffs: CloneCoeffs) -> float:
+    """Entropy (ebits) across the (port, ancilla) | (B, C) bipartition.
+
+    In closed form: the clone pair's state has spectrum {(a+c)^2/2,
+    (a-c)^2/2, 2b^2, 0}.  The oracle is the partial trace of the resource,
+    which verify's teleclone-two-state-sweep check compares with it.
+    """
+    a, b, c = coeffs.a, coeffs.b, coeffs.c
+    spectrum = [(a + c) ** 2 / 2, (a - c) ** 2 / 2, 2 * b * b, 0.0]
+    return von_neumann_entropy(DensityMatrix(np.diag(spectrum)))
 
 
 def joint_clones_closed_form(coeffs: CloneCoeffs) -> DensityMatrix:
-    """Closed-form 4x4 candidate for the clones' joint reduced state.
+    """A misquoted 4x4 candidate for the clones' joint reduced state.
 
     Diagonal (a^2+b^2+c^2)/2 on the |00>/|11> entries and b^2/2 in the
-    middle block, with corner a(b+c).  This expression does NOT agree with
-    the partial trace of the telecloning state (which has eigenvalues
-    {(a+c)^2/2, (a-c)^2/2, 2b^2, 0}); it is retained only for comparison,
-    and the numeric partial trace is the ground truth.  For some coefficient
-    choices (e.g. a = b = c = 1/2) the closed form is not even positive
-    semidefinite and this constructor raises.
+    middle block, with corner a(b+c).  It does NOT agree with the partial
+    trace of the telecloning state, the oracle, whose closed-form spectrum
+    is the one ``alice_receivers_entanglement`` uses; it is retained only
+    for comparison.  For some coefficient choices (e.g. a = b = c = 1/2) it
+    is not even positive semidefinite and this constructor raises.
     """
     a, b, c = coeffs.a, coeffs.b, coeffs.c
     d = (a * a + b * b + c * c) / 2.0

@@ -354,9 +354,9 @@ def check_probability_sanity(cfg):
 
 def check_universal_telecloning(cfg):
     system = tc.build_telecloning_state(tc.universal_coeffs())
-    ent = tc.alice_receivers_entanglement(system)
+    ent = tc.alice_receivers_entanglement(system.coeffs)
     if abs(ent - LOG2_3) > 1e-9:
-        return False, f"entanglement {ent} != log2(3)"
+        return False, f"closed-form entanglement {ent} != log2(3)"
     spec = tc.protocol_spec(system, targets=(1,))
     for bits in ([1, 0], [0, 1]):
         psi = PureState(np.array(bits, dtype=float))
@@ -369,7 +369,7 @@ def check_universal_telecloning(cfg):
         for q in range(4)
     )
     ok = worst <= 1e-10
-    return ok, f"log2(3) entanglement, 5/6 basis clones, I/2 marginals (dev {worst:.2e})"
+    return ok, f"closed-form log2(3), enumerated 5/6 clones, traced I/2 marginals ({worst:.2e})"
 
 
 def check_correction_exactness(cfg):
@@ -385,7 +385,7 @@ def check_correction_exactness(cfg):
         for p, corrected in result.per_outcome:
             worst = max(worst, float(np.abs(corrected.amplitudes - target).max()))
             worst = max(worst, abs(p - 0.25))
-    return worst <= 1e-12, f"corrected branches vs x*phi0 + y*phi1, dev = {worst:.2e}"
+    return worst <= 1e-12, f"teleclone vs direct cloner map x*phi0 + y*phi1, dev = {worst:.2e}"
 
 
 def check_clone_symmetry(cfg):
@@ -397,39 +397,48 @@ def check_clone_symmetry(cfg):
         worst = max(
             worst, float(np.abs(result.clone_b.elements - result.clone_c.elements).max())
         )
-    return worst <= 1e-12, f"clone B vs clone C, max dev = {worst:.2e}"
+    return worst <= 1e-12, f"teleclone's traced clone B vs clone C, max dev = {worst:.2e}"
 
 
 def check_teleclone_faithfulness(cfg):
-    worst = 0.0
+    worst_enum = worst_direct = 0.0
     for t in (0.3, np.pi / 4, 1.2):
         ens = TwoStateEnsemble(t)
         coeffs = tc.optimize_coeffs(ens)
-        via_protocol = tc.global_clone_fidelity(ens, coeffs)
-        direct = 0.0
+        closed = tc.global_clone_fidelity(ens, coeffs)
+        spec = tc.protocol_spec(tc.build_telecloning_state(coeffs))
+        enum = direct = 0.0
         for psi in make_states(ens):
+            enum += 0.5 * pr.enumerate_protocol_fidelity(psi, spec)
             out = tc.apply_cloner(psi, coeffs)
             joint = partial_trace(out.density(), (1, 2))
             direct += 0.5 * fidelity(tensor(psi, psi), joint)
-        worst = max(worst, abs(via_protocol - direct))
-    return worst <= 1e-12, f"protocol vs direct cloner map, dev = {worst:.2e}"
+        worst_enum = max(worst_enum, abs(closed - enum))
+        worst_direct = max(worst_direct, abs(closed - direct))
+    return max(worst_enum, worst_direct) <= 1e-12, (
+        f"closed form vs enumeration dev = {worst_enum:.2e}, vs cloner map {worst_direct:.2e}"
+    )
 
 
 def check_two_state_sweep(cfg):
     max_ent = -np.inf
     max_gap = -np.inf
+    worst = 0.0
     for t in np.linspace(0, np.pi / 2, 50):
         ens = TwoStateEnsemble(t)
         coeffs = tc.optimize_coeffs(ens)
-        ent = tc.alice_receivers_entanglement(tc.build_telecloning_state(coeffs))
+        ent = tc.alice_receivers_entanglement(coeffs)
+        rho = tc.build_telecloning_state(coeffs).state.density()
+        worst = max(worst, abs(ent - von_neumann_entropy(partial_trace(rho, (2, 3)))))
         f_tc = tc.global_clone_fidelity(ens, coeffs)
         f_opt = tc.optimal_global_fidelity(ens)
         if f_tc > f_opt + 1e-9:
             return False, f"sandwich violated at theta = {t}: {f_tc} > {f_opt}"
         max_ent = max(max_ent, ent)
         max_gap = max(max_gap, f_opt - f_tc)
-    ok = max_ent < LOG2_3 and max_gap > 1e-3
-    return ok, f"max entanglement {max_ent:.4f} < log2(3), max fidelity gap {max_gap:.4f}"
+    ok = worst <= 1e-12 and max_ent < LOG2_3 and max_gap > 1e-3
+    detail = f"closed-form vs traced entanglement dev = {worst:.2e}, max {max_ent:.4f} < log2(3)"
+    return ok, f"{detail}, max fidelity gap to the Bruss bound {max_gap:.4f}"
 
 
 def check_source_entropy_value(cfg):

@@ -138,7 +138,7 @@ def test_criterion_06_crossover():
 
 def test_criterion_07_universal_telecloning():
     system = build_telecloning_state(universal_coeffs())
-    ent = alice_receivers_entanglement(system)
+    ent = alice_receivers_entanglement(system.coeffs)
     assert abs(ent - LOG2_3) <= 1e-9
     for basis in (PureState(np.array([1.0, 0.0])), PureState(np.array([0.0, 1.0]))):
         for q in (1, 2):
@@ -159,7 +159,7 @@ def test_criterion_08_two_state_telecloning_sweep():
     for t in np.linspace(0.0, np.pi / 2, 50):
         ens = TwoStateEnsemble(t)
         coeffs = optimize_coeffs(ens)
-        ent = alice_receivers_entanglement(build_telecloning_state(coeffs))
+        ent = alice_receivers_entanglement(coeffs)
         f_tc = global_clone_fidelity(ens, coeffs)
         f_opt = optimal_global_fidelity(ens)
         assert ent < LOG2_3

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import teleportsim
+from teleportsim import protocols
 from teleportsim.cli import (
     RunConfig,
     cmd_fig_channel,
@@ -15,6 +16,8 @@ from teleportsim.cli import (
     cmd_verify,
     main,
 )
+from teleportsim.states import DensityMatrix
+from teleportsim.telecloning import TelecloningSystem
 
 LOG2_3 = np.log2(3.0)
 
@@ -118,6 +121,30 @@ class TestFigTelecloning:
             assert row[6] < LOG2_3
             assert row[4] <= row[5] + 1e-9
 
+    def test_sweep_builds_no_system_or_spec(self, monkeypatch):
+        counts = {"_bell_transfer": 0, "TelecloningSystem": 0, "16x16 density": 0}
+        bell_transfer = protocols._bell_transfer
+        system_init = TelecloningSystem.__post_init__
+        density_init = DensityMatrix.__post_init__
+
+        def counting_bell_transfer(*args):
+            counts["_bell_transfer"] += 1
+            return bell_transfer(*args)
+
+        def counting_system_init(self):
+            counts["TelecloningSystem"] += 1
+            system_init(self)
+
+        def counting_density_init(self):
+            counts["16x16 density"] += np.shape(self.elements) == (16, 16)
+            density_init(self)
+
+        monkeypatch.setattr(protocols, "_bell_transfer", counting_bell_transfer)
+        monkeypatch.setattr(TelecloningSystem, "__post_init__", counting_system_init)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_density_init)
+        assert main(["fig-telecloning", "--theta-steps", "5", "--out", os.devnull]) == 0
+        assert counts == {"_bell_transfer": 0, "TelecloningSystem": 0, "16x16 density": 0}
+
 
 class TestVerifyCommand:
     def test_default_config_passes(self):
@@ -154,8 +181,20 @@ class TestMainEntry:
         assert "alpha_sq,f_direct_avg,f_purif_unknown" in captured
 
     def test_exit_code_2_on_bad_config(self, capsys):
-        for argv in (["fig-classical", "--theta-steps", "1"], ["verify", "--seed", "-1"]):
-            assert main(argv) == 2
+        # RunConfig errors return 2; argparse usage errors raise SystemExit(2)
+        for argv in (
+            ["fig-classical", "--theta-steps", "1"],
+            ["verify", "--seed", "-1"],
+            ["fig-telecloning", "--theta-steps", "abc"],
+            ["fig-telecloning", "--theta-steps", "1e3"],
+            ["fig-classical", "--no-such-option"],
+            ["fig-channel", "--theta", "-1e-13"],
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -10,10 +10,10 @@ is the matching loop that ``telecloning.teleclone`` ran before it read the
 transfer operators T.  ``_mc_haar_reference`` is the per-outcome einsum loop,
 with its one-pass variance, that ``protocols.mc_haar_average_fidelity`` ran
 before the transfer operators; it rebuilds each input's amplitudes from the
-same ``rng.haar_bloch`` draws.  ``reference_global_clone_fidelity`` is the
-density-matrix route that ``telecloning.global_clone_fidelity`` took before
-it scored branches on their amplitudes, built on ``reference_teleclone`` so
-that it shares no T with the code it checks.
+same ``rng.haar_bloch`` draws.  ``reference_global_clone_fidelity`` is a
+density-matrix oracle for the closed form ``telecloning.global_clone_fidelity``,
+built on ``reference_teleclone`` so that it shares no T with the protocol
+enumeration it is also compared with.
 """
 
 import numpy as np
@@ -40,11 +40,13 @@ from teleportsim.states import (
     fidelity,
     partial_trace,
     tensor,
+    von_neumann_entropy,
 )
 from teleportsim.telecloning import (
     CloneCoeffs,
     TelecloningSystem,
     _qubit_marginals,
+    alice_receivers_entanglement,
     build_telecloning_state,
     global_clone_fidelity,
     optimize_coeffs,
@@ -280,6 +282,8 @@ class TestGlobalCloneFidelity:
     THETAS = (0.0, np.pi / 4, np.nextafter(np.pi / 2, 0.0), np.pi / 2)
 
     def test_matches_density_matrix_route(self):
+        # the closed forms against the density-matrix route, the protocol
+        # enumeration and the partial trace of the resource
         rng = np.random.default_rng(108)
         # the oracle workload's edge sets, then seeded random coefficients
         coeff_sets = [
@@ -290,30 +294,34 @@ class TestGlobalCloneFidelity:
         ] + [random_coeffs(rng) for _ in range(6)]
         with np.errstate(divide="raise", invalid="raise"):
             for coeffs in coeff_sets:
+                system = build_telecloning_state(coeffs)
+                traced = von_neumann_entropy(partial_trace(system.state.density(), (2, 3)))
+                assert abs(alice_receivers_entanglement(coeffs) - traced) < 1e-12
+                spec = protocol_spec(system)
                 for theta in self.THETAS:
                     ens = TwoStateEnsemble(theta)
                     got = global_clone_fidelity(ens, coeffs)
                     assert abs(got - reference_global_clone_fidelity(ens, coeffs)) < 1e-12
+                    enum = sum(
+                        0.5 * enumerate_protocol_fidelity(psi, spec) for psi in make_states(ens)
+                    )
+                    assert abs(got - enum) < 1e-12
 
-    def test_matches_density_matrix_route_on_complex_inputs(self, monkeypatch):
+    def test_matches_density_matrix_route_on_complex_inputs(self):
         # on the real signal states the ancilla (the anti-clone) scores the
         # same as a clone, so only complex inputs tell (B, C) from (ancilla, B)
         rng = np.random.default_rng(109)
         coeff_sets = [universal_coeffs(), CloneCoeffs(0.5, 0.5, 0.5)] + [
             random_coeffs(rng) for _ in range(4)
         ]
-        ens = TwoStateEnsemble(np.pi / 4)
         with np.errstate(divide="raise", invalid="raise"):
-            for _ in range(4):
-                signals = (random_qubit(rng), random_qubit(rng))
-                monkeypatch.setattr(telecloning, "make_states", lambda _: signals)
-                for coeffs in coeff_sets:
-                    system = build_telecloning_state(coeffs)
-                    expected = sum(
-                        0.5 * fidelity(tensor(psi, psi), teleclone(psi, system).joint_clones)
-                        for psi in signals
-                    )
-                    assert abs(global_clone_fidelity(ens, coeffs) - expected) < 1e-12
+            for coeffs in coeff_sets:
+                system = build_telecloning_state(coeffs)
+                spec = protocol_spec(system)
+                for _ in range(8):
+                    psi = random_qubit(rng)
+                    expected = fidelity(tensor(psi, psi), teleclone(psi, system).joint_clones)
+                    assert abs(enumerate_protocol_fidelity(psi, spec) - expected) < 1e-12
 
     def test_builds_no_density_matrix(self, monkeypatch):
         counts = {"DensityMatrix": 0, "partial_trace": 0}
@@ -500,9 +508,9 @@ class TestProtocolTransferOperators:
             _branch_table(psi, spec)
         mc_protocol_fidelity(psi, spec, 1000, seed=1)
         assert len(calls) == 1
-        # the clone fidelity scores both signal states on one clone spec
+        # the closed-form clone fidelity builds no spec
         global_clone_fidelity(TwoStateEnsemble(np.pi / 4), universal_coeffs())
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_clone_spec_built_once_per_system(self, monkeypatch):
         calls = []
@@ -515,12 +523,10 @@ class TestProtocolTransferOperators:
         monkeypatch.setattr(protocols, "_bell_transfer", counting_build)
         ens = TwoStateEnsemble(np.pi / 4)
         system = build_telecloning_state(optimize_coeffs(ens))
-        telecloning.alice_receivers_entanglement(system)
         assert len(calls) == 0
         psi, _ = make_states(ens)
         for _ in range(10):
             teleclone(psi, system)
-        telecloning._global_clone_fidelity(ens, system)
         assert len(calls) == 1
 
     def test_rejects_malformed_inputs_and_corrections(self):

@@ -4,10 +4,12 @@ The golden files in ``tests/data/`` were written by the CLI at default
 resolution.  Metadata and header lines must match exactly; each value must
 be within one unit of its 12th significant digit (the CSV format), so a
 platform whose libm rounds differently in the last place still passes.
+Cells are compared as the exact decimals of their text: as floats, two
+neighbouring 12-digit values can differ by slightly more than one unit.
 """
 
-import math
 import os
+from decimal import Decimal
 
 import pytest
 
@@ -23,10 +25,10 @@ GOLDEN = {
 
 
 def last_digit_unit(value):
-    """One unit of the 12th significant digit of ``value``; 0 for 0."""
-    if value == 0.0:
-        return 0.0
-    return 10.0 ** (math.floor(math.log10(abs(value))) - 11)
+    """One unit of the 12th significant digit of the Decimal ``value``; 0 for 0."""
+    if value == 0:
+        return Decimal(0)
+    return Decimal(1).scaleb(value.adjusted() - 11)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -43,5 +45,5 @@ def test_default_csv_matches_golden(name, tmp_path):
             continue
         values, refs = line.split(","), ref.split(",")
         assert len(values) == len(refs)
-        for v, r in zip(map(float, values), map(float, refs)):
-            assert abs(v - r) <= last_digit_unit(r) * (1 + 1e-9), (line, ref)
+        for v, r in zip(map(Decimal, values), map(Decimal, refs)):
+            assert abs(v - r) <= last_digit_unit(r), (line, ref)

@@ -1,8 +1,8 @@
 """Property tests over theta in [0, pi/2] and alpha in [0, 1/sqrt(2)].
 
-The classical and channel closed forms, and the telecloning global
-fidelity.  Hypothesis runs derandomized, so every run draws the same
-examples.
+The classical and channel closed forms, and the telecloning closed forms
+against the protocol and the resource's partial trace.  Hypothesis runs
+derandomized, so every run draws the same examples.
 """
 
 import numpy as np
@@ -25,13 +25,17 @@ from teleportsim.classical import (
     fidelity_unambiguous,
 )
 from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
-from teleportsim.states import fidelity, partial_trace, tensor
+from teleportsim.protocols import enumerate_protocol_fidelity
+from teleportsim.states import fidelity, partial_trace, tensor, von_neumann_entropy
 from teleportsim.telecloning import (
     CloneCoeffs,
+    alice_receivers_entanglement,
     apply_cloner,
+    build_telecloning_state,
     global_clone_fidelity,
     optimal_global_fidelity,
     optimize_coeffs,
+    protocol_spec,
 )
 
 HALF_PI = np.pi / 2
@@ -104,6 +108,7 @@ def test_optimized_fidelity_between_universal_and_optimal_cloner(theta):
 @example(theta=np.nextafter(HALF_PI, 0.0), phi=HALF_PI, chi=0.0)
 @example(theta=HALF_PI, phi=HALF_PI, chi=HALF_PI)
 @example(theta=HALF_PI, phi=np.pi / 3, chi=np.arccos(np.sqrt(2 / 3)))  # (1/2, 1/2, 1/2)
+@example(theta=np.pi / 4, phi=np.arccos(np.sqrt(2 / 3)), chi=0.0)  # universal
 def test_any_coefficients_match_direct_cloner(theta, phi, chi):
     # (a, sqrt(2) b, c) is a unit vector in the nonnegative octant
     coeffs = CloneCoeffs(
@@ -112,5 +117,13 @@ def test_any_coefficients_match_direct_cloner(theta, phi, chi):
     ens = TwoStateEnsemble(theta)
     with np.errstate(divide="raise", invalid="raise"):
         f = global_clone_fidelity(ens, coeffs)
+        ent = alice_receivers_entanglement(coeffs)
     assert 0.0 <= f <= 1.0
     assert abs(f - direct_global_fidelity(ens, coeffs)) < 1e-12
+    # the protocol and the resource's partial trace, the closed forms' oracles
+    system = build_telecloning_state(coeffs)
+    spec = protocol_spec(system)
+    enum = sum(0.5 * enumerate_protocol_fidelity(psi, spec) for psi in make_states(ens))
+    assert abs(f - enum) < 1e-12
+    traced = von_neumann_entropy(partial_trace(system.state.density(), (2, 3)))
+    assert abs(ent - traced) < 1e-12

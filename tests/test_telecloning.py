@@ -129,8 +129,7 @@ class TestUniversalCoeffs:
                 assert abs(f - 5 / 6) < 1e-9
 
     def test_entanglement_is_log2_3(self):
-        system = build_telecloning_state(universal_coeffs())
-        assert abs(alice_receivers_entanglement(system) - LOG2_3) < 1e-9
+        assert abs(alice_receivers_entanglement(universal_coeffs()) - LOG2_3) < 1e-9
 
 
 class TestBuildCloneStates:
@@ -326,17 +325,15 @@ class TestOptimalGlobalFidelity:
 
 class TestEntanglement:
     def test_universal_is_log2_3(self):
-        system = build_telecloning_state(universal_coeffs())
-        assert abs(alice_receivers_entanglement(system) - LOG2_3) < 1e-12
+        assert abs(alice_receivers_entanglement(universal_coeffs()) - LOG2_3) < 1e-12
 
     def test_ghz_like_state_is_one_ebit(self):
-        system = build_telecloning_state(CloneCoeffs(1.0, 0.0, 0.0))
-        assert abs(alice_receivers_entanglement(system) - 1.0) < 1e-12
+        assert abs(alice_receivers_entanglement(CloneCoeffs(1.0, 0.0, 0.0)) - 1.0) < 1e-12
 
     def test_optimized_family_stays_below_log2_3(self):
         for t in np.linspace(0.0, np.pi / 2, 20):
             coeffs = optimize_coeffs(TwoStateEnsemble(t))
-            ent = alice_receivers_entanglement(build_telecloning_state(coeffs))
+            ent = alice_receivers_entanglement(coeffs)
             assert ent < LOG2_3 - 1e-6
 
 
