@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .channels import (
     ChannelStrategyReport,
     average_fidelity_direct,
+    channel_sweep,
     combined_fidelity,
     direct_fidelity_state,
     horodecki_optimal_fidelity,
@@ -20,12 +21,14 @@ from .channels import (
     purification_success_probability,
     singlet_fraction,
     two_state_direct_fidelity,
+    unknown_state_sweep,
 )
 from .classical import (
     ClassicalStrategy,
     DegenerateEnsembleError,
     StrategyReport,
     classical_fidelity,
+    classical_sweep,
     fidelity_biased_guess,
     fidelity_fuchs_peres,
     fidelity_min_error,
@@ -72,6 +75,7 @@ from .states import (
     bell_measure,
     fidelity,
     partial_trace,
+    spectrum_entropy,
     tensor,
     von_neumann_entropy,
 )
@@ -88,5 +92,6 @@ from .telecloning import (
     optimal_global_fidelity,
     optimize_coeffs,
     teleclone,
+    telecloning_sweep,
     universal_coeffs,
 )

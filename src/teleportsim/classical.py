@@ -10,7 +10,10 @@ strategies:
   * minimum-error measurement with an optimally biased guess.
 
 The biased-guess optimum coincides with the Fuchs-Peres closed form; that
-is the best strategy known here, not one proven optimal.
+is the best strategy known here, not one proven optimal.  Each closed form
+has one implementation that broadcasts over theta; ``classical_sweep``
+evaluates it on a whole grid, and the functions that take one ensemble call
+the same code.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .ensembles import TwoStateEnsemble, make_states, overlap
+from .ensembles import TwoStateEnsemble, checked_thetas, make_states, overlap
 from .states import PureState
 
 _POVM_SUM_ATOL = 1e-10
@@ -91,18 +94,28 @@ def min_error_probability(ens: TwoStateEnsemble) -> float:
     return float(0.5 * (1.0 - np.cos(ens.theta)))
 
 
+def _min_error(theta):
+    c = np.cos(theta)
+    return 1.0 - 0.5 * (1.0 - c) * (c * c)
+
+
 def fidelity_min_error(ens: TwoStateEnsemble) -> float:
     """Fidelity when the receiver prepares the identified signal state.
 
     A wrong identification still overlaps the true state by sin^2(theta),
     giving 1 - (1 - cos(theta)) cos^2(theta) / 2.
     """
-    return float(1.0 - 0.5 * (1.0 - np.cos(ens.theta)) * np.cos(ens.theta) ** 2)
+    return float(_min_error(ens.theta))
 
 
 def unambiguous_success_probability(ens: TwoStateEnsemble) -> float:
     """Maximum conclusive-outcome probability, 1 - sin(theta)."""
     return 1.0 - overlap(ens)
+
+
+def _unambiguous(theta):
+    s = np.sin(theta)
+    return 1.0 - 0.5 * s + 0.5 * np.power(s, 3)
 
 
 def fidelity_unambiguous(ens: TwoStateEnsemble) -> float:
@@ -112,8 +125,18 @@ def fidelity_unambiguous(ens: TwoStateEnsemble) -> float:
     the inconclusive outcome the receiver guesses one of the two states at
     random.  This gives 1 - sin(theta)/2 + sin^3(theta)/2.
     """
-    s = overlap(ens)
-    return float(1.0 - 0.5 * s + 0.5 * s**3)
+    return float(_unambiguous(ens.theta))
+
+
+def _guess_angle(theta):
+    """arctan(sin/cos^2) and the mask where cos^2 theta < 1e-15 leaves it undefined.
+
+    The division meets no zero: the float nearest pi/2 lies below it, so
+    cos theta >= 6e-17 on [0, pi/2].
+    """
+    c = np.cos(theta)
+    c2 = c * c
+    return np.arctan(np.sin(theta) / c2), c2 < 1e-15
 
 
 def optimal_guess_angle(ens: TwoStateEnsemble) -> float:
@@ -122,12 +145,18 @@ def optimal_guess_angle(ens: TwoStateEnsemble) -> float:
     Raises DegenerateEnsembleError at theta = pi/2, where the signal states
     coincide and the angle is undefined (cos^2 theta = 0).
     """
-    c = np.cos(ens.theta)
-    if c**2 < 1e-15:
+    g, degenerate = _guess_angle(ens.theta)
+    if degenerate:
         raise DegenerateEnsembleError(
             "theta = pi/2: the two states are identical, guess angle undefined"
         )
-    return float(np.arctan(np.sin(ens.theta) / c**2))
+    return float(g)
+
+
+def _biased_guess(theta, g):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    c_g, s_g = np.cos((theta - g) / 2), np.sin((theta + g) / 2)
+    return c * c * (c_g * c_g) + s * s * (s_g * s_g)
 
 
 def fidelity_biased_guess(ens: TwoStateEnsemble, guess_angle):
@@ -140,12 +169,19 @@ def fidelity_biased_guess(ens: TwoStateEnsemble, guess_angle):
 
     ``guess_angle`` may be a scalar or an array (broadcast elementwise).
     """
-    t, g = ens.theta, guess_angle
-    value = (
-        np.cos(t / 2) ** 2 * np.cos((t - g) / 2) ** 2
-        + np.sin(t / 2) ** 2 * np.sin((t + g) / 2) ** 2
-    )
+    value = _biased_guess(ens.theta, guess_angle)
     return float(value) if np.ndim(value) == 0 else value
+
+
+def _optimum(theta):
+    """(fidelity, guess angle) of the biased-guess optimum, broadcast over theta.
+
+    Where the guess angle is undefined (theta = pi/2) the guess pi/2, the
+    common state, transmits it exactly.
+    """
+    g, degenerate = _guess_angle(theta)
+    f = np.maximum(_biased_guess(theta, g), _min_error(theta))
+    return np.where(degenerate, 1.0, f), np.where(degenerate, np.pi / 2, g)
 
 
 def fidelity_optimized(ens: TwoStateEnsemble) -> StrategyReport:
@@ -157,13 +193,16 @@ def fidelity_optimized(ens: TwoStateEnsemble) -> StrategyReport:
     below ``fidelity_min_error``; at small theta the two agree to within
     rounding, and the biased-guess expression can round one ulp under it.
     """
-    pe = min_error_probability(ens)
-    try:
-        g = optimal_guess_angle(ens)
-    except DegenerateEnsembleError:
-        return StrategyReport(fidelity=1.0, error_probability=pe, guess_angle=np.pi / 2)
-    f = max(fidelity_biased_guess(ens, g), fidelity_min_error(ens))
-    return StrategyReport(fidelity=f, error_probability=pe, guess_angle=g)
+    f, g = _optimum(ens.theta)
+    return StrategyReport(
+        fidelity=float(f), error_probability=min_error_probability(ens), guess_angle=float(g)
+    )
+
+
+def _fuchs_peres(theta):
+    s = np.sin(theta)
+    s2 = s * s
+    return 0.5 * (1.0 + np.sqrt(1.0 - s2 + s2 * s2))
 
 
 def fidelity_fuchs_peres(ens: TwoStateEnsemble) -> float:
@@ -172,8 +211,19 @@ def fidelity_fuchs_peres(ens: TwoStateEnsemble) -> float:
     Numerically identical to fidelity_optimized; kept as an independent
     expression for cross-checking.
     """
-    s2 = overlap(ens) ** 2
-    return float(0.5 * (1.0 + np.sqrt(1.0 - s2 + s2**2)))
+    return float(_fuchs_peres(ens.theta))
+
+
+def classical_sweep(theta):
+    """The four classical fidelities over ``theta``, one broadcast call each.
+
+    Returns (f_min_error, f_unambiguous, f_optimized, f_fuchs_peres), each
+    shaped like ``theta`` (a scalar or an array).  The grid is checked once
+    as TwoStateEnsemble checks one angle; each column equals the scalar
+    function of the same name at every point.
+    """
+    t = checked_thetas(theta)
+    return _min_error(t), _unambiguous(t), _optimum(t)[0], _fuchs_peres(t)
 
 
 def projective_guess_strategy(

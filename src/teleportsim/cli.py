@@ -10,7 +10,10 @@ Subcommands:
                     entanglement over theta
   verify            run every registered invariant check
 
-CSV output is deterministic for a fixed configuration: 12 significant
+Each fig-* column is one broadcast call on the whole grid (the ``*_sweep``
+functions of ``classical``, ``channels`` and ``telecloning``); no command
+loops over grid rows or builds an ensemble, channel or coefficient set per
+row.  CSV output is deterministic for a fixed configuration: 12 significant
 digits, '\\n' line endings, '#'-prefixed metadata lines before the header.
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -29,7 +33,6 @@ from . import __version__
 from . import channels as ch
 from . import classical as cl
 from . import telecloning as tc
-from .ensembles import Channel, TwoStateEnsemble
 from .rng import GENERATOR_NAME
 from .verification import run_checks
 
@@ -68,10 +71,10 @@ def _fmt(value: float) -> str:
     return format(v, ".12g")
 
 
-def _csv(metadata: dict, header: tuple, rows) -> str:
+def _csv(metadata: dict, header: tuple, columns) -> str:
     lines = [f"# {k}={v}" for k, v in metadata.items()]
     lines.append(",".join(header))
-    for row in rows:
+    for row in np.column_stack(columns).tolist():
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
@@ -86,71 +89,35 @@ def _base_metadata(config: RunConfig) -> dict:
 
 
 def cmd_fig_classical(config: RunConfig) -> str:
-    """Classical fidelities on an inclusive theta grid."""
+    """Classical fidelities on an inclusive theta grid, each column one broadcast call."""
     meta = _base_metadata(config)
     meta["theta_steps"] = config.theta_steps
-    rows = []
-    for t in np.linspace(0.0, np.pi / 2, config.theta_steps):
-        ens = TwoStateEnsemble(t)
-        rows.append(
-            (
-                t,
-                cl.fidelity_min_error(ens),
-                cl.fidelity_unambiguous(ens),
-                cl.fidelity_optimized(ens).fidelity,
-                cl.fidelity_fuchs_peres(ens),
-            )
-        )
+    theta = np.linspace(0.0, np.pi / 2, config.theta_steps)
     header = ("theta", "f_min_error", "f_unambiguous", "f_optimized", "f_fuchs_peres")
-    return _csv(meta, header, rows)
+    return _csv(meta, header, (theta, *cl.classical_sweep(theta)))
 
 
 def cmd_fig_channel(config: RunConfig) -> str:
-    """Channel-strategy fidelities over alpha^2 in [0, 1/2] inclusive."""
+    """Channel-strategy fidelities over alpha^2 in [0, 1/2] inclusive, one broadcast call each."""
     meta = _base_metadata(config)
     meta["alpha_steps"] = config.alpha_steps
-    grid = np.linspace(0.0, 0.5, config.alpha_steps)
+    alpha_sq = np.linspace(0.0, 0.5, config.alpha_steps)
+    alpha = np.sqrt(alpha_sq)
     if config.unknown:
         meta["variant"] = "unknown-state"
-        rows = [
-            (
-                a2,
-                ch.average_fidelity_direct(Channel(np.sqrt(a2))),
-                ch.purification_fidelity_unknown(Channel(np.sqrt(a2))),
-            )
-            for a2 in grid
-        ]
-        return _csv(meta, ("alpha_sq", "f_direct_avg", "f_purif_unknown"), rows)
+        header = ("alpha_sq", "f_direct_avg", "f_purif_unknown")
+        return _csv(meta, header, (alpha_sq, *ch.unknown_state_sweep(alpha)))
     meta["variant"] = "two-state"
     meta["theta"] = _fmt(config.theta)
-    ens = TwoStateEnsemble(config.theta)
-    rows = []
-    for a2 in grid:
-        c = Channel(np.sqrt(a2))
-        report = ch.optimize_combined(ens, c)
-        rows.append(
-            (
-                a2,
-                ch.two_state_direct_fidelity(ens, c),
-                ch.purification_fidelity_two_state(ens, c),
-                report.fidelity,
-                report.alpha_prime,
-            )
-        )
     header = ("alpha_sq", "f_direct", "f_purification", "f_combined", "alpha_prime_opt")
-    return _csv(meta, header, rows)
+    return _csv(meta, header, (alpha_sq, *ch.channel_sweep(config.theta, alpha)))
 
 
 def cmd_fig_telecloning(config: RunConfig) -> str:
-    """Optimized two-state telecloning sweep over theta."""
+    """Optimized two-state telecloning sweep over theta, each column one broadcast call."""
     meta = _base_metadata(config)
     meta["theta_steps"] = config.theta_steps
-    rows = []
-    for t in np.linspace(0.0, np.pi / 2, config.theta_steps):
-        ens = TwoStateEnsemble(t)
-        c = tc.optimize_coeffs(ens)
-        f_tc, f_opt = tc.global_clone_fidelity(ens, c), tc.optimal_global_fidelity(ens)
-        rows.append((t, c.a, c.b, c.c, f_tc, f_opt, tc.alice_receivers_entanglement(c)))
+    theta = np.linspace(0.0, np.pi / 2, config.theta_steps)
     header = (
         "theta",
         "a",
@@ -160,7 +127,7 @@ def cmd_fig_telecloning(config: RunConfig) -> str:
         "f_global_optimal",
         "entanglement_alice_receivers",
     )
-    return _csv(meta, header, rows)
+    return _csv(meta, header, (theta, *tc.telecloning_sweep(theta)))
 
 
 def cmd_verify(config: RunConfig, stream) -> int:
@@ -175,8 +142,18 @@ def cmd_verify(config: RunConfig, stream) -> int:
     return 1 if failed else 0
 
 
+# Negative numbers in exponent notation too: argparse's own pattern (as on
+# Python 3.11) takes "-1e-13" for an unknown option, so "--theta -1e-13"
+# would report a missing argument instead of the out-of-range theta.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
     """A usage error prints one ``error:`` line and exits 2, as a configuration error does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)

@@ -19,6 +19,7 @@ import numpy as np
 from .states import DensityMatrix, PureState, von_neumann_entropy
 
 _HALF_SQRT2 = 1.0 / np.sqrt(2.0)
+_RANGE_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class TwoStateEnsemble:
 
     def __post_init__(self):
         t = float(self.theta)
-        if not (0.0 <= t <= np.pi / 2 + 1e-12):
+        if not (0.0 <= t <= np.pi / 2 + _RANGE_ATOL):
             raise ValueError(f"theta must lie in [0, pi/2], got {t}")
         object.__setattr__(self, "theta", min(t, np.pi / 2))
 
@@ -42,7 +43,7 @@ class Channel:
 
     def __post_init__(self):
         a = float(self.alpha)
-        if not (0.0 <= a <= _HALF_SQRT2 + 1e-12):
+        if not (0.0 <= a <= _HALF_SQRT2 + _RANGE_ATOL):
             raise ValueError(f"alpha must lie in [0, 1/sqrt(2)], got {a}")
         object.__setattr__(self, "alpha", min(a, _HALF_SQRT2))
 
@@ -53,6 +54,28 @@ class Channel:
     @classmethod
     def maximal(cls) -> "Channel":
         return cls(_HALF_SQRT2)
+
+
+def _checked_grid(values, upper: float, name: str, interval: str) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    bad = ~((v >= 0.0) & (v <= upper + _RANGE_ATOL))
+    if bad.any():
+        raise ValueError(f"{name} must lie in {interval}, got {float(v[bad][0])}")
+    return np.minimum(v, upper)
+
+
+def checked_thetas(theta) -> np.ndarray:
+    """``theta`` (a scalar or an array) as floats, checked and clipped as TwoStateEnsemble does.
+
+    The sweeps validate their whole grid here once, instead of building an
+    ensemble per grid point; the error names the first value out of range.
+    """
+    return _checked_grid(theta, np.pi / 2, "theta", "[0, pi/2]")
+
+
+def checked_alphas(alpha) -> np.ndarray:
+    """``alpha`` (a scalar or an array) as floats, checked and clipped as Channel does."""
+    return _checked_grid(alpha, _HALF_SQRT2, "alpha", "[0, 1/sqrt(2)]")
 
 
 def make_states(ens: TwoStateEnsemble):

@@ -190,9 +190,19 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(w * log2 w) in bits; eigenvalues below 1e-12 count as 0."""
     e = rho.elements
-    w = np.linalg.eigvalsh((e + e.conj().T) / 2)
-    w = w[w > _ENTROPY_CUTOFF]
-    return float(-(w * np.log2(w)).sum())
+    return float(spectrum_entropy(np.linalg.eigvalsh((e + e.conj().T) / 2)))
+
+
+def spectrum_entropy(w):
+    """Entropy -sum(w * log2 w) in bits of each spectrum along the last axis of ``w``.
+
+    Entries at or below 1e-12 count as 0.  ``w`` is taken as a valid
+    spectrum, so a caller whose eigenvalues are known in closed form builds
+    no density matrix; a single spectrum gives a numpy scalar.
+    """
+    w = np.asarray(w, dtype=float)
+    w = np.where(w > _ENTROPY_CUTOFF, w, 1.0)
+    return -(w * np.log2(w)).sum(axis=-1)
 
 
 def bell_measure(state: PureState, pair: tuple) -> list:

@@ -17,10 +17,13 @@ The answers are closed forms that build no 4-qubit state: the global clone
 fidelity u^T M(theta) u with u = (a, sqrt(2) b, c), the top eigenvector of
 M as the optimal coefficients, the (port, ancilla) | (B, C) entanglement
 from the clone pair's spectrum, and the optimal-cloner bound of Bruss et
-al., PRA 57, 2368 (1998).  The protocol is their oracle: ``protocol_spec``
-gives its transfer operators T (4 x 8 x 2), outcome k mapping the input z
-to the corrected branch T[k] z on (ancilla, B, C), which ``teleclone`` and
-protocol enumeration read.
+al., PRA 57, 2368 (1998).  Each has one implementation that broadcasts over
+theta: ``telecloning_sweep`` takes every ``fig-telecloning`` column in one
+call on the whole grid, and the functions that take one ensemble or one
+coefficient set call the same code.  The protocol is their oracle:
+``protocol_spec`` gives its transfer operators T (4 x 8 x 2), outcome k
+mapping the input z to the corrected branch T[k] z on (ancilla, B, C),
+which ``teleclone`` and protocol enumeration read.
 """
 
 from __future__ import annotations
@@ -30,14 +33,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensembles import TwoStateEnsemble
+from .ensembles import TwoStateEnsemble, checked_thetas
 from .protocols import STANDARD_CORRECTION_MATRICES, ProtocolSpec
 from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
     partial_trace,
-    von_neumann_entropy,
+    spectrum_entropy,
 )
 
 _SQRT2 = np.sqrt(2.0)
@@ -191,17 +194,27 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
     )
 
 
-def _fidelity_matrix(theta: float) -> np.ndarray:
+def _fidelity_matrix(theta):
     """M(theta) = m1 m1^T + m2 m2^T, the 3x3 form of the global clone fidelity.
 
     m1 = (x^3, sqrt(2) x y^2, x y^2) and m2 = (y^3, sqrt(2) x^2 y, x^2 y) with
     x, y = cos(theta/2), sin(theta/2): m1 . u and m2 . u are the overlaps of
     psi1 psi1 with the cloner output on ancilla 0 and 1, and psi2 swaps them.
+    Broadcast over theta: the result has shape theta.shape + (3, 3).
     """
     x, y = np.cos(theta / 2), np.sin(theta / 2)
-    m1 = np.array([x**3, _SQRT2 * x * y**2, x * y**2])
-    m2 = np.array([y**3, _SQRT2 * x**2 * y, x**2 * y])
-    return np.outer(m1, m1) + np.outer(m2, m2)
+    x2, y2 = x * x, y * y
+    m = np.array([[x2 * x, _SQRT2 * x * y2, x * y2], [y2 * y, _SQRT2 * x2 * y, x2 * y]])
+    return np.einsum("ki...,kj...->...ij", m, m)
+
+
+def _unit_vector(a, b, c):
+    """u = (a, sqrt(2) b, c) on a leading axis, so u^T M u is the global clone fidelity."""
+    return np.array([a, _SQRT2 * b, c])
+
+
+def _clone_fidelity(m, u):
+    return np.einsum("i...,...ij,j...->...", u, m, u)
 
 
 def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
@@ -212,8 +225,14 @@ def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
     teleclone-faithfulness check compares this with enumeration over
     ``protocol_spec(system)`` and with the direct cloner map.
     """
-    u = np.array([coeffs.a, _SQRT2 * coeffs.b, coeffs.c])
-    return float(u @ _fidelity_matrix(ens.theta) @ u)
+    u = _unit_vector(coeffs.a, coeffs.b, coeffs.c)
+    return float(_clone_fidelity(_fidelity_matrix(ens.theta), u))
+
+
+def _top_coeffs(m):
+    """(a, b, c) from the entrywise nonnegative top eigenvector of each M in ``m``."""
+    u = np.abs(np.linalg.eigh(m)[1][..., -1])
+    return u[..., 0], u[..., 1] / _SQRT2, u[..., 2]
 
 
 def optimize_coeffs(ens: TwoStateEnsemble) -> CloneCoeffs:
@@ -225,9 +244,13 @@ def optimize_coeffs(ens: TwoStateEnsemble) -> CloneCoeffs:
     theta = 0 gives (1, 0, 0) and theta = pi/2, where the signal states
     coincide, the fidelity-1 choice (1/2, 1/2, 1/2).
     """
-    _, vecs = np.linalg.eigh(_fidelity_matrix(ens.theta))
-    u = np.abs(vecs[:, -1])
-    return CloneCoeffs(u[0], u[1] / _SQRT2, u[2])
+    return CloneCoeffs(*_top_coeffs(_fidelity_matrix(ens.theta)))
+
+
+def _bruss_bound(theta):
+    s = np.sin(theta)
+    s2 = s * s
+    return 0.5 * (1.0 + s2 * s + np.sqrt(1.0 - s2) * np.sqrt(1.0 - s2 * s2))
 
 
 def optimal_global_fidelity(ens: TwoStateEnsemble) -> float:
@@ -240,20 +263,56 @@ def optimal_global_fidelity(ens: TwoStateEnsemble) -> float:
     the maximum of (|<psi1 psi1|chi1>|^2 + |<psi2 psi2|chi2>|^2)/2 over
     two-qubit outputs with <chi1|chi2> = <psi1|psi2>.
     """
-    s = np.sin(ens.theta)
-    return float(0.5 * (1.0 + s**3 + np.sqrt(1.0 - s**2) * np.sqrt(1.0 - s**4)))
+    return float(_bruss_bound(ens.theta))
+
+
+def _entanglement(a, b, c):
+    """Entropy of the clone pair's spectrum {(a+c)^2/2, (a-c)^2/2, 2b^2, 0}, broadcast."""
+    spectrum = np.array([(a + c) * (a + c) / 2, (a - c) * (a - c) / 2, 2 * b * b])
+    return spectrum_entropy(np.moveaxis(spectrum, 0, -1))
 
 
 def alice_receivers_entanglement(coeffs: CloneCoeffs) -> float:
     """Entropy (ebits) across the (port, ancilla) | (B, C) bipartition.
 
     In closed form: the clone pair's state has spectrum {(a+c)^2/2,
-    (a-c)^2/2, 2b^2, 0}.  The oracle is the partial trace of the resource,
-    which verify's teleclone-two-state-sweep check compares with it.
+    (a-c)^2/2, 2b^2, 0}, whose entropy ``spectrum_entropy`` takes with
+    ``von_neumann_entropy``'s cutoff, without building the 4x4 state.  The
+    oracle is the partial trace of the resource, which verify's
+    teleclone-two-state-sweep check compares with it.
     """
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
-    spectrum = [(a + c) ** 2 / 2, (a - c) ** 2 / 2, 2 * b * b, 0.0]
-    return von_neumann_entropy(DensityMatrix(np.diag(spectrum)))
+    return float(_entanglement(coeffs.a, coeffs.b, coeffs.c))
+
+
+def _checked_coeffs(a, b, c):
+    """Arrays (a, b, c) checked and rescaled onto a^2 + 2b^2 + c^2 = 1 as CloneCoeffs does."""
+    if not (np.minimum(np.minimum(a, b), c) >= -1e-12).all():
+        raise ValueError("coefficients must be nonnegative")
+    norm = a * a + 2 * b * b + c * c
+    bad = ~(np.abs(norm - 1.0) <= 1e-10)
+    if bad.any():
+        raise ValueError(f"a^2 + 2b^2 + c^2 = {float(norm[bad][0])!r}, expected 1")
+    scale = 1.0 / np.sqrt(norm)
+    return np.maximum(a, 0.0) * scale, np.maximum(b, 0.0) * scale, np.maximum(c, 0.0) * scale
+
+
+def telecloning_sweep(theta):
+    """The ``fig-telecloning`` columns over ``theta`` (a scalar or an array).
+
+    Returns (a, b, c, f_global_teleclone, f_global_optimal, entanglement),
+    each one broadcast call: one ``eigh`` on the stack of M(theta), the
+    quadratic forms as one ``einsum`` and the entropies of the stacked
+    clone-pair spectra.  The grid is checked once as TwoStateEnsemble checks
+    one angle, and the coefficients as CloneCoeffs checks one set.  Each
+    column matches ``optimize_coeffs``, ``global_clone_fidelity``,
+    ``optimal_global_fidelity`` and ``alice_receivers_entanglement`` at
+    every point.
+    """
+    t = checked_thetas(theta)
+    m = _fidelity_matrix(t)
+    a, b, c = _checked_coeffs(*_top_coeffs(m))
+    f_tc = _clone_fidelity(m, _unit_vector(a, b, c))
+    return a, b, c, f_tc, _bruss_bound(t), _entanglement(a, b, c)
 
 
 def joint_clones_closed_form(coeffs: CloneCoeffs) -> DensityMatrix:

@@ -16,8 +16,9 @@ from teleportsim.cli import (
     cmd_verify,
     main,
 )
+from teleportsim.ensembles import Channel, TwoStateEnsemble
 from teleportsim.states import DensityMatrix
-from teleportsim.telecloning import TelecloningSystem
+from teleportsim.telecloning import CloneCoeffs, TelecloningSystem
 
 LOG2_3 = np.log2(3.0)
 
@@ -146,6 +147,26 @@ class TestFigTelecloning:
         assert counts == {"_bell_transfer": 0, "TelecloningSystem": 0, "16x16 density": 0}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fig-classical"], ["fig-channel"], ["fig-channel", "--unknown"], ["fig-telecloning"]],
+)
+def test_fig_commands_build_no_per_row_objects(argv, monkeypatch):
+    # each column is one broadcast call on the whole grid: no ensemble, channel,
+    # coefficient set or density matrix is built per row
+    counts = {}
+    for cls in (TwoStateEnsemble, Channel, CloneCoeffs, DensityMatrix):
+        init = cls.__post_init__
+
+        def counting_init(self, init=init, name=cls.__name__):
+            counts[name] = counts.get(name, 0) + 1
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting_init)
+    assert main(argv + ["--theta-steps", "7", "--alpha-steps", "7", "--out", os.devnull]) == 0
+    assert counts == {}
+
+
 class TestVerifyCommand:
     def test_default_config_passes(self):
         stream = io.StringIO()
@@ -198,6 +219,9 @@ class TestMainEntry:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            if "--theta" in argv:
+                # exponent notation is read as a number, so the true cause is named
+                assert "theta must lie in [0, pi/2], got -1e-13" in captured.err
 
     def test_exit_code_2_on_bad_theta(self):
         assert main(["fig-channel", "--theta", "9.0"]) == 2
