@@ -282,8 +282,9 @@ def unknown_state_classical_fidelity(samples: int, seed: int) -> float:
     measured basis state is prepared.  An input with Bloch z component r_z
     gives outcome 0 with probability u = (1 + r_z)/2, so it scores
     u^2 + (1 - u)^2 = (1 + r_z^2)/2; only r_z is drawn
-    (``rng.haar_bloch_z``, the same draws ``rng.haar_bloch`` starts with).
-    The average converges to 2/3.
+    (``rng.haar_bloch_z``, the same draws
+    ``protocols.mc_haar_average_fidelity`` scores).  The average converges
+    to 2/3.
     """
     sizes = rngmod.chunk_sizes(samples)
     gens = rngmod.substreams(seed, len(sizes))

@@ -142,10 +142,13 @@ def cmd_verify(config: RunConfig, stream) -> int:
     return 1 if failed else 0
 
 
-# Negative numbers in exponent notation too: argparse's own pattern (as on
-# Python 3.11) takes "-1e-13" for an unknown option, so "--theta -1e-13"
-# would report a missing argument instead of the out-of-range theta.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# Negative numbers in exponent notation and the non-finite spellings that
+# float() accepts too: argparse's own pattern (as on Python 3.11) takes
+# "-1e-13" or "-inf" for an unknown option, so "--theta -1e-13" would report
+# a missing argument instead of the out-of-range theta.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,7 +21,8 @@ evaluated qubits the score is a contraction on T,
 which is |<z|^{(x) n_t} T[k] z|^2 when every output qubit is evaluated; the
 protocol fidelity is sum_k w_k and the branch fidelity w_k / p_k.  No branch
 is renormalised.  The Haar Monte Carlo scores every sampled input z as
-sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector.
+sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector that, for the
+standard protocol, depends on r_z alone.
 
 The protocol Monte Carlo (``mc_protocol_fidelity``) reads no T: it
 Bell-measures input (x) resource state by state, corrects each post-state
@@ -211,30 +212,35 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
 
     The transfer operators T[k] of ``standard_teleportation(channel)`` are
     rewritten in the Pauli basis as the quadratic form of
-    ``_bloch_quadratic_form``.  Each input is drawn as a Bloch vector r
-    (``rng.haar_bloch``, r_z first) and scores
+    ``_bloch_quadratic_form``, so an input with Bloch vector r scores
     f = sum_k |<z|T[k]|z>|^2 = (1, r) Q (1, r)^T; no amplitude vector is
-    built.  Like the rest of the module it uses no closed form for the
-    average, and at alpha = 0 it scores the same r_z draws as
-    ``classical.unknown_state_classical_fidelity``.  The mean is the sum of
-    chunk sums over ``samples``; the variance merges each chunk's centred
-    sum of squares in fixed chunk order (Chan-Golub-LeVeque), so a
-    near-constant fidelity gives a stderr near zero rather than cancellation
-    noise.  Returns (mean, stderr).
+    built.  Through the Schmidt-diagonal channel every corrected T[k] is
+    diagonal, so Q has exactly zero x and y rows and columns and
+    f = q00 + r_z (2 q03 + q33 r_z) does not depend on the azimuth: only r_z
+    is drawn (``rng.haar_bloch_z``).  A guard checks before any draw that
+    those transverse entries are exactly zero and raises RuntimeError if
+    one is not, so no dependence on r_x or r_y is dropped.  Like the rest of
+    the module it uses no closed form for the average, and at alpha = 0 it
+    scores the same r_z draws as ``classical.unknown_state_classical_fidelity``.
+    The mean is the sum of chunk sums over ``samples``; the variance merges
+    each chunk's centred sum of squares in fixed chunk order
+    (Chan-Golub-LeVeque), so a near-constant fidelity gives a stderr near
+    zero rather than cancellation noise.  Returns (mean, stderr).
     """
     sizes = rngmod.chunk_sizes(samples)
     if samples < 100:
         raise ValueError("samples must be >= 100")
     gens = rngmod.substreams(seed, len(sizes))
     q = _bloch_quadratic_form(standard_teleportation(channel).transfer)
-    q00, lin, quad = q[0, 0], 2.0 * q[0, 1:], q[1:, 1:]
+    if np.any(q[1:3]) or np.any(q[:, 1:3]):
+        raise RuntimeError("the Haar score depends on r_x or r_y, but only r_z is drawn")
+    q00, lin_z, q33 = q[0, 0], 2.0 * q[0, 3], q[3, 3]
     total = 0.0
     m2 = 0.0
     done = 0
     for size, gen in zip(sizes, gens):
-        r = rngmod.haar_bloch(gen, size).T  # (3, size): one row per component
-        # f = q00 + r . (2 q_0 + Q_rr r), with Q_rr = q[1:, 1:]
-        f = q00 + np.einsum("jm,jm->m", r, quad @ r + lin[:, None])
+        z = rngmod.haar_bloch_z(gen, size)
+        f = q00 + z * (lin_z + q33 * z)
         s = float(f.sum())
         if done:
             delta = s / size - total / done

@@ -55,27 +55,9 @@ def haar_bloch_z(rng: np.random.Generator, count: int) -> np.ndarray:
     """(count,) z components of Haar-uniform Bloch vectors: 1 - 2 u, u uniform on [0, 1).
 
     By Archimedes' hat-box theorem the z component of a uniform point on the
-    sphere is uniform on [-1, 1].  ``haar_bloch`` draws this first, so a
-    caller that needs only z consumes the same uniforms as one that needs r.
+    sphere is uniform on [-1, 1], independent of the uniform azimuth.  Both
+    Haar estimators score r_z alone, so no azimuth is drawn; a full-sphere
+    draw that takes these uniforms first and then one azimuth per sample
+    shares every r_z with it.
     """
     return 1.0 - 2.0 * rng.random(count)
-
-
-def haar_bloch(rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, 3) Bloch vectors r = (x, y, z) of Haar-uniform pure qubit states.
-
-    z comes from ``haar_bloch_z``; then phi = 2 pi u and
-    (x, y) = sqrt(1 - z^2) (cos phi, sin phi).  Two uniforms per sample, and
-    no amplitudes: the state with Bloch vector r has amplitudes
-    (sqrt((1 + z)/2), e^{i phi} sqrt((1 - z)/2)) up to a global phase, and
-    density matrix (I + r . sigma)/2.  The result is the transpose of a
-    C-contiguous (3, count) array, so ``r.T`` has one contiguous row per
-    component.
-    """
-    r = np.empty((3, count))
-    r[2] = haar_bloch_z(rng, count)
-    phi = 2.0 * np.pi * rng.random(count)
-    sin_polar = np.sqrt(1.0 - r[2] ** 2)
-    np.multiply(sin_polar, np.cos(phi), out=r[0])
-    np.multiply(sin_polar, np.sin(phi), out=r[1])
-    return r.T

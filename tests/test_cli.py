@@ -226,6 +226,15 @@ class TestMainEntry:
     def test_exit_code_2_on_bad_theta(self):
         assert main(["fig-channel", "--theta", "9.0"]) == 2
 
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-INF", "-NaN"])
+    def test_negative_non_finite_theta_names_the_range(self, value, capsys):
+        # read as a value, not as an unknown option, so the true cause is named
+        assert main(["fig-channel", "--theta", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "theta must lie in [0, pi/2], got " in captured.err
+
     def test_exit_code_2_on_unwritable_path(self, tmp_path):
         target = tmp_path / "no_such_dir" / "x.csv"
         assert main(["fig-classical", "--theta-steps", "3", "--out", str(target)]) == 2

@@ -10,14 +10,18 @@ is the matching loop that ``telecloning.teleclone`` ran before it read the
 transfer operators T.  ``_mc_haar_reference`` is the per-outcome einsum loop,
 with its one-pass variance, that ``protocols.mc_haar_average_fidelity`` ran
 before the transfer operators; it rebuilds each input's amplitudes from the
-same ``rng.haar_bloch`` draws.  ``reference_global_clone_fidelity`` is a
-density-matrix oracle for the closed form ``telecloning.global_clone_fidelity``,
+full-sphere draws of the test-side ``haar_bloch`` (test_rng.py).
+``_mc_haar_full_sphere`` is the loop the estimator ran before it drew r_z
+alone: it scores (1, r) Q (1, r)^T on the same full-sphere draws.
+``reference_global_clone_fidelity`` is a density-matrix oracle for the
+closed form ``telecloning.global_clone_fidelity``,
 built on ``reference_teleclone`` so that it shares no T with the protocol
 enumeration it is also compared with.
 """
 
 import numpy as np
 import pytest
+from test_rng import haar_bloch
 
 from teleportsim import protocols, states, telecloning
 from teleportsim import rng as rngmod
@@ -155,7 +159,7 @@ def _mc_haar_reference(channel, samples, seed):
     total_sq = 0.0
     for size, gen in zip(sizes, rngmod.substreams(seed, len(sizes))):
         # the amplitudes of the same Bloch-vector draws the estimator scores
-        r = rngmod.haar_bloch(gen, size)
+        r = haar_bloch(gen, size)
         phase = np.exp(1j * np.arctan2(r[:, 1], r[:, 0]))
         z = np.stack(
             [np.sqrt((1 + r[:, 2]) / 2), phase * np.sqrt((1 - r[:, 2]) / 2)], axis=1
@@ -171,6 +175,30 @@ def _mc_haar_reference(channel, samples, seed):
         total_sq += float((f**2).sum())
     mean = total / samples
     var = max(total_sq / samples - mean**2, 0.0) * samples / max(samples - 1, 1)
+    return mean, float(np.sqrt(var / samples))
+
+
+def _mc_haar_full_sphere(channel, samples, seed):
+    """(mean, stderr) scoring (1, r) Q (1, r)^T on whole Bloch vectors r."""
+    q = protocols._bloch_quadratic_form(_transfer_operators(channel))
+    q00, lin, quad = q[0, 0], 2.0 * q[0, 1:], q[1:, 1:]
+    sizes = rngmod.chunk_sizes(samples)
+    total = 0.0
+    m2 = 0.0
+    done = 0
+    for size, gen in zip(sizes, rngmod.substreams(seed, len(sizes))):
+        r = haar_bloch(gen, size).T
+        # f = q00 + r . (2 q_0 + Q_rr r), with Q_rr = q[1:, 1:]
+        f = q00 + np.einsum("jm,jm->m", r, quad @ r + lin[:, None])
+        s = float(f.sum())
+        if done:
+            delta = s / size - total / done
+            m2 += delta**2 * done * size / (done + size)
+        m2 += float(((f - s / size) ** 2).sum())
+        total += s
+        done += size
+    mean = total / samples
+    var = m2 / max(samples - 1, 1)
     return mean, float(np.sqrt(var / samples))
 
 
@@ -410,6 +438,39 @@ class TestHaarTransferOperators:
                         # variance is cancellation noise (up to 1e-9)
                         if alpha != 1 / np.sqrt(2):
                             assert abs(stderr - stderr_ref) < 1e-12
+
+    def test_r_z_alone_equals_full_sphere_scoring(self):
+        # the azimuth terms are products with exact zeros and the r_z draws
+        # are shared, so scoring r_z alone moves no bit
+        for alpha in self.HAAR_ALPHAS:
+            channel = Channel(alpha)
+            for seed in (1, 99, 7919):
+                for samples in (100, 65_536, 65_537, 200_000):
+                    got = mc_haar_average_fidelity(channel, samples, seed)
+                    assert got == _mc_haar_full_sphere(channel, samples, seed)
+
+    def test_transverse_entries_are_exactly_zero(self):
+        # every corrected T[k] is diagonal, so Q has no x or y row or column
+        for alpha in ALPHAS + self.HAAR_ALPHAS:
+            q = protocols._bloch_quadratic_form(_transfer_operators(Channel(alpha)))
+            assert np.all(q[1:3] == 0) and np.all(q[:, 1:3] == 0)
+
+    @pytest.mark.parametrize("entry", [(1, 0), (0, 2), (1, 1), (3, 2), (2, 3)])
+    def test_transverse_entry_raises_before_any_draw(self, entry, monkeypatch):
+        real = protocols._bloch_quadratic_form
+
+        def with_transverse_entry(t):
+            q = real(t).copy()
+            q[entry] = 1e-300
+            return q
+
+        def no_draw(*_):
+            raise AssertionError("drew before the guard")
+
+        monkeypatch.setattr(protocols, "_bloch_quadratic_form", with_transverse_entry)
+        monkeypatch.setattr(rngmod, "haar_bloch_z", no_draw)
+        with pytest.raises(RuntimeError, match="depends on r_x or r_y"):
+            mc_haar_average_fidelity(Channel(0.3), 1000, seed=1)
 
     def test_repeat_is_bit_identical(self):
         for alpha in self.HAAR_ALPHAS:

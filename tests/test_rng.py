@@ -1,10 +1,31 @@
-"""The Haar Bloch-vector sampler of ``rng``."""
+"""The Haar r_z sampler of ``rng`` and the full-sphere sampler the tests keep.
+
+The package's Haar estimators score r_z alone and draw it with
+``rng.haar_bloch_z``.  ``haar_bloch`` draws whole Bloch vectors, r_z first
+from the same uniforms, and is the input of the reference loops in
+``test_engine.py``, which score full amplitudes or (1, r) Q (1, r)^T and so
+do not rely on the score having no azimuth.
+"""
 
 import numpy as np
 
-from teleportsim.rng import haar_bloch, haar_bloch_z
+from teleportsim.rng import haar_bloch_z
 
 N = 1_000_000
+
+
+def haar_bloch(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 3) Bloch vectors r = (x, y, z) of Haar-uniform pure qubit states.
+
+    z comes from ``haar_bloch_z``; then phi = 2 pi u and
+    (x, y) = sqrt(1 - z^2) (cos phi, sin phi).  The state with Bloch vector
+    r has amplitudes (sqrt((1 + z)/2), e^{i phi} sqrt((1 - z)/2)) up to a
+    global phase, and density matrix (I + r . sigma)/2.
+    """
+    z = haar_bloch_z(rng, count)
+    phi = 2.0 * np.pi * rng.random(count)
+    sin_polar = np.sqrt(1.0 - z**2)
+    return np.stack([sin_polar * np.cos(phi), sin_polar * np.sin(phi), z], axis=1)
 
 
 def draw(seed=2024, count=N):
