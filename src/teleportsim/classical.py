@@ -284,9 +284,11 @@ def unknown_state_classical_fidelity(samples: int, seed: int) -> float:
     u^2 + (1 - u)^2 = (1 + r_z^2)/2; only r_z is drawn
     (``rng.haar_bloch_z``, the same draws
     ``protocols.mc_haar_average_fidelity`` scores).  The average converges
-    to 2/3.
+    to 2/3.  Like both protocol estimators it takes at least 100 samples.
     """
     sizes = rngmod.chunk_sizes(samples)
+    if samples < 100:
+        raise ValueError("samples must be >= 100")
     gens = rngmod.substreams(seed, len(sizes))
     total = 0.0
     for size, gen in zip(sizes, gens):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, von_neumann_entropy
+from .states import DensityMatrix, PureState, spectrum_entropy
 
 _HALF_SQRT2 = 1.0 / np.sqrt(2.0)
 _RANGE_ATOL = 1e-12
@@ -104,9 +104,11 @@ def source_entropy(ens: TwoStateEnsemble) -> float:
 
     Equals the binary entropy of (1 + sin(theta))/2, so orthogonal states
     (theta = 0) give exactly 1 bit and identical states (theta = pi/2) give 0.
-    At theta = pi/4 the value is ~0.6009 bits.
+    At theta = pi/4 the value is ~0.6009 bits.  It is taken from that
+    spectrum directly; ``ensemble_density`` has the same eigenvalues.
     """
-    return von_neumann_entropy(ensemble_density(ens))
+    s = np.sin(ens.theta)
+    return float(spectrum_entropy([0.5 * (1.0 + s), 0.5 * (1.0 - s)]))
 
 
 def channel_state(channel: Channel) -> PureState:

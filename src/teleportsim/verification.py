@@ -2,8 +2,11 @@
 
 Each check recomputes one documented invariant of the package at its stated
 tolerance and reports the measured deviation.  The registry deliberately
-pairs closed forms with independent routes (protocol enumeration, grid
-search, finite differences) so a regression in either side is caught.
+pairs closed forms with independent routes (protocol enumeration, Monte
+Carlo, partial traces, finite differences) so a regression in either side
+is caught.  A check over a theta or alpha grid reads the broadcast sweep
+that the ``fig-*`` commands print (``classical_sweep``, ``channel_sweep``,
+``unknown_state_sweep``) and states its invariant as one array comparison.
 """
 
 from __future__ import annotations
@@ -151,33 +154,24 @@ def check_overlap_grid(cfg):
 
 
 def check_classical_ordering(cfg):
-    for t in np.linspace(0, np.pi / 2, 181):
-        ens = TwoStateEnsemble(t)
-        f_u = cl.fidelity_unambiguous(ens)
-        f_m = cl.fidelity_min_error(ens)
-        f_o = cl.fidelity_optimized(ens).fidelity
-        if not (f_u <= f_m + 1e-12 and f_m <= f_o + 1e-12):
-            return False, f"ordering broken at theta = {t}"
+    thetas = np.linspace(0, np.pi / 2, 181)
+    f_m, f_u, f_o, _ = cl.classical_sweep(thetas)
+    broken = ~((f_u <= f_m + 1e-12) & (f_m <= f_o + 1e-12))
+    if broken.any():
+        return False, f"ordering broken at theta = {thetas[np.argmax(broken)]}"
     return True, "unambiguous <= min-error <= optimized on 181-point grid"
 
 
 def check_classical_symmetry(cfg):
-    worst = 0.0
-    for t in np.linspace(0, np.pi / 4, 90):
-        a = cl.fidelity_optimized(TwoStateEnsemble(t)).fidelity
-        b = cl.fidelity_optimized(TwoStateEnsemble(np.pi / 2 - t)).fidelity
-        worst = max(worst, abs(a - b))
+    t = np.linspace(0, np.pi / 4, 90)
+    a, b = cl.classical_sweep(np.stack([t, np.pi / 2 - t]))[2]
+    worst = np.abs(a - b).max()
     return worst <= 1e-9, f"optimized(theta) vs optimized(pi/2-theta) dev = {worst:.2e}"
 
 
 def check_fuchs_peres_coincidence(cfg):
-    worst = 0.0
-    for t in np.linspace(0, np.pi / 2, 200):
-        ens = TwoStateEnsemble(t)
-        worst = max(
-            worst,
-            abs(cl.fidelity_optimized(ens).fidelity - cl.fidelity_fuchs_peres(ens)),
-        )
+    _, _, f_o, f_fp = cl.classical_sweep(np.linspace(0, np.pi / 2, 200))
+    worst = np.abs(f_o - f_fp).max()
     return worst <= 1e-9, f"optimized vs Fuchs-Peres closed form dev = {worst:.2e}"
 
 
@@ -228,28 +222,18 @@ def check_horodecki_identity(cfg):
 
 
 def check_combined_dominance(cfg):
-    worst = -np.inf
+    thetas = np.linspace(0, np.pi / 2, 50)
     alphas = np.sqrt(np.linspace(0, 0.5, 50))
-    for t in np.linspace(0, np.pi / 2, 50):
-        ens = TwoStateEnsemble(t)
-        best = ch.channel_sweep(t, alphas)[2]
-        for a, b in zip(alphas, best):
-            c = Channel(a)
-            floor = max(
-                ch.two_state_direct_fidelity(ens, c),
-                ch.purification_fidelity_two_state(ens, c),
-            )
-            worst = max(worst, floor - b)
+    f_dir, f_pur, f_comb, _ = ch.channel_sweep(thetas[:, None], alphas)
+    worst = (np.maximum(f_dir, f_pur) - f_comb).max()
     return worst <= 1e-12, f"pointwise max(direct, purification) - swept combined = {worst:.2e}"
 
 
 def check_crossover(cfg):
-    ens = TwoStateEnsemble(np.pi / 4)
-    f_cl = cl.fidelity_optimized(ens).fidelity
-    alphas = [a for a in np.linspace(0.05, 0.65, 61)
-              if ch.two_state_direct_fidelity(ens, Channel(a)) < f_cl]
-    ok = len(alphas) > 0
-    return ok, f"classical beats direct for {len(alphas)} sampled alpha > 0 values"
+    f_cl = cl.classical_sweep(np.pi / 4)[2]
+    f_dir = ch.channel_sweep(np.pi / 4, np.linspace(0.05, 0.65, 61))[0]
+    count = int(np.count_nonzero(f_dir < f_cl))
+    return count > 0, f"classical beats direct for {count} sampled alpha > 0 values"
 
 
 def check_endpoint_reductions(cfg):
@@ -271,14 +255,13 @@ def check_endpoint_reductions(cfg):
 
 
 def check_monotonicity(cfg):
-    grid = [Channel(np.sqrt(a2)) for a2 in np.linspace(0, 0.5, 101)]
-    avg = [ch.average_fidelity_direct(c) for c in grid]
-    pur = [ch.purification_fidelity_unknown(c) for c in grid]
-    mono = all(b >= a - 1e-15 for a, b in zip(avg, avg[1:])) and all(
-        b >= a - 1e-15 for a, b in zip(pur, pur[1:])
+    avg, pur = ch.unknown_state_sweep(np.sqrt(np.linspace(0, 0.5, 101)))
+    ok = (
+        (avg[1:] >= avg[:-1] - 1e-15).all()
+        and (pur[1:] >= pur[:-1] - 1e-15).all()
+        and (avg >= pur - 1e-15).all()
     )
-    dom = all(a >= p - 1e-15 for a, p in zip(avg, pur))
-    return mono and dom, "average-direct and purification nondecreasing; direct dominates"
+    return ok, "average-direct and purification nondecreasing; direct dominates"
 
 
 # --- protocol oracle ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from teleportsim import ensembles
 from teleportsim.ensembles import (
     Channel,
     TwoStateEnsemble,
@@ -10,6 +11,7 @@ from teleportsim.ensembles import (
     overlap,
     source_entropy,
 )
+from teleportsim.states import von_neumann_entropy
 
 
 class TestMakeStates:
@@ -89,6 +91,23 @@ class TestSourceEntropy:
         assert abs(s - h2) < 1e-12
         assert abs(s - 0.6008760366928562) < 1e-12
         assert abs(s - 0.907) > 0.05
+
+    def test_matches_entropy_of_the_ensemble_density(self):
+        # oracle: eigvalsh of the built mixture, against the closed-form spectrum
+        grid = np.concatenate([np.linspace(0, np.pi / 2, 1001), [1e-8, np.pi / 2 - 1e-8]])
+        for t in grid:
+            ens = TwoStateEnsemble(t)
+            expected = von_neumann_entropy(ensemble_density(ens))
+            assert abs(source_entropy(ens) - expected) <= 1e-14
+
+    def test_builds_no_density_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("source_entropy should use its closed-form spectrum")
+
+        monkeypatch.setattr(ensembles, "DensityMatrix", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        s = source_entropy(TwoStateEnsemble(np.pi / 4))
+        assert type(s) is float and abs(s - 0.6008760366928562) < 1e-12
 
     def test_strictly_decreasing(self):
         grid = np.linspace(1e-3, np.pi / 2 - 1e-3, 100)

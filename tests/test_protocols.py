@@ -361,6 +361,13 @@ class TestSampleCounts:
     def test_accepts_numpy_integer_seeds(self, estimator):
         assert _estimators(np.int64(7))[estimator](1000) == _estimators(7)[estimator](1000)
 
+    @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
+    def test_sample_floor_is_100(self, estimator):
+        run = _estimators()[estimator]
+        with pytest.raises(ValueError, match=r"^samples must be >= 100$"):
+            run(99)
+        run(100)
+
     def test_chunk_sizes_rejects_totals_below_one(self):
         for total in (0, -1, np.int64(0)):
             with pytest.raises(ValueError, match=">= 1"):
