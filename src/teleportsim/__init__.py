@@ -17,8 +17,6 @@ from .channels import (
     horodecki_optimal_fidelity,
     optimize_combined,
     purification_fidelity_two_state,
-    purification_fidelity_unknown,
-    purification_success_probability,
     singlet_fraction,
     two_state_direct_fidelity,
     unknown_state_sweep,
@@ -30,17 +28,10 @@ from .classical import (
     classical_fidelity,
     classical_sweep,
     fidelity_biased_guess,
-    fidelity_fuchs_peres,
-    fidelity_min_error,
     fidelity_optimized,
-    fidelity_unambiguous,
     min_error_probability,
-    min_error_strategy,
     optimal_guess_angle,
-    optimized_strategy,
     projective_guess_strategy,
-    unambiguous_strategy,
-    unambiguous_success_probability,
     unknown_state_classical_fidelity,
 )
 from .ensembles import (
@@ -61,7 +52,6 @@ from .protocols import (
     standard_teleportation,
 )
 from .states import (
-    BELL_LABELS,
     BELL_VECTORS,
     BellOutcome,
     DensityMatrix,
@@ -88,7 +78,6 @@ from .telecloning import (
     build_clone_states,
     build_telecloning_state,
     global_clone_fidelity,
-    joint_clones_closed_form,
     optimal_global_fidelity,
     optimize_coeffs,
     teleclone,

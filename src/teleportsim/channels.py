@@ -89,16 +89,11 @@ def two_state_direct_fidelity(ens: TwoStateEnsemble, channel: Channel) -> float:
 
 
 def _purification_unknown(alpha):
-    return 2.0 / 3.0 * (1.0 + alpha * alpha)
-
-
-def purification_fidelity_unknown(channel: Channel) -> float:
     """Purify-then-teleport fidelity for unknown inputs: (2/3)(1 + alpha^2).
 
-    Success (probability 2 alpha^2) teleports exactly; failure falls back to
-    the classical bound 2/3.
+    Success (probability 2 alpha^2) teleports exactly; failure scores 2/3.
     """
-    return float(_purification_unknown(channel.alpha))
+    return 2.0 / 3.0 * (1.0 + alpha * alpha)
 
 
 def _purification(alpha, f_cl):
@@ -120,12 +115,6 @@ def _success_probability(alpha, alpha_prime):
     same = alpha_prime == alpha
     ratio = alpha / np.where(same, 1.0, alpha_prime)
     return np.where(same, 1.0, ratio * ratio)
-
-
-def purification_success_probability(channel: Channel, alpha_prime: float) -> float:
-    """Probability (alpha/alpha')^2 of filtering the channel up to alpha'."""
-    _check_alpha_prime(channel, alpha_prime)
-    return float(_success_probability(channel.alpha, alpha_prime))
 
 
 def _combined(theta, alpha, alpha_prime, f_cl):

@@ -12,8 +12,8 @@ strategies:
 The biased-guess optimum coincides with the Fuchs-Peres closed form; that
 is the best strategy known here, not one proven optimal.  Each closed form
 has one implementation that broadcasts over theta; ``classical_sweep``
-evaluates it on a whole grid, and the functions that take one ensemble call
-the same code.
+returns all four as columns on a whole grid, and ``fidelity_optimized``
+takes one ensemble and calls the same code.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng as rngmod
-from .ensembles import TwoStateEnsemble, checked_thetas, make_states, overlap
+from .ensembles import TwoStateEnsemble, checked_thetas, make_states
 from .states import PureState
 
 _POVM_SUM_ATOL = 1e-10
@@ -95,37 +95,21 @@ def min_error_probability(ens: TwoStateEnsemble) -> float:
 
 
 def _min_error(theta):
+    """Min-error fidelity 1 - (1 - cos theta) cos^2(theta) / 2.
+
+    A wrong identification still overlaps the true state by sin^2(theta).
+    """
     c = np.cos(theta)
     return 1.0 - 0.5 * (1.0 - c) * (c * c)
 
 
-def fidelity_min_error(ens: TwoStateEnsemble) -> float:
-    """Fidelity when the receiver prepares the identified signal state.
-
-    A wrong identification still overlaps the true state by sin^2(theta),
-    giving 1 - (1 - cos(theta)) cos^2(theta) / 2.
-    """
-    return float(_min_error(ens.theta))
-
-
-def unambiguous_success_probability(ens: TwoStateEnsemble) -> float:
-    """Maximum conclusive-outcome probability, 1 - sin(theta)."""
-    return 1.0 - overlap(ens)
-
-
 def _unambiguous(theta):
+    """Unambiguous discrimination, random guess on failure: 1 - s/2 + s^3/2, s = sin theta.
+
+    Conclusive outcomes (probability 1 - s) are prepared exactly.
+    """
     s = np.sin(theta)
     return 1.0 - 0.5 * s + 0.5 * np.power(s, 3)
-
-
-def fidelity_unambiguous(ens: TwoStateEnsemble) -> float:
-    """Fidelity of unambiguous discrimination with a random guess on failure.
-
-    Conclusive outcomes (probability 1 - sin theta) are prepared exactly; on
-    the inconclusive outcome the receiver guesses one of the two states at
-    random.  This gives 1 - sin(theta)/2 + sin^3(theta)/2.
-    """
-    return float(_unambiguous(ens.theta))
 
 
 def _guess_angle(theta):
@@ -159,18 +143,15 @@ def _biased_guess(theta, g):
     return c * c * (c_g * c_g) + s * s * (s_g * s_g)
 
 
-def fidelity_biased_guess(ens: TwoStateEnsemble, guess_angle):
+def fidelity_biased_guess(ens: TwoStateEnsemble, guess_angle: float) -> float:
     """Fidelity of the computational-basis measurement with guesses at ``guess_angle``.
 
     The receiver prepares cos(g/2)|0> + sin(g/2)|1> on outcome 0 and its
     0<->1 mirror on outcome 1:
 
         cos^2(theta/2) cos^2((theta-g)/2) + sin^2(theta/2) sin^2((theta+g)/2)
-
-    ``guess_angle`` may be a scalar or an array (broadcast elementwise).
     """
-    value = _biased_guess(ens.theta, guess_angle)
-    return float(value) if np.ndim(value) == 0 else value
+    return float(_biased_guess(ens.theta, guess_angle))
 
 
 def _optimum(theta):
@@ -190,8 +171,9 @@ def fidelity_optimized(ens: TwoStateEnsemble) -> StrategyReport:
     At theta = pi/2 the formula's maximizer degenerates; guessing the common
     state (guess angle pi/2) transmits it exactly.  The min-error strategy is
     the guess angle theta of the same family, so the value is never reported
-    below ``fidelity_min_error``; at small theta the two agree to within
-    rounding, and the biased-guess expression can round one ulp under it.
+    below the min-error fidelity (column 0 of ``classical_sweep``); at small
+    theta the two agree to within rounding, and the biased-guess expression
+    can round one ulp under it.
     """
     f, g = _optimum(ens.theta)
     return StrategyReport(
@@ -200,18 +182,10 @@ def fidelity_optimized(ens: TwoStateEnsemble) -> StrategyReport:
 
 
 def _fuchs_peres(theta):
+    """Fuchs-Peres form (1 + sqrt(1 - s^2 + s^4))/2, s = sin theta: the optimum, independently."""
     s = np.sin(theta)
     s2 = s * s
     return 0.5 * (1.0 + np.sqrt(1.0 - s2 + s2 * s2))
-
-
-def fidelity_fuchs_peres(ens: TwoStateEnsemble) -> float:
-    """Fuchs-Peres closed form (1 + sqrt(1 - s^2 + s^4))/2 with s = sin(theta).
-
-    Numerically identical to fidelity_optimized; kept as an independent
-    expression for cross-checking.
-    """
-    return float(_fuchs_peres(ens.theta))
 
 
 def classical_sweep(theta):
@@ -219,8 +193,8 @@ def classical_sweep(theta):
 
     Returns (f_min_error, f_unambiguous, f_optimized, f_fuchs_peres), each
     shaped like ``theta`` (a scalar or an array).  The grid is checked once
-    as TwoStateEnsemble checks one angle; each column equals the scalar
-    function of the same name at every point.
+    as TwoStateEnsemble checks one angle; f_optimized equals
+    ``fidelity_optimized`` at every point.
     """
     t = checked_thetas(theta)
     return _min_error(t), _unambiguous(t), _optimum(t)[0], _fuchs_peres(t)
@@ -235,43 +209,6 @@ def projective_guess_strategy(
     g1 = PureState(np.array([np.sin(g / 2), np.cos(g / 2)]))
     return ClassicalStrategy(
         povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), guesses=(g0, g1)
-    )
-
-
-def min_error_strategy(ens: TwoStateEnsemble) -> ClassicalStrategy:
-    """Min-error measurement, receiver prepares the identified signal state."""
-    psi1, psi2 = make_states(ens)
-    return ClassicalStrategy(
-        povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), guesses=(psi1, psi2)
-    )
-
-
-def optimized_strategy(ens: TwoStateEnsemble) -> ClassicalStrategy:
-    """The biased-guess strategy at the optimal guess angle."""
-    report = fidelity_optimized(ens)
-    return projective_guess_strategy(ens, report.guess_angle)
-
-
-def unambiguous_strategy(ens: TwoStateEnsemble) -> ClassicalStrategy:
-    """Unambiguous-discrimination POVM realized with four outcomes.
-
-    Elements 1 and 2 are projectors onto the states orthogonal to psi2 and
-    psi1, scaled by 1/(1 + sin theta) so each signal state is identified
-    with probability exactly 1 - sin(theta).  The completing "don't know"
-    element is split into two equal halves guessed as psi1 and psi2, which
-    realizes the random guess within the one-guess-per-outcome interface.
-    """
-    psi1, psi2 = make_states(ens)
-    c, s = np.cos(ens.theta / 2), np.sin(ens.theta / 2)
-    # orthogonal complements: <perp1|psi1> = 0, <perp2|psi2> = 0
-    perp1 = np.array([s, -c])
-    perp2 = np.array([c, -s])
-    w = 1.0 / (1.0 + overlap(ens))
-    a1 = w * np.outer(perp2, perp2.conj())  # conclusive "psi1"
-    a2 = w * np.outer(perp1, perp1.conj())  # conclusive "psi2"
-    rest = np.eye(2) - a1 - a2
-    return ClassicalStrategy(
-        povm=(a1, a2, rest / 2, rest / 2), guesses=(psi1, psi2, psi1, psi2)
     )
 
 

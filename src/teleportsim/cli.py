@@ -228,7 +228,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if config.output_path:
+    if config.output_path is not None:
         try:
             with open(config.output_path, "w", newline="") as fh:
                 fh.write(text)

@@ -25,7 +25,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # Bell basis, fixed ordering (phi+, phi-, psi+, psi-); outcome indices 1..4.
-BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
 BELL_VECTORS = np.array(
     [
         [1, 0, 0, 1],

@@ -314,26 +314,3 @@ def telecloning_sweep(theta):
     f_tc = _clone_fidelity(m, _unit_vector(a, b, c))
     return a, b, c, f_tc, _bruss_bound(t), _entanglement(a, b, c)
 
-
-def joint_clones_closed_form(coeffs: CloneCoeffs) -> DensityMatrix:
-    """A misquoted 4x4 candidate for the clones' joint reduced state.
-
-    Diagonal (a^2+b^2+c^2)/2 on the |00>/|11> entries and b^2/2 in the
-    middle block, with corner a(b+c).  It does NOT agree with the partial
-    trace of the telecloning state, the oracle, whose closed-form spectrum
-    is the one ``alice_receivers_entanglement`` uses; it is retained only
-    for comparison.  For some coefficient choices (e.g. a = b = c = 1/2) it
-    is not even positive semidefinite and this constructor raises.
-    """
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
-    d = (a * a + b * b + c * c) / 2.0
-    corner = a * (b + c)
-    m = np.array(
-        [
-            [d, 0, 0, corner],
-            [0, b * b / 2.0, 0, 0],
-            [0, 0, b * b / 2.0, 0],
-            [corner, 0, 0, d],
-        ]
-    )
-    return DensityMatrix(m)

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 
 from teleportsim.channels import (
+    _success_probability,
     average_fidelity_direct,
     combined_fidelity,
     direct_fidelity_state,
     horodecki_optimal_fidelity,
     optimize_combined,
     purification_fidelity_two_state,
-    purification_fidelity_unknown,
-    purification_success_probability,
     singlet_fraction,
     two_state_direct_fidelity,
+    unknown_state_sweep,
 )
 from teleportsim.classical import fidelity_optimized
 from teleportsim.ensembles import Channel, TwoStateEnsemble
@@ -102,7 +102,7 @@ class TestPurification:
         [(1 / np.sqrt(2), 1.0), (0.0, 2 / 3), (np.sqrt(0.3), 0.8666666666666667)],
     )
     def test_unknown_state_values(self, alpha, expected):
-        assert abs(purification_fidelity_unknown(Channel(alpha)) - expected) < 1e-12
+        assert abs(unknown_state_sweep(alpha)[1] - expected) < 1e-12
 
     def test_two_state_maximal_channel(self):
         assert abs(purification_fidelity_two_state(PI4, Channel.maximal()) - 1.0) < 1e-12
@@ -123,9 +123,9 @@ class TestPurification:
         assert abs(purification_fidelity_two_state(PI4, CH03) - 0.9732050807568877) < 1e-12
 
     def test_direct_dominates_purification_for_unknown_states(self):
-        for a2 in np.linspace(0, 0.5, 101):
-            c = Channel(np.sqrt(a2))
-            assert average_fidelity_direct(c) >= purification_fidelity_unknown(c) - 1e-15
+        alphas = np.sqrt(np.linspace(0, 0.5, 101))
+        for alpha, f_purif_unknown in zip(alphas, unknown_state_sweep(alphas)[1]):
+            assert average_fidelity_direct(Channel(alpha)) >= f_purif_unknown - 1e-15
 
 
 class TestCombined:
@@ -150,7 +150,7 @@ class TestCombined:
 
     def test_interior_value_is_branch_combination(self):
         ap = np.sqrt(0.35)
-        p = purification_success_probability(CH02, ap)
+        p = _success_probability(CH02.alpha, ap)
         expected = p * two_state_direct_fidelity(PI4, Channel(ap)) + (1 - p) * (
             fidelity_optimized(PI4).fidelity
         )

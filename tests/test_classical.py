@@ -1,25 +1,21 @@
 import numpy as np
 import pytest
 
+from povm_strategies import min_error_strategy, optimized_strategy, unambiguous_strategy
 from teleportsim.classical import (
     ClassicalStrategy,
     DegenerateEnsembleError,
+    _biased_guess,
     classical_fidelity,
+    classical_sweep,
     fidelity_biased_guess,
-    fidelity_fuchs_peres,
-    fidelity_min_error,
     fidelity_optimized,
-    fidelity_unambiguous,
     min_error_probability,
-    min_error_strategy,
     optimal_guess_angle,
-    optimized_strategy,
     projective_guess_strategy,
-    unambiguous_strategy,
-    unambiguous_success_probability,
     unknown_state_classical_fidelity,
 )
-from teleportsim.ensembles import TwoStateEnsemble, make_states
+from teleportsim.ensembles import TwoStateEnsemble, make_states, overlap
 from teleportsim.states import PureState
 
 PI4 = TwoStateEnsemble(np.pi / 4)
@@ -46,6 +42,13 @@ class TestClassicalFidelityEvaluator:
                 ev = classical_fidelity(projective_guess_strategy(ens, g), ens)
                 assert abs(ev - fidelity_biased_guess(ens, g)) < 1e-12
 
+    def test_min_error_strategy_matches_closed_form(self):
+        thetas = np.linspace(0.0, np.pi / 2, 25)
+        f_min_error = classical_sweep(thetas)[0]
+        for t, closed in zip(thetas, f_min_error):
+            ens = TwoStateEnsemble(t)
+            assert abs(classical_fidelity(min_error_strategy(ens), ens) - closed) < 1e-12
+
 
 class TestMinErrorProbability:
     @pytest.mark.parametrize(
@@ -62,7 +65,7 @@ class TestFidelityMinError:
         [(0.0, 1.0), (np.pi / 4, 0.9267766952966369), (np.pi / 2, 1.0)],
     )
     def test_values(self, theta, expected):
-        assert abs(fidelity_min_error(TwoStateEnsemble(theta)) - expected) < 1e-12
+        assert abs(classical_sweep(theta)[0] - expected) < 1e-12
 
 
 class TestFidelityUnambiguous:
@@ -71,13 +74,15 @@ class TestFidelityUnambiguous:
         [(0.0, 1.0), (np.pi / 4, 0.8232233047033631), (np.pi / 2, 1.0)],
     )
     def test_values(self, theta, expected):
-        assert abs(fidelity_unambiguous(TwoStateEnsemble(theta)) - expected) < 1e-12
+        assert abs(classical_sweep(theta)[1] - expected) < 1e-12
 
     def test_matches_three_outcome_povm_evaluation(self):
-        for t in np.linspace(0.0, np.pi / 2, 25):
+        thetas = np.linspace(0.0, np.pi / 2, 25)
+        f_unambiguous = classical_sweep(thetas)[1]
+        for t, closed in zip(thetas, f_unambiguous):
             ens = TwoStateEnsemble(t)
             via_povm = classical_fidelity(unambiguous_strategy(ens), ens)
-            assert abs(via_povm - fidelity_unambiguous(ens)) < 1e-12
+            assert abs(via_povm - closed) < 1e-12
 
     def test_povm_never_misidentifies(self):
         for t in (0.2, np.pi / 4, 1.3):
@@ -96,7 +101,7 @@ class TestFidelityUnambiguous:
             p_succ = np.real(
                 psi1.amplitudes.conj() @ strat.povm[0] @ psi1.amplitudes
             )
-            assert abs(p_succ - unambiguous_success_probability(ens)) < 1e-12
+            assert abs(p_succ - (1 - overlap(ens))) < 1e-12
             assert abs(p_succ - (1 - np.sin(t))) < 1e-12
 
 
@@ -116,7 +121,7 @@ class TestOptimalGuessAngle:
         for t in (0.3, np.pi / 4, 1.2):
             ens = TwoStateEnsemble(t)
             grid = np.linspace(0.0, np.pi / 2, 2_000_001)
-            vals = fidelity_biased_guess(ens, grid)
+            vals = _biased_guess(t, grid)
             assert abs(grid[np.argmax(vals)] - optimal_guess_angle(ens)) < 1e-6
 
     def test_degenerate_ensemble_raises(self):
@@ -144,9 +149,10 @@ class TestFidelityOptimized:
             assert abs(a - b) < 1e-9
 
     def test_coincides_with_fuchs_peres_on_grid(self):
-        for t in np.linspace(0.0, np.pi / 2, 200):
-            ens = TwoStateEnsemble(t)
-            assert abs(fidelity_optimized(ens).fidelity - fidelity_fuchs_peres(ens)) < 1e-9
+        thetas = np.linspace(0.0, np.pi / 2, 200)
+        f_fuchs_peres = classical_sweep(thetas)[3]
+        for t, closed in zip(thetas, f_fuchs_peres):
+            assert abs(fidelity_optimized(TwoStateEnsemble(t)).fidelity - closed) < 1e-9
 
     def test_stationary_at_optimum(self):
         h = 1e-5
@@ -159,11 +165,10 @@ class TestFidelityOptimized:
             assert abs(deriv) < 1e-8
 
     def test_strategy_ordering_on_grid(self):
-        for t in np.linspace(0.0, np.pi / 2, 181):
-            ens = TwoStateEnsemble(t)
-            f_u = fidelity_unambiguous(ens)
-            f_m = fidelity_min_error(ens)
-            f_o = fidelity_optimized(ens).fidelity
+        thetas = np.linspace(0.0, np.pi / 2, 181)
+        f_min_error, f_unambiguous = classical_sweep(thetas)[:2]
+        for t, f_m, f_u in zip(thetas, f_min_error, f_unambiguous):
+            f_o = fidelity_optimized(TwoStateEnsemble(t)).fidelity
             assert f_u <= f_m + 1e-12
             assert f_m <= f_o + 1e-12
 
@@ -171,11 +176,11 @@ class TestFidelityOptimized:
 class TestFuchsPeres:
     @pytest.mark.parametrize("theta,expected", [(0.0, 1.0), (np.pi / 4, 0.9330127018922193)])
     def test_values(self, theta, expected):
-        assert abs(fidelity_fuchs_peres(TwoStateEnsemble(theta)) - expected) < 1e-12
+        assert abs(classical_sweep(theta)[3] - expected) < 1e-12
 
     def test_symmetry_pi_8_vs_3pi_8(self):
-        a = fidelity_fuchs_peres(TwoStateEnsemble(np.pi / 8))
-        b = fidelity_fuchs_peres(TwoStateEnsemble(3 * np.pi / 8))
+        a = classical_sweep(np.pi / 8)[3]
+        b = classical_sweep(3 * np.pi / 8)[3]
         assert abs(a - b) < 1e-14
 
 

@@ -261,6 +261,14 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fig-classical", "verify"])
+    def test_exit_code_2_on_empty_out(self, command, capsys):
+        # an empty path is a path that cannot be written, not a request for stdout
+        assert main([command, "--samples", "100", "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as err:
             main(["not-a-command"])

@@ -15,15 +15,10 @@ from teleportsim.channels import (
     horodecki_optimal_fidelity,
     optimize_combined,
     purification_fidelity_two_state,
-    purification_fidelity_unknown,
     two_state_direct_fidelity,
+    unknown_state_sweep,
 )
-from teleportsim.classical import (
-    fidelity_fuchs_peres,
-    fidelity_min_error,
-    fidelity_optimized,
-    fidelity_unambiguous,
-)
+from teleportsim.classical import classical_sweep, fidelity_optimized
 from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.protocols import enumerate_protocol_fidelity
 from teleportsim.states import fidelity, partial_trace, tensor, von_neumann_entropy
@@ -58,20 +53,21 @@ alphas = st.floats(0.0, INV_SQRT2)
 def test_classical_and_channel_fidelities_are_ordered(theta, alpha):
     ens, channel = TwoStateEnsemble(theta), Channel(alpha)
     with np.errstate(divide="raise", invalid="raise"):
+        f_min_error, f_unambiguous, _, f_fuchs_peres = classical_sweep(theta)
         ordered = [
-            fidelity_unambiguous(ens),
-            fidelity_min_error(ens),
+            f_unambiguous,
+            f_min_error,
             fidelity_optimized(ens).fidelity,
             optimize_combined(ens, channel).fidelity,
         ]
         others = [
-            fidelity_fuchs_peres(ens),
+            f_fuchs_peres,
             direct_fidelity_state(theta, channel),
             two_state_direct_fidelity(ens, channel),
             purification_fidelity_two_state(ens, channel),
             average_fidelity_direct(channel),
             horodecki_optimal_fidelity(channel),
-            purification_fidelity_unknown(channel),
+            unknown_state_sweep(alpha)[1],
         ]
     for f in ordered + others:
         assert np.isfinite(f)

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+from povm_strategies import min_error_strategy, optimized_strategy, unambiguous_strategy
 from teleportsim.channels import (
     average_fidelity_direct,
     purification_fidelity_two_state,
     two_state_direct_fidelity,
+    unknown_state_sweep,
 )
 from teleportsim.classical import (
     classical_fidelity,
     fidelity_optimized,
-    min_error_strategy,
-    optimized_strategy,
     projective_guess_strategy,
-    unambiguous_strategy,
     unknown_state_classical_fidelity,
 )
 from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
@@ -251,6 +250,24 @@ class TestPurificationBranch:
                     channel = Channel(alpha)
                     closed = purification_fidelity_two_state(ens, channel)
                     assert abs(simulate_purification_branch(ens, channel) - closed) < 1e-12
+
+    def test_unknown_state_variant_matches_six_state_enumeration(self):
+        # every score here is quadratic in the input's Bloch vector, and the six
+        # Pauli eigenstates are a spherical 3-design: their mean is the Haar average
+        h = 1 / np.sqrt(2)
+        inputs = [
+            PureState(np.array(v, dtype=complex))
+            for v in ([1, 0], [0, 1], [h, h], [h, -h], [h, 1j * h], [h, -1j * h])
+        ]
+        spec = standard_teleportation(Channel.maximal())
+        f_tele = np.mean([enumerate_protocol_fidelity(psi, spec) for psi in inputs])
+        # on failure: measure in the computational basis, prepare the outcome
+        basis = inputs[:2]
+        f_cl = np.mean([sum(fidelity(b, psi) ** 2 for b in basis) for psi in inputs])
+        alphas = np.sqrt(np.linspace(0.0, 0.5, 11))
+        for alpha, closed in zip(alphas, unknown_state_sweep(alphas)[1]):
+            p_succ = 2.0 * alpha**2
+            assert abs(p_succ * f_tele + (1.0 - p_succ) * f_cl - closed) < 1e-12
 
 
 class TestClassicalEnumeration:

@@ -1,0 +1,108 @@
+"""The names ``teleportsim`` re-exports, pinned, and the benchmark's use of them.
+
+The surface is the four sweeps, the scalars the README and the benchmark
+call, the protocol engine, and the oracles verify calls.  A deletion that
+removes a name the benchmark's workloads or gates read fails here, not
+first in a benchmark run.
+"""
+
+import re
+import types
+from pathlib import Path
+
+import teleportsim
+
+PUBLIC = frozenset(
+    {
+        # states
+        "BELL_VECTORS",
+        "BellOutcome",
+        "DensityMatrix",
+        "LocalOperator",
+        "PAULI_I",
+        "PAULI_X",
+        "PAULI_Y",
+        "PAULI_Z",
+        "PureState",
+        "apply_local",
+        "bell_measure",
+        "fidelity",
+        "partial_trace",
+        "spectrum_entropy",
+        "tensor",
+        "von_neumann_entropy",
+        # ensembles
+        "Channel",
+        "TwoStateEnsemble",
+        "channel_state",
+        "ensemble_density",
+        "make_states",
+        "overlap",
+        "source_entropy",
+        # classical
+        "ClassicalStrategy",
+        "DegenerateEnsembleError",
+        "StrategyReport",
+        "classical_fidelity",
+        "classical_sweep",
+        "fidelity_biased_guess",
+        "fidelity_optimized",
+        "min_error_probability",
+        "optimal_guess_angle",
+        "projective_guess_strategy",
+        "unknown_state_classical_fidelity",
+        # channels
+        "ChannelStrategyReport",
+        "average_fidelity_direct",
+        "channel_sweep",
+        "combined_fidelity",
+        "direct_fidelity_state",
+        "horodecki_optimal_fidelity",
+        "optimize_combined",
+        "purification_fidelity_two_state",
+        "singlet_fraction",
+        "two_state_direct_fidelity",
+        "unknown_state_sweep",
+        # protocols
+        "ProtocolSpec",
+        "STANDARD_CORRECTION_MATRICES",
+        "enumerate_protocol_fidelity",
+        "mc_haar_average_fidelity",
+        "mc_protocol_fidelity",
+        "standard_teleportation",
+        # telecloning
+        "CloneCoeffs",
+        "TelecloneResult",
+        "TelecloningSystem",
+        "alice_receivers_entanglement",
+        "apply_cloner",
+        "build_clone_states",
+        "build_telecloning_state",
+        "global_clone_fidelity",
+        "optimal_global_fidelity",
+        "optimize_coeffs",
+        "teleclone",
+        "telecloning_sweep",
+        "universal_coeffs",
+    }
+)
+
+BENCHMARK_FILES = ("workloads.py", "gates.py")
+
+
+def test_reexports_exactly_the_agreed_names():
+    exported = {
+        name
+        for name, value in vars(teleportsim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert exported == PUBLIC
+
+
+def test_every_name_the_benchmark_reads_is_public():
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    used = set()
+    for name in BENCHMARK_FILES:
+        used |= set(re.findall(r"\btp\.([A-Za-z_]\w*)", (root / name).read_text()))
+    assert used, "no tp.<name> found: the benchmark no longer imports teleportsim as tp"
+    assert used <= PUBLIC, sorted(used - PUBLIC)

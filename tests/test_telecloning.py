@@ -5,6 +5,7 @@ from scipy.optimize import minimize
 from teleportsim.ensembles import TwoStateEnsemble, make_states
 from teleportsim.protocols import enumerate_protocol_fidelity
 from teleportsim.states import (
+    DensityMatrix,
     PureState,
     fidelity,
     partial_trace,
@@ -19,7 +20,6 @@ from teleportsim.telecloning import (
     build_clone_states,
     build_telecloning_state,
     global_clone_fidelity,
-    joint_clones_closed_form,
     optimal_global_fidelity,
     optimize_coeffs,
     protocol_spec,
@@ -347,6 +347,30 @@ class TestSandwich:
             assert f_tc <= f_opt + 1e-9
             max_gap = max(max_gap, f_opt - f_tc)
         assert max_gap > 1e-3
+
+
+def joint_clones_closed_form(coeffs):
+    """A misquoted 4x4 candidate for the clones' joint reduced state.
+
+    Diagonal (a^2+b^2+c^2)/2 on the |00>/|11> entries and b^2/2 in the
+    middle block, with corner a(b+c).  It does NOT agree with the partial
+    trace of the telecloning state, the ground truth, whose closed-form
+    spectrum is the one ``alice_receivers_entanglement`` uses.  For some
+    coefficient choices (e.g. a = b = c = 1/2) it is not even positive
+    semidefinite, and building the DensityMatrix raises.
+    """
+    a, b, c = coeffs.a, coeffs.b, coeffs.c
+    d = (a * a + b * b + c * c) / 2.0
+    corner = a * (b + c)
+    m = np.array(
+        [
+            [d, 0, 0, corner],
+            [0, b * b / 2.0, 0, 0],
+            [0, 0, b * b / 2.0, 0],
+            [corner, 0, 0, d],
+        ]
+    )
+    return DensityMatrix(m)
 
 
 class TestJointClonesClosedForm:

@@ -1,18 +1,20 @@
-"""The verify checks over theta and alpha grids read the broadcast sweeps.
+"""The verify checks fail when the code they guard is corrupted.
 
-Each of these checks states its invariant on the columns of one sweep call,
-so it builds no ensemble or channel per grid point, and corrupting the
-kernel behind a column makes it fail.
+The checks over theta and alpha grids read the broadcast sweeps: each states
+its invariant on the columns of one sweep call, so it builds no ensemble or
+channel per grid point.  For these and the other checks in the table below,
+corrupting the production code behind the check makes it fail.
 """
 
 import numpy as np
 import pytest
 
-from teleportsim import channels, classical, ensembles
+from teleportsim import channels, classical, ensembles, rng, telecloning
 from teleportsim import verification as v
 from teleportsim.cli import RunConfig
 
 CFG = RunConfig(command="verify")
+REGISTRY = dict(v.CHECKS)
 
 SWEPT_CHECKS = {
     "classical-strategy-ordering": v.check_classical_ordering,
@@ -25,10 +27,9 @@ SWEPT_CHECKS = {
 
 
 def test_swept_checks_are_registered_under_their_names():
-    registry = dict(v.CHECKS)
     assert len(v.CHECKS) == 30
     for name, fn in SWEPT_CHECKS.items():
-        assert registry[name] is fn
+        assert REGISTRY[name] is fn
 
 
 @pytest.mark.parametrize("name", SWEPT_CHECKS)
@@ -59,6 +60,8 @@ def _shift_first(fn, delta):
 
 def _mutations():
     cl_opt, ch_opt = classical._optimum, channels._optimum
+    pur, trace = channels._purification, v.partial_trace
+    matrix, ent = telecloning._fidelity_matrix, telecloning._entanglement
     return {
         "classical-strategy-ordering": [
             (classical, "_optimum", _shift_first(cl_opt, lambda t: -1e-9)),
@@ -80,6 +83,35 @@ def _mutations():
             (channels, "_purification_unknown", lambda a: 2.0 / 3.0 - a),
             (channels, "_average_direct", lambda a: 1.0 - a),
         ],
+        "classical-evaluator-consistency": [
+            (classical, "_biased_guess", lambda t, g, f=classical._biased_guess: f(t, g) + 1e-9),
+        ],
+        "classical-guess-stationarity": [
+            (classical, "_guess_angle", _shift_first(classical._guess_angle, lambda t: 1e-3)),
+        ],
+        "classical-unknown-state-mc": [
+            # a 1.7e-3 bias, 11 standard errors at verify's default 10^6 samples
+            (rng, "haar_bloch_z", lambda gen, n, f=rng.haar_bloch_z: 0.995 * f(gen, n)),
+        ],
+        "channel-endpoint-reductions": [
+            (channels, "_purification", lambda a, f_cl, f=pur: f(a, f_cl) + 1e-9),
+        ],
+        "protocol-oracle-agreement": [
+            (channels, "_direct", lambda t, a, f=channels._direct: f(t, a) + 1e-9),
+        ],
+        "teleclone-faithfulness": [
+            (telecloning, "_fidelity_matrix", lambda t, f=matrix: f(t) * (1 + 1e-9)),
+        ],
+        "teleclone-two-state-sweep": [
+            (telecloning, "_entanglement", lambda a, b, c, f=ent: f(a, b, c) + 1e-9),
+        ],
+        "discrepancy-source-entropy": [
+            (ensembles, "spectrum_entropy", lambda p, f=ensembles.spectrum_entropy: f(p) + 1e-8),
+        ],
+        "discrepancy-joint-clones-matrix": [
+            # the ancilla and clone B instead of the clone pair
+            (v, "partial_trace", lambda rho, keep: trace(rho, (1, 2))),
+        ],
     }
 
 
@@ -89,6 +121,6 @@ def _mutations():
     ids=[f"{name}-{m[1]}" for name, ms in _mutations().items() for m in ms],
 )
 def test_fails_when_the_kernel_it_reads_is_corrupted(name, module, attr, mutant, monkeypatch):
-    assert SWEPT_CHECKS[name](CFG)[0]
+    assert REGISTRY[name](CFG)[0]
     monkeypatch.setattr(module, attr, mutant)
-    assert not SWEPT_CHECKS[name](CFG)[0]
+    assert not REGISTRY[name](CFG)[0]
