@@ -16,12 +16,17 @@ loops over grid rows or builds an ensemble, channel or coefficient set per
 row.  CSV output is deterministic for a fixed configuration: 12 significant
 digits, '\\n' line endings, '#'-prefixed metadata lines before the header.
 Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
+
+A process builds its argument parser once, at the first ``main`` call, and
+reuses it for every later call; a parse keeps no state in the parser.  Every
+usage or configuration error exits 2 before ``--out`` is opened, and an
+unwritable ``--out`` exits 2 before anything is computed.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -33,6 +38,7 @@ from . import __version__
 from . import channels as ch
 from . import classical as cl
 from . import telecloning as tc
+from .ensembles import checked_thetas
 from .rng import GENERATOR_NAME
 from .verification import run_checks
 
@@ -62,6 +68,7 @@ class RunConfig:
             raise ValueError(f"samples must be in [100, {_MAX_SAMPLES}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        checked_thetas(self.theta)
 
 
 def _fmt(value: float) -> str:
@@ -72,10 +79,12 @@ def _fmt(value: float) -> str:
 
 
 def _csv(metadata: dict, header: tuple, columns) -> str:
+    """One ``%`` format per row; each cell reads as ``_fmt`` prints it."""
     lines = [f"# {k}={v}" for k, v in metadata.items()]
     lines.append(",".join(header))
-    for row in np.column_stack(columns).tolist():
-        lines.append(",".join(_fmt(v) for v in row))
+    rows = np.column_stack(columns) + 0.0  # -0.0 + 0.0 is 0.0
+    row_format = ",".join(["%.12g"] * rows.shape[1])
+    lines.extend(row_format % tuple(row) for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -176,7 +185,9 @@ def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
     return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first call (not at import)."""
     parser = _Parser(
         prog="teleportsim",
         description="Two-state teleportation figures and verification suite",
@@ -203,41 +214,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(**vars(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+def _run(config: RunConfig, stream) -> int:
+    if config.command == "verify":
+        return cmd_verify(config, stream)
     figures = {
         "fig-classical": cmd_fig_classical,
         "fig-channel": cmd_fig_channel,
         "fig-telecloning": cmd_fig_telecloning,
     }
-    code = 0
+    stream.write(figures[config.command](config))
+    return 0
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        if config.command == "verify":
-            report = io.StringIO()
-            code = cmd_verify(config, report)
-            text = report.getvalue()
-        else:
-            text = figures[config.command](config)
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if config.output_path is not None:
-        try:
-            with open(config.output_path, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
-    return code
+    if config.output_path is None:
+        return _run(config, sys.stdout)
+    # opened before the command runs, so an unwritable path costs no work;
+    # an error on open, write or close alike means the path cannot be written
+    try:
+        with open(config.output_path, "w", newline="") as fh:
+            return _run(config, fh)
+    except OSError as exc:
+        print(f"error: cannot write {config.output_path}: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

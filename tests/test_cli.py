@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 
 import teleportsim
+import teleportsim.cli as cli
 from teleportsim import protocols
 from teleportsim.cli import (
     RunConfig,
+    _csv,
+    _fmt,
     cmd_fig_channel,
     cmd_fig_classical,
     cmd_fig_telecloning,
@@ -30,6 +34,14 @@ def parse_csv(text):
     header = body[0].split(",")
     rows = [[float(x) for x in line.split(",")] for line in body[1:]]
     return meta, header, rows
+
+
+def _cli_in_new_process(*args):
+    src = os.path.dirname(os.path.dirname(teleportsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    ).stdout
 
 
 def row_nearest(rows, column, value):
@@ -261,6 +273,24 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
 
+    def test_unwritable_out_exits_before_running(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(config):
+            raise AssertionError("verify ran before --out was opened")
+
+        monkeypatch.setattr(cli, "run_checks", must_not_run)
+        target = tmp_path / "no_such_dir" / "verify.txt"
+        assert main(["verify", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
+
+    def test_bad_theta_leaves_existing_out_untouched(self, tmp_path, capsys):
+        out = tmp_path / "channel.csv"
+        out.write_bytes(b"kept\r\n")
+        assert main(["fig-channel", "--theta", "2", "--out", str(out)]) == 2
+        assert out.read_bytes() == b"kept\r\n"
+        assert "theta must lie in [0, pi/2], got 2.0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["fig-classical", "verify"])
     def test_exit_code_2_on_empty_out(self, command, capsys):
         # an empty path is a path that cannot be written, not a request for stdout
@@ -282,6 +312,76 @@ class TestMainEntry:
         assert rows_a == rows_b
 
 
+class TestParserReuse:
+    """main parses every call with one parser; no call leaves state in it."""
+
+    def test_one_parser_per_process(self, monkeypatch):
+        main(["fig-channel", "--alpha-steps", "3", "--out", os.devnull])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["fig-classical", "--theta-steps", "3", "--out", os.devnull]) == 0
+        assert main(["verify", "--samples", "100", "--out", os.devnull]) == 0
+        assert built == []
+
+    def test_import_builds_no_parser(self):
+        code = "import teleportsim.cli as c; print(c._parser.cache_info().currsize)"
+        assert _cli_in_new_process("-c", code).strip() == "0"
+
+    def test_option_values_do_not_carry_over(self, capsys):
+        assert main(["fig-classical", "--theta-steps", "3"]) == 0
+        capsys.readouterr()
+        assert main(["fig-classical"]) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 181
+
+    def test_flags_do_not_carry_over(self, capsys):
+        assert main(["fig-channel", "--unknown", "--alpha-steps", "3"]) == 0
+        capsys.readouterr()
+        assert main(["fig-channel", "--alpha-steps", "3"]) == 0
+        _, header, _ = parse_csv(capsys.readouterr().out)
+        assert header == ["alpha_sq", "f_direct", "f_purification", "f_combined", "alpha_prime_opt"]
+
+    def test_usage_errors_leave_output_unchanged(self, capsys):
+        argv = ["fig-channel", "--theta", "0.3", "--alpha-steps", "5"]
+        alone = _cli_in_new_process("-m", "teleportsim.cli", *argv)
+        for bad in (
+            ["fig-channel", "--theta", "abc"],
+            ["fig-channel", "--unknown", "--no-such-option"],
+            ["fig-channel", "--theta", "2"],
+            ["no-such-command"],
+        ):
+            try:
+                code = main(bad)
+            except SystemExit as exc:
+                code = exc.code
+            assert code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == alone
+
+
+class TestCsvCells:
+    EDGES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1 / 3]
+
+    def test_edge_cells(self):
+        text = _csv({}, ("v",), (np.array(self.EDGES),))
+        cells = text.split("\n")[1:-1]
+        assert cells == [format(v, ".12g") if v != 0 else "0" for v in self.EDGES]
+        assert cells[0] == "0"
+
+    def test_random_bit_patterns_read_as_fmt(self):
+        bits = np.random.default_rng(5).integers(0, 2**64, size=(2000, 3), dtype=np.uint64)
+        values = bits.view(np.float64)
+        rows = _csv({}, ("a", "b", "c"), values.T).split("\n")[1:-1]
+        assert rows == [",".join(_fmt(v) for v in row) for row in values.tolist()]
+
+
 class TestRunConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -290,6 +390,8 @@ class TestRunConfigValidation:
             {"alpha_steps": 0},
             {"samples": 10},
             {"seed": -1},
+            {"theta": 2.0},
+            {"theta": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -329,13 +431,8 @@ class TestSizeCaps:
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test-only dependency: the installed command must not need it
-    src = os.path.dirname(os.path.dirname(teleportsim.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, teleportsim.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    assert _cli_in_new_process("-c", code).strip() == "[]"

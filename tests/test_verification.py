@@ -9,7 +9,7 @@ corrupting the production code behind the check makes it fail.
 import numpy as np
 import pytest
 
-from teleportsim import channels, classical, ensembles, rng, telecloning
+from teleportsim import channels, classical, ensembles, protocols, rng, states, telecloning
 from teleportsim import verification as v
 from teleportsim.cli import RunConfig
 
@@ -58,6 +58,13 @@ def _shift_first(fn, delta):
     return shifted
 
 
+def _mistyped_bell_bras():
+    """The Bell bras with psi+ mistyped as phi+: no longer a complete basis."""
+    bras = states._BELL_BRAS.copy()
+    bras[2] = bras[0]
+    return bras
+
+
 def _mutations():
     cl_opt, ch_opt = classical._optimum, channels._optimum
     pur, trace = channels._purification, v.partial_trace
@@ -98,6 +105,21 @@ def _mutations():
         ],
         "protocol-oracle-agreement": [
             (channels, "_direct", lambda t, a, f=channels._direct: f(t, a) + 1e-9),
+        ],
+        "protocol-mc-agreement": [
+            # every Bell outcome left uncorrected
+            (protocols, "apply_local", lambda op, state: state),
+        ],
+        "protocol-haar-average": [
+            # polar angle drawn uniformly: r_z = cos(theta) piles up at the poles
+            (rng, "haar_bloch_z", lambda gen, n: np.cos(np.pi * gen.random(n))),
+        ],
+        "protocol-reproducibility": [
+            # substreams seeded from fresh OS entropy instead of the seed
+            (rng, "substreams", lambda seed, n: [np.random.default_rng() for _ in range(n)]),
+        ],
+        "protocol-probability-sanity": [
+            (states, "_BELL_BRAS", _mistyped_bell_bras()),
         ],
         "teleclone-faithfulness": [
             (telecloning, "_fidelity_matrix", lambda t, f=matrix: f(t) * (1 + 1e-9)),
