@@ -1,33 +1,41 @@
-"""Command-line front end: figure data as CSV plus the verification suite.
+"""Two-state teleportation figures as CSV, plus the verification suite.
 
-Subcommands:
+usage: teleportsim COMMAND [OPTION ...]
+
+Commands:
 
   fig-classical     classical strategy fidelities over theta in [0, pi/2]
-  fig-channel       channel strategies over alpha^2 in [0, 1/2]
-                    (--theta for the two-state case, --unknown for the
-                    unknown-state variant)
+  fig-channel       channel strategies over alpha^2 in [0, 1/2], for the
+                    ensemble at --theta or, with --unknown, an unknown state
   fig-telecloning   optimized telecloning coefficients, fidelities and
                     entanglement over theta
   verify            run every registered invariant check
 
-Each fig-* column is one broadcast call on the whole grid (the ``*_sweep``
-functions of ``classical``, ``channels`` and ``telecloning``); no command
-loops over grid rows or builds an ensemble, channel or coefficient set per
-row.  CSV output is deterministic for a fixed configuration: 12 significant
-digits, '\\n' line endings, '#'-prefixed metadata lines before the header.
-Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
+Options, with defaults in brackets; every command takes the first five:
 
-A process builds its argument parser once, at the first ``main`` call, and
-reuses it for every later call; a parse keeps no state in the parser.  Every
-usage or configuration error exits 2 before ``--out`` is opened, and an
-unwritable ``--out`` exits 2 before anything is computed.
+  --theta-steps N   theta grid points, 2 <= N <= 100000 [181]
+  --alpha-steps N   alpha^2 grid points, 2 <= N <= 100000 [101]
+  --samples N       Monte Carlo samples, 100 <= N <= 10^9 [1000000]
+  --seed N          random seed, N >= 0 [42]
+  --out PATH        output file [stdout]
+  --theta X         fig-channel: ensemble angle, 0 <= X <= pi/2 [pi/4]
+  --unknown         fig-channel: the unknown-state variant
+  --tamper          verify: perturb one formula, so a check must fail
+
+An option's value is the next argument, even one that starts with '-'
+(--theta -1e-13 is an out-of-range theta), or follows '=' (--seed=7).
+Options come in any order; a repeated option keeps its last value.
+-h or --help in place of a command or an option prints this text.
+
+CSV output is deterministic for a fixed configuration: 12 significant
+digits, '\\n' line endings, '#'-prefixed metadata lines before the header.
+Exit codes: 0 success, 1 verification failure, 2 usage or configuration
+error.  Every usage or configuration error exits 2 before --out is opened,
+and an unwritable --out exits 2 before anything is computed.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import re
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -151,67 +159,55 @@ def cmd_verify(config: RunConfig, stream) -> int:
     return 1 if failed else 0
 
 
-# Negative numbers in exponent notation and the non-finite spellings that
-# float() accepts too: argparse's own pattern (as on Python 3.11) takes
-# "-1e-13" or "-inf" for an unknown option, so "--theta -1e-13" would report
-# a missing argument instead of the out-of-range theta.
-_NEGATIVE_NUMBER = re.compile(
-    r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
-)
+# command -> option -> (RunConfig field, value type); a flag's type is None
+_COMMON = {
+    "--theta-steps": ("theta_steps", int),
+    "--alpha-steps": ("alpha_steps", int),
+    "--samples": ("samples", int),
+    "--seed": ("seed", int),
+    "--out": ("output_path", str),
+}
+_OPTIONS = {
+    "fig-classical": _COMMON,
+    "fig-channel": {**_COMMON, "--theta": ("theta", float), "--unknown": ("unknown", None)},
+    "fig-telecloning": _COMMON,
+    "verify": {**_COMMON, "--tamper": ("tamper", None)},
+}
+_HELP = ("-h", "--help")
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error prints one ``error:`` line and exits 2, as a configuration error does."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _add_command(sub, name: str, help: str) -> argparse.ArgumentParser:
-    """A subcommand with the common options; an option not given takes its RunConfig default."""
-    parser = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
-    parser.add_argument("--theta-steps", type=int)
-    parser.add_argument("--alpha-steps", type=int)
-    parser.add_argument("--samples", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument(
-        "--out", dest="output_path", metavar="OUT", help="output path (default stdout)"
-    )
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built at the first call (not at import)."""
-    parser = _Parser(
-        prog="teleportsim",
-        description="Two-state teleportation figures and verification suite",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_command(sub, "fig-classical", "classical strategy fidelities vs theta")
-
-    p = _add_command(sub, "fig-channel", "channel strategy fidelities vs alpha^2")
-    p.add_argument("--theta", type=float, help="ensemble angle (radians)")
-    p.add_argument(
-        "--unknown", action="store_true", help="unknown-state variant instead of two-state"
-    )
-
-    _add_command(sub, "fig-telecloning", "two-state telecloning sweep vs theta")
-
-    p = _add_command(sub, "verify", "run the invariant verification suite")
-    p.add_argument(
-        "--tamper",
-        action="store_true",
-        help="perturb one formula so the harness must report a failure (self-test)",
-    )
-
-    return parser
+def _parse(argv) -> Optional[RunConfig]:
+    """The command line's RunConfig, or None for -h/--help; a usage error raises ValueError."""
+    if not argv:
+        raise ValueError(f"missing command, one of {', '.join(_OPTIONS)}")
+    command, *rest = argv
+    if command in _HELP:
+        return None
+    if command not in _OPTIONS:
+        raise ValueError(f"unknown command {command!r}, expected one of {', '.join(_OPTIONS)}")
+    options, fields = _OPTIONS[command], {"command": command}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            return None
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise ValueError(f"{command} takes no argument {token!r}")
+        field, kind = options[name]
+        if kind is None:
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            fields[field] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{name} needs a value")
+        try:
+            fields[field] = kind(value)
+        except ValueError:
+            raise ValueError(f"{name}: invalid {kind.__name__} value {value!r}") from None
+    return RunConfig(**fields)
 
 
 def _run(config: RunConfig, stream) -> int:
@@ -227,12 +223,15 @@ def _run(config: RunConfig, stream) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        config = RunConfig(**vars(args))
+        config = _parse(sys.argv[1:] if argv is None else argv)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if config is None:
+        # python -OO strips the docstring
+        sys.stdout.write(__doc__ or "usage: teleportsim COMMAND [OPTION ...]\n")
+        return 0
     if config.output_path is None:
         return _run(config, sys.stdout)
     # opened before the command runs, so an unwritable path costs no work;

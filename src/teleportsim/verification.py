@@ -18,11 +18,11 @@ import numpy as np
 from . import channels as ch
 from . import classical as cl
 from . import protocols as pr
+from . import rng as rngmod
 from . import telecloning as tc
 from .ensembles import (
     Channel,
     TwoStateEnsemble,
-    channel_state,
     ensemble_density,
     make_states,
     overlap,
@@ -303,8 +303,15 @@ def check_haar_average(cfg):
     c = Channel(np.sqrt(0.3))
     mean, stderr = pr.mc_haar_average_fidelity(c, cfg.samples, cfg.seed)
     dev = abs(mean - ch.average_fidelity_direct(c))
-    ok = dev <= 4 * stderr
-    return ok, f"Haar MC dev = {dev:.2e} vs 4*stderr = {4 * stderr:.2e}"
+    # the score is even in r_z, so only an odd moment of the draws tells a
+    # one-hemisphere draw from the sphere: E[r_z] = 0, Var[r_z] = 1/3
+    mean_z = abs(rngmod.haar_bloch_z(rngmod.substreams(cfg.seed, 1)[0], 10_000).mean())
+    bound_z = 4 * np.sqrt(1 / (3 * 10_000))
+    ok = dev <= 4 * stderr and mean_z <= bound_z
+    return ok, (
+        f"Haar MC dev = {dev:.2e} vs 4*stderr = {4 * stderr:.2e},"
+        f" |mean r_z| = {mean_z:.2e} vs {bound_z:.2e}"
+    )
 
 
 def check_reproducibility(cfg):
@@ -324,9 +331,10 @@ def check_probability_sanity(cfg):
     rng = np.random.default_rng(cfg.seed + 11)
     worst = 0.0
     for _ in range(20):
-        c = Channel(rng.uniform(0, 1 / np.sqrt(2)))
+        # a generic resource: through a Schmidt-diagonal channel p(phi+) =
+        # p(phi-) for every input, which hides a mistyped phi-/phi+ pair
         psi = _random_state(rng, 1)
-        outcomes = bell_measure(tensor(psi, channel_state(c)), (0, 1))
+        outcomes = bell_measure(tensor(psi, _random_state(rng, 2)), (0, 1))
         if any(o.probability < -1e-15 for o in outcomes):
             return False, "negative outcome probability"
         worst = max(worst, abs(sum(o.probability for o in outcomes) - 1.0))

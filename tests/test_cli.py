@@ -1,4 +1,3 @@
-import argparse
 import io
 import os
 import subprocess
@@ -214,7 +213,7 @@ class TestMainEntry:
         assert "alpha_sq,f_direct_avg,f_purif_unknown" in captured
 
     def test_exit_code_2_on_bad_config(self, capsys):
-        # RunConfig errors return 2; argparse usage errors raise SystemExit(2)
+        # usage and RunConfig errors alike return 2
         for argv in (
             ["fig-classical", "--theta-steps", "1"],
             ["verify", "--seed", "-1"],
@@ -299,10 +298,38 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
 
-    def test_argparse_rejects_unknown_command(self):
-        with pytest.raises(SystemExit) as err:
-            main(["not-a-command"])
-        assert err.value.code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["not-a-command"],
+            ["fig-classical", "--theta", "0.3"],
+            ["fig-channel", "--tamper"],
+            ["verify", "--seed"],
+            ["verify", "--unknown=1"],
+            ["fig-classical", "--theta-steps=abc"],
+            ["fig-classical", "--theta-st", "5"],
+        ],
+        ids=[
+            "no-command",
+            "unknown-command",
+            "other-commands-option",
+            "other-commands-flag",
+            "trailing-option",
+            "unknown-option",
+            "bad-int",
+            "prefix",
+        ],
+    )
+    def test_usage_error_exits_2_with_one_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"kept\r\n")
+        # --out comes right after the command, so a trailing option stays trailing
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:] if argv else []) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert out.read_bytes() == b"kept\r\n"
 
     def test_seed_does_not_change_enumeration_figures(self):
         a = cmd_fig_classical(RunConfig(command="fig-classical", theta_steps=21, seed=1))
@@ -313,25 +340,62 @@ class TestMainEntry:
 
 
 class TestParserReuse:
-    """main parses every call with one parser; no call leaves state in it."""
+    """No call to main leaves state behind for the next one."""
 
-    def test_one_parser_per_process(self, monkeypatch):
-        main(["fig-channel", "--alpha-steps", "3", "--out", os.devnull])
-        built = []
-        init = argparse.ArgumentParser.__init__
+    def test_no_run_imports_argparse_gettext_or_locale(self):
+        code = (
+            "import os, sys, teleportsim.cli as c\n"
+            "for argv in (['fig-classical'], ['fig-channel'], ['fig-channel', '--unknown'],\n"
+            "             ['fig-telecloning'], ['verify', '--samples', '100'], ['-h'],\n"
+            "             ['no-such-command']):\n"
+            "    c.main(argv + ['--out', os.devnull])\n"
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))"
+        )
+        assert _cli_in_new_process("-c", code).strip().split("\n")[-1] == "[]"
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+    @pytest.mark.parametrize(
+        "spaced,joined",
+        [
+            (
+                ["fig-channel", "--theta", "0.3", "--alpha-steps", "5"],
+                ["fig-channel", "--theta=0.3", "--alpha-steps=5"],
+            ),
+            (["fig-channel", "--theta", "-1e-13"], ["fig-channel", "--theta=-1e-13"]),
+            (
+                ["verify", "--samples", "100", "--seed", "7919", "--tamper"],
+                ["verify", "--samples=100", "--seed=7919", "--tamper"],
+            ),
+            (
+                ["fig-classical", "--theta-steps", "4", "--out", os.devnull],
+                ["fig-classical", "--theta-steps=4", f"--out={os.devnull}"],
+            ),
+        ],
+    )
+    def test_equals_form_reads_as_spaced_form(self, spaced, joined, capsys):
+        results = []
+        for argv in (spaced, joined):
+            code = main(argv)
+            results.append((code, *capsys.readouterr()))
+        assert results[0] == results[1]
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        assert main(["fig-classical", "--theta-steps", "3", "--out", os.devnull]) == 0
-        assert main(["verify", "--samples", "100", "--out", os.devnull]) == 0
-        assert built == []
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["--help"], ["verify", "--help"], ["fig-channel", "--theta", "0.3", "-h"]],
+        ids=" ".join,
+    )
+    def test_help_prints_usage_and_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cli.__doc__ and captured.err == ""
+        assert "usage: teleportsim COMMAND [OPTION ...]" in captured.out
+        for option in ("--theta-steps", "--alpha-steps", "--samples", "--seed", "--out"):
+            assert option in captured.out
+        for option in ("--theta X", "--unknown", "--tamper"):
+            assert option in captured.out
 
-    def test_import_builds_no_parser(self):
-        code = "import teleportsim.cli as c; print(c._parser.cache_info().currsize)"
-        assert _cli_in_new_process("-c", code).strip() == "0"
+    def test_help_without_docstrings_prints_the_usage_line(self):
+        out = _cli_in_new_process("-OO", "-m", "teleportsim.cli", "--help")
+        assert out == "usage: teleportsim COMMAND [OPTION ...]\n"
 
     def test_option_values_do_not_carry_over(self, capsys):
         assert main(["fig-classical", "--theta-steps", "3"]) == 0

@@ -58,10 +58,10 @@ def _shift_first(fn, delta):
     return shifted
 
 
-def _mistyped_bell_bras():
-    """The Bell bras with psi+ mistyped as phi+: no longer a complete basis."""
+def _mistyped_bell_bras(k):
+    """The Bell bras with bra ``k`` mistyped as phi+: no longer a complete basis."""
     bras = states._BELL_BRAS.copy()
-    bras[2] = bras[0]
+    bras[k] = bras[0]
     return bras
 
 
@@ -113,13 +113,16 @@ def _mutations():
         "protocol-haar-average": [
             # polar angle drawn uniformly: r_z = cos(theta) piles up at the poles
             (rng, "haar_bloch_z", lambda gen, n: np.cos(np.pi * gen.random(n))),
+            # the upper hemisphere only: the score is even in r_z, E[r_z] is not
+            (rng, "haar_bloch_z", lambda gen, n: gen.random(n)),
         ],
         "protocol-reproducibility": [
             # substreams seeded from fresh OS entropy instead of the seed
             (rng, "substreams", lambda seed, n: [np.random.default_rng() for _ in range(n)]),
         ],
         "protocol-probability-sanity": [
-            (states, "_BELL_BRAS", _mistyped_bell_bras()),
+            (states, "_BELL_BRAS", _mistyped_bell_bras(2)),  # psi+ as phi+
+            (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
         ],
         "teleclone-faithfulness": [
             (telecloning, "_fidelity_matrix", lambda t, f=matrix: f(t) * (1 + 1e-9)),
