@@ -223,12 +223,12 @@ def unknown_state_classical_fidelity(samples: int, seed: int) -> float:
     ``protocols.mc_haar_average_fidelity`` scores).  The average converges
     to 2/3.  Like both protocol estimators it takes at least 100 samples.
     """
-    sizes = rngmod.chunk_sizes(samples)
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    gens = rngmod.substreams(seed, len(sizes))
     total = 0.0
-    for size, gen in zip(sizes, gens):
+    for size, gen in rngmod._chunks(samples, seed):
         rz = rngmod.haar_bloch_z(gen, size)
-        total += float(np.sum(0.5 * (1.0 + rz**2)))
+        # 0.5 * (1.0 + rz**2), evaluated in place in that order
+        rz *= rz
+        rz += 1.0
+        rz *= 0.5
+        total += float(np.sum(rz))
     return total / samples

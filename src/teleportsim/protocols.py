@@ -168,10 +168,7 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
     then sampled from their distribution in fixed-size chunks with split
     seeds, so results are bit-identical for a given (samples, seed) pair.
     """
-    sizes = rngmod.chunk_sizes(samples)
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    gens = rngmod.substreams(seed, len(sizes))
+    chunks = rngmod._chunks(samples, seed)
     if input_state.n_qubits != 1:
         raise ValueError("protocol input must be a single qubit")
     kept = spec.evaluation_targets
@@ -188,7 +185,7 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
             fids[k] = fidelity(target, out if full else partial_trace(out.density(), kept))
     probs = probs / probs.sum()
     counts = np.zeros(4, dtype=np.int64)
-    for size, gen in zip(sizes, gens):
+    for size, gen in chunks:
         counts += gen.multinomial(size, probs)
     mean = float(counts @ fids) / samples
     var = float(counts @ (fids - mean) ** 2) / max(samples - 1, 1)
@@ -225,27 +222,33 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     The mean is the sum of chunk sums over ``samples``; the variance merges
     each chunk's centred sum of squares in fixed chunk order
     (Chan-Golub-LeVeque), so a near-constant fidelity gives a stderr near
-    zero rather than cancellation noise.  Returns (mean, stderr).
+    zero rather than cancellation noise.  Each chunk is scored in place in
+    one workspace, with the IEEE operations of q00 + z (lin_z + q33 z) and
+    (f - mean)^2 in that order, so each result is bit-identical to those
+    expressions.  Returns (mean, stderr).
     """
-    sizes = rngmod.chunk_sizes(samples)
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    gens = rngmod.substreams(seed, len(sizes))
+    chunks = rngmod._chunks(samples, seed)
     q = _bloch_quadratic_form(standard_teleportation(channel).transfer)
     if np.any(q[1:3]) or np.any(q[:, 1:3]):
         raise RuntimeError("the Haar score depends on r_x or r_y, but only r_z is drawn")
     q00, lin_z, q33 = q[0, 0], 2.0 * q[0, 3], q[3, 3]
+    buf = np.empty(chunks[0][0])
     total = 0.0
     m2 = 0.0
     done = 0
-    for size, gen in zip(sizes, gens):
+    for size, gen in chunks:
         z = rngmod.haar_bloch_z(gen, size)
-        f = q00 + z * (lin_z + q33 * z)
+        f = np.multiply(z, q33, out=buf[:size])
+        f += lin_z
+        f *= z
+        f += q00
         s = float(f.sum())
         if done:
             delta = s / size - total / done
             m2 += delta**2 * done * size / (done + size)
-        m2 += float(((f - s / size) ** 2).sum())
+        f -= s / size
+        f *= f
+        m2 += float(f.sum())
         total += s
         done += size
     mean = total / samples

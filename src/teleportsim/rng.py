@@ -11,7 +11,10 @@ Reproducibility: a seeded result is bit-identical for a given
 ``(samples, seed)`` within one version of the package.  The seed splitting,
 the generator, ``DEFAULT_CHUNK`` and the chunk partition are fixed; a change
 to how a sampler turns uniforms into inputs may move seeded values once, and
-the changelog lists every value that moved.
+the changelog lists every value that moved.  The Haar estimators score each
+chunk in place, overwriting the array ``haar_bloch_z`` returns, with the
+same IEEE operations in the same order as the out-of-place expressions they
+replaced, so that rewrite moved no seeded value.
 """
 
 from __future__ import annotations
@@ -51,6 +54,19 @@ def chunk_sizes(total: int):
     return sizes
 
 
+def _chunks(samples: int, seed: int):
+    """[(size, generator), ...]: one substream per chunk of ``samples`` draws.
+
+    The set-up every estimator shares.  It checks, in this order and before
+    any draw, that ``samples`` is an integer (``chunk_sizes``), that it is
+    >= 100, and that ``seed`` is valid (``substreams``).
+    """
+    sizes = chunk_sizes(samples)
+    if samples < 100:
+        raise ValueError("samples must be >= 100")
+    return list(zip(sizes, substreams(seed, len(sizes))))
+
+
 def haar_bloch_z(rng: np.random.Generator, count: int) -> np.ndarray:
     """(count,) z components of Haar-uniform Bloch vectors: 1 - 2 u, u uniform on [0, 1).
 
@@ -59,5 +75,12 @@ def haar_bloch_z(rng: np.random.Generator, count: int) -> np.ndarray:
     Haar estimators score r_z alone, so no azimuth is drawn; a full-sphere
     draw that takes these uniforms first and then one azimuth per sample
     shares every r_z with it.
+
+    The result is a fresh array the caller owns and may overwrite; both Haar
+    estimators score it in place.  Negating 2 u and adding 1 is 1 - 2 u bit
+    for bit, since 2 u is exact.
     """
-    return 1.0 - 2.0 * rng.random(count)
+    z = rng.random(count)
+    z *= -2.0
+    z += 1.0
+    return z

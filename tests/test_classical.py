@@ -198,6 +198,20 @@ class TestUnknownStateMC:
         with pytest.raises(ValueError):
             unknown_state_classical_fidelity(0, seed=1)
 
+    def test_equals_out_of_place_scoring(self):
+        # the estimator squares, shifts and halves r_z in place; the same
+        # IEEE operations out of place over the same substreams move no bit
+        from teleportsim import rng
+
+        for seed in (1, 99, 7919):
+            for samples in (100, 65_536, 65_537, 200_000):
+                sizes = rng.chunk_sizes(samples)
+                total = 0.0
+                for size, gen in zip(sizes, rng.substreams(seed, len(sizes))):
+                    rz = 1.0 - 2.0 * gen.random(size)
+                    total += float(np.sum(0.5 * (1.0 + rz**2)))
+                assert unknown_state_classical_fidelity(samples, seed) == total / samples
+
     def test_fixed_input_basis_state_gives_one(self, monkeypatch):
         # every draw at |0> (r_z = 1) or |1> (r_z = -1) scores exactly 1
         from teleportsim import rng

@@ -66,6 +66,20 @@ class TestHaarBloch:
         assert np.array_equal(r[:, 0], polar * np.cos(2.0 * np.pi * v))
         assert np.array_equal(r[:, 1], polar * np.sin(2.0 * np.pi * v))
 
+    def test_haar_bloch_z_returns_fresh_arrays_the_caller_may_overwrite(self):
+        # the Haar estimators score each returned array in place
+        count = 65_537
+        ref = np.random.default_rng(8)
+        u, v = ref.random(count), ref.random(count)
+        gen = np.random.default_rng(8)
+        a = haar_bloch_z(gen, count)
+        b = haar_bloch_z(gen, count)
+        assert np.array_equal(a, 1.0 - 2.0 * u)
+        assert np.array_equal(b, 1.0 - 2.0 * v)
+        for z in (a, b):
+            assert z.flags.writeable and z.flags.owndata
+        assert not np.shares_memory(a, b)
+
     def test_z_never_reaches_the_south_pole(self):
         # 1 - 2u with u in [0, 1)
         z = haar_bloch_z(np.random.default_rng(7), N)

@@ -109,6 +109,8 @@ def _mutations():
         "protocol-mc-agreement": [
             # every Bell outcome left uncorrected
             (protocols, "apply_local", lambda op, state: state),
+            # enumeration reads the same bras, so only the closed form catches it
+            (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
         ],
         "protocol-haar-average": [
             # polar angle drawn uniformly: r_z = cos(theta) piles up at the poles
