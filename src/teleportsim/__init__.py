@@ -75,8 +75,6 @@ from .telecloning import (
     TelecloningSystem,
     alice_receivers_entanglement,
     apply_cloner,
-    build_clone_states,
-    build_telecloning_state,
     global_clone_fidelity,
     optimal_global_fidelity,
     optimize_coeffs,

@@ -19,7 +19,6 @@ that take one ensemble and one channel call the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,7 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 @dataclass(frozen=True)
 class ChannelStrategyReport:
     fidelity: float
-    alpha_prime: Optional[float] = None
+    alpha_prime: float
 
 
 def _direct(theta, alpha):

@@ -19,7 +19,6 @@ takes one ensemble and calls the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -70,8 +69,8 @@ class ClassicalStrategy:
 @dataclass(frozen=True)
 class StrategyReport:
     fidelity: float
-    error_probability: Optional[float] = None
-    guess_angle: Optional[float] = None
+    error_probability: float
+    guess_angle: float
 
 
 def classical_fidelity(strategy: ClassicalStrategy, ens: TwoStateEnsemble) -> float:

@@ -20,7 +20,6 @@ Options, with defaults in brackets; every command takes the first five:
   --out PATH        output file [stdout]
   --theta X         fig-channel: ensemble angle, 0 <= X <= pi/2 [pi/4]
   --unknown         fig-channel: the unknown-state variant
-  --tamper          verify: perturb one formula, so a check must fail
 
 An option's value is the next argument, even one that starts with '-'
 (--theta -1e-13 is an out-of-range theta), or follows '=' (--seed=7).
@@ -65,7 +64,6 @@ class RunConfig:
     output_path: Optional[str] = None
     theta: float = np.pi / 4
     unknown: bool = False
-    tamper: bool = False
 
     def __post_init__(self):
         if not 2 <= self.theta_steps <= _MAX_STEPS:
@@ -171,7 +169,7 @@ _OPTIONS = {
     "fig-classical": _COMMON,
     "fig-channel": {**_COMMON, "--theta": ("theta", float), "--unknown": ("unknown", None)},
     "fig-telecloning": _COMMON,
-    "verify": {**_COMMON, "--tamper": ("tamper", None)},
+    "verify": _COMMON,
 }
 _HELP = ("-h", "--help")
 

@@ -51,10 +51,6 @@ class Channel:
     def beta(self) -> float:
         return float(np.sqrt(1.0 - self.alpha**2))
 
-    @classmethod
-    def maximal(cls) -> "Channel":
-        return cls(_HALF_SQRT2)
-
 
 def _checked_grid(values, upper: float, name: str, interval: str) -> np.ndarray:
     v = np.asarray(values, dtype=float)

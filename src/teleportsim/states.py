@@ -133,10 +133,6 @@ class LocalOperator:
         return len(self.factors)
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "LocalOperator":
-        return cls(tuple(PAULI_I for _ in range(n_qubits)))
-
-    @classmethod
     def uniform(cls, n_qubits: int, matrix: np.ndarray) -> "LocalOperator":
         """The same single-qubit operator on every qubit."""
         return cls(tuple(matrix for _ in range(n_qubits)))

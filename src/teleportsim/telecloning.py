@@ -135,17 +135,6 @@ def _telecloning_amplitudes(coeffs: CloneCoeffs) -> np.ndarray:
     return np.concatenate([phi0, phi1]) / _SQRT2
 
 
-def build_clone_states(coeffs: CloneCoeffs):
-    """The exactly orthogonal 3-qubit branch states (phi0, phi1)."""
-    phi0, phi1 = _phi_pair(coeffs)
-    return PureState(phi0), PureState(phi1)
-
-
-def build_telecloning_state(coeffs: CloneCoeffs) -> TelecloningSystem:
-    """Assemble (|0>phi0 + |1>phi1)/sqrt(2) on (port, ancilla, B, C)."""
-    return TelecloningSystem(coeffs)
-
-
 def apply_cloner(input_state: PureState, coeffs: CloneCoeffs) -> PureState:
     """Direct cloner map x|0> + y|1>  ->  x phi0 + y phi1 (no teleportation)."""
     if input_state.n_qubits != 1:

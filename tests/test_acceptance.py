@@ -23,9 +23,9 @@ from teleportsim.protocols import (
 )
 from teleportsim.states import DensityMatrix, PureState, partial_trace, von_neumann_entropy
 from teleportsim.telecloning import (
+    TelecloningSystem,
     alice_receivers_entanglement,
-    build_clone_states,
-    build_telecloning_state,
+    apply_cloner,
     global_clone_fidelity,
     optimal_global_fidelity,
     optimize_coeffs,
@@ -128,7 +128,7 @@ def test_criterion_06_crossover():
 
 
 def test_criterion_07_universal_telecloning():
-    system = build_telecloning_state(universal_coeffs())
+    system = TelecloningSystem(universal_coeffs())
     ent = alice_receivers_entanglement(system.coeffs)
     assert abs(ent - LOG2_3) <= 1e-9
     for basis in (PureState(np.array([1.0, 0.0])), PureState(np.array([0.0, 1.0]))):
@@ -165,13 +165,12 @@ def test_criterion_09_correction_exactness():
     rng = np.random.default_rng(7)
     worst = 0.0
     for coeffs in (universal_coeffs(), optimize_coeffs(PI4)):
-        system = build_telecloning_state(coeffs)
-        phi0, phi1 = build_clone_states(coeffs)
+        system = TelecloningSystem(coeffs)
         for _ in range(20):
             z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             z /= np.linalg.norm(z)
             psi = PureState(z)
-            target = z[0] * phi0.amplitudes + z[1] * phi1.amplitudes
+            target = apply_cloner(psi, coeffs).amplitudes
             for _, corrected in teleclone(psi, system).per_outcome:
                 worst = max(worst, float(np.abs(corrected.amplitudes - target).max()))
     assert worst <= 1e-12
@@ -195,7 +194,7 @@ def test_criterion_10_documented_discrepancies():
     )
     s_closed = von_neumann_entropy(closed)
     assert abs(s_closed - 1.2075187496394215) <= 1e-9
-    system = build_telecloning_state(universal_coeffs())
+    system = TelecloningSystem(universal_coeffs())
     s_traced = von_neumann_entropy(partial_trace(system.state.density(), (2, 3)))
     assert abs(s_traced - LOG2_3) <= 1e-9
     assert abs(s_closed - s_traced) > 0.3

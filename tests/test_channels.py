@@ -24,13 +24,13 @@ CH02 = Channel(np.sqrt(0.2))
 class TestDirectFidelity:
     def test_maximal_channel_is_perfect(self):
         for t in np.linspace(0, np.pi, 15):
-            assert abs(direct_fidelity_state(t, Channel.maximal()) - 1.0) < 1e-12
+            assert abs(direct_fidelity_state(t, Channel(1 / np.sqrt(2))) - 1.0) < 1e-12
 
     def test_never_rounds_above_one_at_the_maximal_channel(self):
         # the sum cos^4 + sin^4 + alpha beta sin^2 rounded to 1 + 2.2e-16 on
         # 6 of these angles, e.g. theta = 0.02575
         for t in np.linspace(0, np.pi / 2, 62):
-            assert direct_fidelity_state(t, Channel.maximal()) <= 1.0
+            assert direct_fidelity_state(t, Channel(1 / np.sqrt(2))) <= 1.0
 
     def test_product_channel_equatorial_state(self):
         assert abs(direct_fidelity_state(np.pi / 2, Channel(0.0)) - 0.5) < 1e-15
@@ -79,7 +79,7 @@ class TestHorodeckiRelation:
             assert abs(horodecki_optimal_fidelity(c) - average_fidelity_direct(c)) < 1e-15
 
     def test_maximal_channel(self):
-        assert abs(horodecki_optimal_fidelity(Channel.maximal()) - 1.0) < 1e-15
+        assert abs(horodecki_optimal_fidelity(Channel(1 / np.sqrt(2))) - 1.0) < 1e-15
 
 
 class TestTwoStateDirect:
@@ -105,7 +105,7 @@ class TestPurification:
         assert abs(unknown_state_sweep(alpha)[1] - expected) < 1e-12
 
     def test_two_state_maximal_channel(self):
-        assert abs(purification_fidelity_two_state(PI4, Channel.maximal()) - 1.0) < 1e-12
+        assert abs(purification_fidelity_two_state(PI4, Channel(1 / np.sqrt(2))) - 1.0) < 1e-12
 
     def test_two_state_zero_entanglement_reduces_to_classical(self):
         for theta in (np.pi / 4, np.pi / 2):
@@ -174,7 +174,7 @@ class TestOptimizeCombined:
     def test_maximal_channel(self):
         for theta in (0.0, np.pi / 4, np.pi / 2):
             with np.errstate(divide="raise", invalid="raise"):
-                report = optimize_combined(TwoStateEnsemble(theta), Channel.maximal())
+                report = optimize_combined(TwoStateEnsemble(theta), Channel(1 / np.sqrt(2)))
             assert abs(report.fidelity - 1.0) < 1e-12
             assert abs(report.alpha_prime - 1 / np.sqrt(2)) < 1e-12
 

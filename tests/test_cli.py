@@ -8,7 +8,7 @@ import pytest
 
 import teleportsim
 import teleportsim.cli as cli
-from teleportsim import protocols
+from teleportsim import channels, protocols
 from teleportsim.cli import (
     RunConfig,
     _csv,
@@ -24,6 +24,12 @@ from teleportsim.states import DensityMatrix
 from teleportsim.telecloning import CloneCoeffs, TelecloningSystem
 
 LOG2_3 = np.log2(3.0)
+
+
+def _bump_singlet_fraction(monkeypatch):
+    """Perturb one formula by 1e-6, so exactly channel-horodecki-identity must fail."""
+    original = channels.singlet_fraction
+    monkeypatch.setattr(channels, "singlet_fraction", lambda c: original(c) + 1e-6)
 
 
 def parse_csv(text):
@@ -187,9 +193,10 @@ class TestVerifyCommand:
         assert "FAIL" not in output
         assert output.count("PASS") == len(output.strip().split("\n")) - 1
 
-    def test_tamper_mode_fails(self):
+    def test_tamper_mode_fails(self, monkeypatch):
+        _bump_singlet_fraction(monkeypatch)
         stream = io.StringIO()
-        code = cmd_verify(RunConfig(command="verify", samples=10_000, tamper=True), stream=stream)
+        code = cmd_verify(RunConfig(command="verify", samples=10_000), stream=stream)
         output = stream.getvalue()
         assert code == 1
         fails = [line for line in output.split("\n") if line.startswith("FAIL")]
@@ -250,7 +257,7 @@ class TestMainEntry:
         target = tmp_path / "no_such_dir" / "x.csv"
         assert main(["fig-classical", "--theta-steps", "3", "--out", str(target)]) == 2
 
-    def test_verify_writes_report_to_out(self, tmp_path, capsys):
+    def test_verify_writes_report_to_out(self, tmp_path, capsys, monkeypatch):
         argv = ["verify", "--samples", "1000"]
         assert main(argv) == 0
         report = capsys.readouterr().out
@@ -261,7 +268,8 @@ class TestMainEntry:
         assert captured.out == "" and captured.err == ""
         assert out.read_text() == report
         # a failing run still writes its report and exits 1
-        assert main(argv + ["--tamper", "--out", str(out)]) == 1
+        _bump_singlet_fraction(monkeypatch)
+        assert main(argv + ["--out", str(out)]) == 1
         assert capsys.readouterr().out == ""
         assert "FAIL channel-horodecki-identity" in out.read_text()
 
@@ -304,11 +312,12 @@ class TestMainEntry:
             [],
             ["not-a-command"],
             ["fig-classical", "--theta", "0.3"],
-            ["fig-channel", "--tamper"],
+            ["fig-classical", "--unknown"],
             ["verify", "--seed"],
             ["verify", "--unknown=1"],
             ["fig-classical", "--theta-steps=abc"],
             ["fig-classical", "--theta-st", "5"],
+            ["verify", "--tamper"],
         ],
         ids=[
             "no-command",
@@ -319,6 +328,7 @@ class TestMainEntry:
             "unknown-option",
             "bad-int",
             "prefix",
+            "tamper",
         ],
     )
     def test_usage_error_exits_2_with_one_line(self, argv, tmp_path, capsys):
@@ -362,8 +372,8 @@ class TestParserReuse:
             ),
             (["fig-channel", "--theta", "-1e-13"], ["fig-channel", "--theta=-1e-13"]),
             (
-                ["verify", "--samples", "100", "--seed", "7919", "--tamper"],
-                ["verify", "--samples=100", "--seed=7919", "--tamper"],
+                ["verify", "--samples", "100", "--seed", "7919"],
+                ["verify", "--samples=100", "--seed=7919"],
             ),
             (
                 ["fig-classical", "--theta-steps", "4", "--out", os.devnull],
@@ -390,8 +400,9 @@ class TestParserReuse:
         assert "usage: teleportsim COMMAND [OPTION ...]" in captured.out
         for option in ("--theta-steps", "--alpha-steps", "--samples", "--seed", "--out"):
             assert option in captured.out
-        for option in ("--theta X", "--unknown", "--tamper"):
+        for option in ("--theta X", "--unknown"):
             assert option in captured.out
+        assert "--tamper" not in captured.out
 
     def test_help_without_docstrings_prints_the_usage_line(self):
         out = _cli_in_new_process("-OO", "-m", "teleportsim.cli", "--help")

@@ -38,6 +38,7 @@ from teleportsim.states import (
     BELL_VECTORS,
     DensityMatrix,
     LocalOperator,
+    PAULI_I,
     PureState,
     apply_local,
     bell_measure,
@@ -51,7 +52,6 @@ from teleportsim.telecloning import (
     TelecloningSystem,
     _qubit_marginals,
     alice_receivers_entanglement,
-    build_telecloning_state,
     global_clone_fidelity,
     optimize_coeffs,
     protocol_spec,
@@ -142,7 +142,7 @@ def reference_teleclone(input_state, system):
 
 def reference_global_clone_fidelity(ens, coeffs):
     """(1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> through the reference joint state."""
-    system = build_telecloning_state(coeffs)
+    system = TelecloningSystem(coeffs)
     total = 0.0
     for psi in make_states(ens):
         _, rho = reference_teleclone(psi, system)
@@ -249,7 +249,7 @@ class TestBranchTable:
 
     def test_telecloning_spec_matches_reference_loop(self):
         rng = np.random.default_rng(103)
-        system = build_telecloning_state(random_coeffs(rng))
+        system = TelecloningSystem(random_coeffs(rng))
         for targets in ((0, 1, 2), (1,), (1, 2)):
             spec = protocol_spec(system, targets=targets)
             for psi in inputs_for(np.pi / 4, rng):
@@ -260,7 +260,7 @@ class TestBranchTable:
                 assert_rows_match(got, reference_branch_table(psi, spec, target))
 
     def test_rejects_bad_evaluation_targets(self):
-        system = build_telecloning_state(universal_coeffs())
+        system = TelecloningSystem(universal_coeffs())
         for targets, message in (
             ((3,), "out of range"),
             ((), "nonempty"),
@@ -289,7 +289,7 @@ class TestTeleclone:
         ]
         with np.errstate(divide="raise", invalid="raise"):
             for coeffs in coeff_sets:
-                system = build_telecloning_state(coeffs)
+                system = TelecloningSystem(coeffs)
                 for theta in THETAS:
                     for psi in inputs_for(theta, rng):
                         result = teleclone(psi, system)
@@ -322,7 +322,7 @@ class TestGlobalCloneFidelity:
         ] + [random_coeffs(rng) for _ in range(6)]
         with np.errstate(divide="raise", invalid="raise"):
             for coeffs in coeff_sets:
-                system = build_telecloning_state(coeffs)
+                system = TelecloningSystem(coeffs)
                 traced = von_neumann_entropy(partial_trace(system.state.density(), (2, 3)))
                 assert abs(alice_receivers_entanglement(coeffs) - traced) < 1e-12
                 spec = protocol_spec(system)
@@ -344,7 +344,7 @@ class TestGlobalCloneFidelity:
         ]
         with np.errstate(divide="raise", invalid="raise"):
             for coeffs in coeff_sets:
-                system = build_telecloning_state(coeffs)
+                system = TelecloningSystem(coeffs)
                 spec = protocol_spec(system)
                 for _ in range(8):
                     psi = random_qubit(rng)
@@ -368,7 +368,7 @@ class TestGlobalCloneFidelity:
             monkeypatch.setattr(module, "partial_trace", counting_partial_trace)
         ens = TwoStateEnsemble(np.pi / 4)
         coeffs = universal_coeffs()
-        system = build_telecloning_state(coeffs)
+        system = TelecloningSystem(coeffs)
         psi, _ = make_states(ens)
         global_clone_fidelity(ens, coeffs)
         _branch_table(psi, protocol_spec(system, targets=(1,)))
@@ -382,7 +382,7 @@ class TestMarginalCheck:
     def test_equals_partial_trace(self):
         rng = np.random.default_rng(105)
         for coeffs in [universal_coeffs()] + [random_coeffs(rng) for _ in range(10)]:
-            state = build_telecloning_state(coeffs).state
+            state = TelecloningSystem(coeffs).state
             rho = state.density()
             for q, reduced in enumerate(_qubit_marginals(state.amplitudes)):
                 assert np.abs(reduced - partial_trace(rho, (q,)).elements).max() < 1e-14
@@ -417,7 +417,7 @@ class TestMarginalCheck:
         monkeypatch.setattr(telecloning, "_telecloning_amplitudes", counting_build)
         rng = np.random.default_rng(110)
         for n, coeffs in enumerate([universal_coeffs()] + [random_coeffs(rng) for _ in range(3)]):
-            system = build_telecloning_state(coeffs)
+            system = TelecloningSystem(coeffs)
             assert len(calls) == n + 1
             assert system.coeffs is coeffs
 
@@ -487,7 +487,7 @@ class TestHaarTransferOperators:
                 assert np.abs(total - np.eye(2)).max() < 1e-14
 
     def test_maximal_channel_operators_are_half_identity(self):
-        for tk in _transfer_operators(Channel.maximal()):
+        for tk in _transfer_operators(Channel(1 / np.sqrt(2))):
             assert np.abs(tk - np.eye(2) / 2).max() < 1e-15
 
     def test_zero_columns_for_empty_branches_at_alpha_zero(self):
@@ -507,7 +507,7 @@ class TestProtocolTransferOperators:
         coeff_sets = self.COEFF_SETS + (random_coeffs(rng),)
         with np.errstate(divide="raise", invalid="raise"):
             for coeffs in coeff_sets:
-                system = build_telecloning_state(coeffs)
+                system = TelecloningSystem(coeffs)
                 for targets in ((1,), (0, 2)):
                     spec = protocol_spec(system, targets=targets)
                     for theta in THETAS:
@@ -521,7 +521,7 @@ class TestProtocolTransferOperators:
 
     def test_operators_are_complete_and_read_only(self):
         specs = [standard_teleportation(Channel(alpha)) for alpha in ALPHAS]
-        specs += [protocol_spec(build_telecloning_state(c)) for c in self.COEFF_SETS]
+        specs += [protocol_spec(TelecloningSystem(c)) for c in self.COEFF_SETS]
         with np.errstate(divide="raise", invalid="raise"):
             for spec in specs:
                 t = spec.transfer
@@ -536,7 +536,7 @@ class TestProtocolTransferOperators:
         channel_spec = standard_teleportation(Channel(0.3))
         bare = ProtocolSpec(
             resource_state=channel_spec.resource_state,
-            corrections={k: LocalOperator.identity(1) for k in (1, 2, 3, 4)},
+            corrections={k: LocalOperator.uniform(1, PAULI_I) for k in (1, 2, 3, 4)},
             evaluation_targets=(0,),
         )
         rng = np.random.default_rng(112)
@@ -583,7 +583,7 @@ class TestProtocolTransferOperators:
 
         monkeypatch.setattr(protocols, "_bell_transfer", counting_build)
         ens = TwoStateEnsemble(np.pi / 4)
-        system = build_telecloning_state(optimize_coeffs(ens))
+        system = TelecloningSystem(optimize_coeffs(ens))
         assert len(calls) == 0
         psi, _ = make_states(ens)
         for _ in range(10):
@@ -604,13 +604,13 @@ class TestProtocolTransferOperators:
         with pytest.raises(ValueError, match="1 remain"):
             ProtocolSpec(
                 resource_state=spec.resource_state,
-                corrections={k: LocalOperator.identity(2) for k in (1, 2, 3, 4)},
+                corrections={k: LocalOperator.uniform(2, PAULI_I) for k in (1, 2, 3, 4)},
                 evaluation_targets=(0,),
             )
         # each factor passes the 1e-12 unitarity check, their product on three
         # qubits scales a branch norm by 1 + 2.4e-12
         stretched = LocalOperator.uniform(3, (1 + 4e-13) * np.eye(2))
-        system = build_telecloning_state(universal_coeffs())
+        system = TelecloningSystem(universal_coeffs())
         with pytest.raises(ValueError, match="not normalized"):
             ProtocolSpec(
                 resource_state=system.state,

@@ -132,7 +132,7 @@ class TestChannel:
         assert c.alpha <= c.beta
 
     def test_maximal(self):
-        c = Channel.maximal()
+        c = Channel(1 / np.sqrt(2))
         assert abs(c.alpha - c.beta) < 1e-15
 
     @pytest.mark.parametrize("alpha", [-0.1, 0.8, 1.0])

@@ -24,9 +24,9 @@ from teleportsim.protocols import enumerate_protocol_fidelity
 from teleportsim.states import fidelity, partial_trace, tensor, von_neumann_entropy
 from teleportsim.telecloning import (
     CloneCoeffs,
+    TelecloningSystem,
     alice_receivers_entanglement,
     apply_cloner,
-    build_telecloning_state,
     global_clone_fidelity,
     optimal_global_fidelity,
     optimize_coeffs,
@@ -117,7 +117,7 @@ def test_any_coefficients_match_direct_cloner(theta, phi, chi):
     assert 0.0 <= f <= 1.0
     assert abs(f - direct_global_fidelity(ens, coeffs)) < 1e-12
     # the protocol and the resource's partial trace, the closed forms' oracles
-    system = build_telecloning_state(coeffs)
+    system = TelecloningSystem(coeffs)
     spec = protocol_spec(system)
     enum = sum(0.5 * enumerate_protocol_fidelity(psi, spec) for psi in make_states(ens))
     assert abs(f - enum) < 1e-12

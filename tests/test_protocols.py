@@ -24,10 +24,10 @@ from teleportsim.protocols import (
     standard_teleportation,
 )
 from teleportsim.rng import chunk_sizes
-from teleportsim.states import PAULI_Z, LocalOperator, PureState, fidelity, tensor
+from teleportsim.states import PAULI_I, PAULI_Z, LocalOperator, PureState, fidelity, tensor
 from teleportsim.telecloning import (
     CloneCoeffs,
-    build_telecloning_state,
+    TelecloningSystem,
     optimize_coeffs,
     protocol_spec,
     teleclone,
@@ -65,7 +65,7 @@ def simulate_purification_branch(ens, channel):
     optimized classical strategy is enumerated.
     """
     p_succ = min(2.0 * channel.alpha**2, 1.0)
-    spec = standard_teleportation(Channel.maximal())
+    spec = standard_teleportation(Channel(1 / np.sqrt(2)))
     f_tele = 0.5 * sum(enumerate_protocol_fidelity(psi, spec) for psi in make_states(ens))
     f_cl = enumerate_classical_strategy(optimized_strategy(ens), ens)
     return p_succ * f_tele + (1.0 - p_succ) * f_cl
@@ -73,7 +73,7 @@ def simulate_purification_branch(ens, channel):
 
 class TestEnumeration:
     def test_maximal_channel_is_exact_for_any_input(self):
-        spec = standard_teleportation(Channel.maximal())
+        spec = standard_teleportation(Channel(1 / np.sqrt(2)))
         rng = np.random.default_rng(21)
         for _ in range(10):
             psi = random_qubit(rng)
@@ -129,7 +129,7 @@ class TestEnumeration:
             for _ in range(6):
                 u = np.abs(rng.standard_normal(3))
                 u /= np.linalg.norm(u)
-                system = build_telecloning_state(CloneCoeffs(u[0], u[1] / np.sqrt(2), u[2]))
+                system = TelecloningSystem(CloneCoeffs(u[0], u[1] / np.sqrt(2), u[2]))
                 psi = random_qubit(rng)
                 pair = fidelity(tensor(psi, psi), teleclone(psi, system).joint_clones)
                 full = enumerate_protocol_fidelity(psi, protocol_spec(system, targets=(0, 1, 2)))
@@ -144,14 +144,14 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             ProtocolSpec(
                 resource_state=spec.resource_state,
-                corrections={1: LocalOperator.identity(1)},
+                corrections={1: LocalOperator.uniform(1, PAULI_I)},
                 evaluation_targets=(0,),
             )
 
 
 class TestMonteCarlo:
     def test_maximal_channel_gives_mean_one_stderr_zero(self):
-        spec = standard_teleportation(Channel.maximal())
+        spec = standard_teleportation(Channel(1 / np.sqrt(2)))
         psi1, _ = make_states(PI4)
         mean, stderr = mc_protocol_fidelity(psi1, spec, 10_000, seed=3)
         assert abs(mean - 1.0) < 1e-12
@@ -175,7 +175,7 @@ class TestMonteCarlo:
             for alpha in (0.0, 1 / np.sqrt(2)):
                 spec = standard_teleportation(Channel(alpha))
                 cases += [(psi, spec) for psi in make_states(ens)]
-            system = build_telecloning_state(optimize_coeffs(ens))
+            system = TelecloningSystem(optimize_coeffs(ens))
             for targets in ((1,), (2,), (1, 2)):
                 spec = protocol_spec(system, targets=targets)
                 cases += [(psi, spec) for psi in make_states(ens)]
@@ -229,7 +229,7 @@ class TestMonteCarlo:
 
 class TestPurificationBranch:
     def test_maximal_channel(self):
-        assert abs(simulate_purification_branch(PI4, Channel.maximal()) - 1.0) < 1e-12
+        assert abs(simulate_purification_branch(PI4, Channel(1 / np.sqrt(2))) - 1.0) < 1e-12
 
     def test_no_entanglement_reduces_to_classical(self):
         expected = fidelity_optimized(PI4).fidelity
@@ -259,7 +259,7 @@ class TestPurificationBranch:
             PureState(np.array(v, dtype=complex))
             for v in ([1, 0], [0, 1], [h, h], [h, -h], [h, 1j * h], [h, -1j * h])
         ]
-        spec = standard_teleportation(Channel.maximal())
+        spec = standard_teleportation(Channel(1 / np.sqrt(2)))
         f_tele = np.mean([enumerate_protocol_fidelity(psi, spec) for psi in inputs])
         # on failure: measure in the computational basis, prepare the outcome
         basis = inputs[:2]
@@ -304,7 +304,7 @@ class TestHaarAverage:
         assert abs(mean - average_fidelity_direct(c)) <= 4 * stderr
 
     def test_maximal_channel(self):
-        mean, stderr = mc_haar_average_fidelity(Channel.maximal(), 10_000, seed=1)
+        mean, stderr = mc_haar_average_fidelity(Channel(1 / np.sqrt(2)), 10_000, seed=1)
         assert abs(mean - 1.0) < 1e-12
         # per-sample fidelities are 1 up to roundoff, so the spread is pure noise
         assert stderr < 1e-9
@@ -320,7 +320,7 @@ class TestHaarAverage:
         # (sum f^2 / n - mean^2) would leave cancellation noise of up to 1.8e-9
         for samples in (100, 10_000, 65_537):
             for seed in range(4):
-                mean, stderr = mc_haar_average_fidelity(Channel.maximal(), samples, seed)
+                mean, stderr = mc_haar_average_fidelity(Channel(1 / np.sqrt(2)), samples, seed)
                 assert abs(mean - 1.0) < 1e-12
                 assert stderr < 1e-14
 
@@ -412,7 +412,7 @@ class TestCorrectionsTable:
         rng = np.random.default_rng(30)
         for _ in range(10):
             psi = random_qubit(rng)
-            joint = tensor(psi, channel_state(Channel.maximal()))
+            joint = tensor(psi, channel_state(Channel(1 / np.sqrt(2))))
             for o in bell_measure(joint, (0, 1)):
                 corrected = apply_local(
                     LocalOperator((STANDARD_CORRECTION_MATRICES[o.index],)), o.post_state

@@ -5,6 +5,7 @@ from teleportsim.states import (
     BELL_VECTORS,
     DensityMatrix,
     LocalOperator,
+    PAULI_I,
     PAULI_X,
     PAULI_Z,
     PureState,
@@ -194,7 +195,7 @@ class TestApplyLocal:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_local(LocalOperator.identity(2), ZERO)
+            apply_local(LocalOperator.uniform(2, PAULI_I), ZERO)
 
 
 class TestFidelity:

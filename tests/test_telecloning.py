@@ -17,8 +17,6 @@ from teleportsim.telecloning import (
     TelecloningSystem,
     alice_receivers_entanglement,
     apply_cloner,
-    build_clone_states,
-    build_telecloning_state,
     global_clone_fidelity,
     optimal_global_fidelity,
     optimize_coeffs,
@@ -30,6 +28,11 @@ from teleportsim.telecloning import (
 LOG2_3 = np.log2(3.0)
 ZERO = PureState(np.array([1.0, 0.0]))
 ONE = PureState(np.array([0.0, 1.0]))
+
+
+def clone_states(coeffs):
+    """The branch states (phi0, phi1): the cloner's images of |0> and |1>."""
+    return apply_cloner(ZERO, coeffs), apply_cloner(ONE, coeffs)
 
 
 def random_qubit(rng):
@@ -121,7 +124,7 @@ class TestUniversalCoeffs:
         assert abs(c.a**2 - 2 / 3) < 1e-14 and abs(c.b**2 - 1 / 6) < 1e-14
 
     def test_basis_clone_fidelity_is_five_sixths(self):
-        system = build_telecloning_state(universal_coeffs())
+        system = TelecloningSystem(universal_coeffs())
         for target_qubit in (1, 2):
             spec = protocol_spec(system, targets=(target_qubit,))
             for basis in (ZERO, ONE):
@@ -134,7 +137,7 @@ class TestUniversalCoeffs:
 
 class TestBuildCloneStates:
     def test_universal_amplitudes(self):
-        phi0, phi1 = build_clone_states(universal_coeffs())
+        phi0, phi1 = clone_states(universal_coeffs())
         a, b = np.sqrt(2 / 3), np.sqrt(1 / 6)
         exp0 = np.zeros(8)
         exp0[0b000], exp0[0b101], exp0[0b110] = a, b, b
@@ -146,24 +149,20 @@ class TestBuildCloneStates:
     def test_branches_exactly_orthogonal(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            phi0, phi1 = build_clone_states(random_coeffs(rng))
+            phi0, phi1 = clone_states(random_coeffs(rng))
             assert np.vdot(phi0.amplitudes, phi1.amplitudes) == 0
 
     def test_degenerate_coeffs_give_ghz_like_state(self):
-        phi0, phi1 = build_clone_states(CloneCoeffs(1.0, 0.0, 0.0))
+        phi0, phi1 = clone_states(CloneCoeffs(1.0, 0.0, 0.0))
         assert np.allclose(phi0.amplitudes, np.eye(8)[0])
         assert np.allclose(phi1.amplitudes, np.eye(8)[7])
-        system = build_telecloning_state(CloneCoeffs(1.0, 0.0, 0.0))
-        ghz = np.zeros(16)
-        ghz[0], ghz[15] = 1 / np.sqrt(2), 1 / np.sqrt(2)
-        assert np.allclose(system.state.amplitudes, ghz)
 
 
 class TestTelecloningSystem:
     def test_single_qubit_marginals_maximally_mixed(self):
         rng = np.random.default_rng(8)
         for coeffs in [universal_coeffs()] + [random_coeffs(rng) for _ in range(5)]:
-            system = build_telecloning_state(coeffs)
+            system = TelecloningSystem(coeffs)
             rho = system.state.density()
             for q in range(4):
                 reduced = partial_trace(rho, (q,)).elements
@@ -171,7 +170,7 @@ class TestTelecloningSystem:
 
     def test_single_qubit_vs_rest_entanglement_is_one(self):
         rng = np.random.default_rng(12)
-        system = build_telecloning_state(random_coeffs(rng))
+        system = TelecloningSystem(random_coeffs(rng))
         rho = system.state.density()
         for q in range(4):
             assert abs(von_neumann_entropy(partial_trace(rho, (q,))) - 1.0) < 1e-10
@@ -186,7 +185,7 @@ class TestTelecloningSystem:
 
 class TestTeleclone:
     def test_clones_of_zero_input_universal(self):
-        system = build_telecloning_state(universal_coeffs())
+        system = TelecloningSystem(universal_coeffs())
         result = teleclone(ZERO, system)
         expected = np.diag([5 / 6, 1 / 6])
         assert np.abs(result.clone_b.elements - expected).max() < 1e-12
@@ -194,14 +193,14 @@ class TestTeleclone:
 
     def test_outcome_probabilities_quarter_independent_of_input(self):
         rng = np.random.default_rng(14)
-        system = build_telecloning_state(random_coeffs(rng))
+        system = TelecloningSystem(random_coeffs(rng))
         for _ in range(5):
             result = teleclone(random_qubit(rng), system)
             for p, _ in result.per_outcome:
                 assert abs(p - 0.25) < 1e-12
 
     def test_degenerate_coeffs_copy_basis_states(self):
-        system = build_telecloning_state(CloneCoeffs(1.0, 0.0, 0.0))
+        system = TelecloningSystem(CloneCoeffs(1.0, 0.0, 0.0))
         result = teleclone(ONE, system)
         assert np.abs(result.clone_b.elements - np.diag([0.0, 1.0])).max() < 1e-12
         assert np.abs(result.clone_c.elements - np.diag([0.0, 1.0])).max() < 1e-12
@@ -210,18 +209,16 @@ class TestTeleclone:
         # every Bell outcome, after P x P x P, is exactly x*phi0 + y*phi1
         rng = np.random.default_rng(15)
         for coeffs in (universal_coeffs(), random_coeffs(rng)):
-            system = build_telecloning_state(coeffs)
-            phi0, phi1 = build_clone_states(coeffs)
+            system = TelecloningSystem(coeffs)
             for _ in range(20):
                 psi = random_qubit(rng)
-                x, y = psi.amplitudes
-                target = x * phi0.amplitudes + y * phi1.amplitudes
+                target = apply_cloner(psi, coeffs).amplitudes
                 for _, corrected in teleclone(psi, system).per_outcome:
                     assert np.abs(corrected.amplitudes - target).max() < 1e-12
 
     def test_clone_symmetry(self):
         rng = np.random.default_rng(16)
-        system = build_telecloning_state(random_coeffs(rng))
+        system = TelecloningSystem(random_coeffs(rng))
         for _ in range(5):
             result = teleclone(random_qubit(rng), system)
             assert np.abs(result.clone_b.elements - result.clone_c.elements).max() < 1e-12
@@ -384,7 +381,7 @@ class TestJointClonesClosedForm:
         closed = joint_clones_closed_form(universal_coeffs())
         s_closed = von_neumann_entropy(closed)
         assert abs(s_closed - 1.2075187496394215) < 1e-9
-        system = build_telecloning_state(universal_coeffs())
+        system = TelecloningSystem(universal_coeffs())
         s_traced = von_neumann_entropy(partial_trace(system.state.density(), (2, 3)))
         assert abs(s_traced - LOG2_3) < 1e-9
         assert abs(s_closed - s_traced) > 0.3
@@ -394,7 +391,7 @@ class TestJointClonesClosedForm:
         rng = np.random.default_rng(19)
         for _ in range(5):
             coeffs = random_coeffs(rng)
-            system = build_telecloning_state(coeffs)
+            system = TelecloningSystem(coeffs)
             rho = partial_trace(system.state.density(), (2, 3)).elements
             eigs = np.sort(np.linalg.eigvalsh(rho))
             expected = np.sort(
@@ -429,14 +426,14 @@ class TestCoeffValidation:
             coeffs = CloneCoeffs(np.sqrt(2 / 3) * scale, np.sqrt(1 / 6), 0.0)
             norm = coeffs.a**2 + 2 * coeffs.b**2 + coeffs.c**2
             assert abs(norm - 1.0) < 1e-15
-            system = build_telecloning_state(coeffs)
+            system = TelecloningSystem(coeffs)
             assert abs(global_clone_fidelity(ens, coeffs) - 2 / 3) < 1e-10
             for psi in make_states(ens):
                 assert apply_cloner(psi, coeffs).n_qubits == 3
                 assert len(teleclone(psi, system).per_outcome) == 4
 
     def test_rejects_multi_qubit_input(self):
-        system = build_telecloning_state(universal_coeffs())
+        system = TelecloningSystem(universal_coeffs())
         two = PureState(np.array([1.0, 0, 0, 0]))
         with pytest.raises(ValueError):
             teleclone(two, system)

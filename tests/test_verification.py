@@ -2,8 +2,8 @@
 
 The checks over theta and alpha grids read the broadcast sweeps: each states
 its invariant on the columns of one sweep call, so it builds no ensemble or
-channel per grid point.  For these and the other checks in the table below,
-corrupting the production code behind the check makes it fail.
+channel per grid point.  Every registered check has a row in the table
+below: corrupting the production code behind the check makes it fail.
 """
 
 import numpy as np
@@ -65,11 +65,50 @@ def _mistyped_bell_bras(k):
     return bras
 
 
+def _diagonal_entropy(rho):
+    """Entropy of the diagonal, not the spectrum: no longer unitarily invariant."""
+    return float(states.spectrum_entropy(np.diag(rho.elements).real))
+
+
+def _swapped_three_qubit_trace(rho, keep, f=v.partial_trace):
+    """``partial_trace``, except that a 3-qubit result has its first two qubits swapped."""
+    out = f(rho, keep)
+    if len(keep) != 3:
+        return out
+    swapped = out.elements.reshape((2,) * 6).transpose(1, 0, 2, 4, 3, 5).reshape(8, 8)
+    return states.DensityMatrix(swapped)
+
+
 def _mutations():
     cl_opt, ch_opt = classical._optimum, channels._optimum
     pur, trace = channels._purification, v.partial_trace
     matrix, ent = telecloning._fidelity_matrix, telecloning._entanglement
+    paulis = protocols.STANDARD_CORRECTION_MATRICES
+    swapped = {2: 3, 3: 2}
     return {
+        "core-norm-preservation": [
+            # every LocalOperator's matrix scaled off unitary by 1e-9
+            (states, "reduce", lambda f, xs, r=states.reduce: r(f, xs) * (1 + 1e-9)),
+        ],
+        "core-partial-trace-consistency": [
+            (v, "partial_trace", _swapped_three_qubit_trace),
+        ],
+        "core-entropy-bounds": [
+            (v, "von_neumann_entropy", _diagonal_entropy),
+        ],
+        "core-bell-completeness": [
+            (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
+        ],
+        "ensemble-entropy-decreasing": [
+            (ensembles, "spectrum_entropy", lambda p: 0.5),
+        ],
+        "ensemble-x-symmetry": [
+            # psi1 twice, so the mixture is no longer X-symmetric
+            (ensembles, "make_states", lambda ens, f=ensembles.make_states: (f(ens)[0],) * 2),
+        ],
+        "ensemble-overlap-grid": [
+            (v, "overlap", lambda ens, f=v.overlap: f(ens) + 1e-9),
+        ],
         "classical-strategy-ordering": [
             (classical, "_optimum", _shift_first(cl_opt, lambda t: -1e-9)),
             (classical, "_unambiguous", lambda t, f=classical._unambiguous: f(t) + 1e-9),
@@ -79,16 +118,6 @@ def _mutations():
         ],
         "classical-fuchs-peres-coincidence": [
             (classical, "_fuchs_peres", lambda t, f=classical._fuchs_peres: f(t) + 1e-8),
-        ],
-        "channel-combined-dominance": [
-            (channels, "_optimum", _shift_first(ch_opt, lambda t, a, f_cl: -1e-9)),
-        ],
-        "channel-classical-crossover": [
-            (channels, "_direct", lambda t, a: np.ones(np.broadcast(t, a).shape)),
-        ],
-        "channel-monotonicity": [
-            (channels, "_purification_unknown", lambda a: 2.0 / 3.0 - a),
-            (channels, "_average_direct", lambda a: 1.0 - a),
         ],
         "classical-evaluator-consistency": [
             (classical, "_biased_guess", lambda t, g, f=classical._biased_guess: f(t, g) + 1e-9),
@@ -100,8 +129,21 @@ def _mutations():
             # a 1.7e-3 bias, 11 standard errors at verify's default 10^6 samples
             (rng, "haar_bloch_z", lambda gen, n, f=rng.haar_bloch_z: 0.995 * f(gen, n)),
         ],
+        "channel-horodecki-identity": [
+            (channels, "singlet_fraction", lambda c, f=channels.singlet_fraction: f(c) + 1e-6),
+        ],
+        "channel-combined-dominance": [
+            (channels, "_optimum", _shift_first(ch_opt, lambda t, a, f_cl: -1e-9)),
+        ],
+        "channel-classical-crossover": [
+            (channels, "_direct", lambda t, a: np.ones(np.broadcast(t, a).shape)),
+        ],
         "channel-endpoint-reductions": [
             (channels, "_purification", lambda a, f_cl, f=pur: f(a, f_cl) + 1e-9),
+        ],
+        "channel-monotonicity": [
+            (channels, "_purification_unknown", lambda a: 2.0 / 3.0 - a),
+            (channels, "_average_direct", lambda a: 1.0 - a),
         ],
         "protocol-oracle-agreement": [
             (channels, "_direct", lambda t, a, f=channels._direct: f(t, a) + 1e-9),
@@ -126,6 +168,21 @@ def _mutations():
             (states, "_BELL_BRAS", _mistyped_bell_bras(2)),  # psi+ as phi+
             (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
         ],
+        "teleclone-universal-values": [
+            (telecloning, "_entanglement", lambda a, b, c, f=ent: f(a, b, c) + 1e-8),
+        ],
+        "teleclone-correction-exactness": [
+            # outcomes 2 and 3 corrected by each other's Pauli
+            (telecloning, "_CLONE_CORRECTIONS", {
+                k: states.LocalOperator.uniform(3, paulis[swapped.get(k, k)]) for k in paulis
+            }),
+        ],
+        "teleclone-clone-symmetry": [
+            # clone C left uncorrected
+            (telecloning, "_CLONE_CORRECTIONS", {
+                k: states.LocalOperator((m, m, states.PAULI_I)) for k, m in paulis.items()
+            }),
+        ],
         "teleclone-faithfulness": [
             (telecloning, "_fidelity_matrix", lambda t, f=matrix: f(t) * (1 + 1e-9)),
         ],
@@ -142,6 +199,16 @@ def _mutations():
     }
 
 
+# apply_local validates a state's norm to the check's own 1e-12, so no
+# corruption of the operators it applies reaches the check's comparison:
+# the check can only raise, which run_checks reports as FAIL
+CAN_ONLY_RAISE = {"core-norm-preservation": "state not normalized"}
+
+
+def test_every_registered_check_has_a_corruption_row():
+    assert list(_mutations()) == [name for name, _ in v.CHECKS]
+
+
 @pytest.mark.parametrize(
     "name,module,attr,mutant",
     [(name, *m) for name, ms in _mutations().items() for m in ms],
@@ -150,4 +217,8 @@ def _mutations():
 def test_fails_when_the_kernel_it_reads_is_corrupted(name, module, attr, mutant, monkeypatch):
     assert REGISTRY[name](CFG)[0]
     monkeypatch.setattr(module, attr, mutant)
-    assert not REGISTRY[name](CFG)[0]
+    if name in CAN_ONLY_RAISE:
+        with pytest.raises(ValueError, match=CAN_ONLY_RAISE[name]):
+            REGISTRY[name](CFG)
+    else:
+        assert not REGISTRY[name](CFG)[0]
