@@ -42,20 +42,18 @@ class ClassicalStrategy:
     guesses: tuple
 
     def __post_init__(self):
-        ops = []
-        for m in self.povm:
-            m = np.asarray(m, dtype=complex)
+        ops = [np.asarray(m, dtype=complex) for m in self.povm]
+        for m in ops:
             if m.shape != (2, 2):
                 raise ValueError(f"POVM elements must be 2x2, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError("POVM element has a non-finite entry")
-            if not np.abs(m - m.conj().T).max() <= 1e-12:
-                raise ValueError("POVM element not Hermitian")
-            if not float(np.linalg.eigvalsh(m).min()) >= _POVM_EIG_FLOOR:
-                raise ValueError("POVM element has a negative eigenvalue")
-            ops.append(m)
-        total = sum(ops)
-        if not np.abs(total - np.eye(2)).max() <= _POVM_SUM_ATOL:
+        stack = np.array(ops).reshape(-1, 2, 2)
+        if not np.isfinite(stack).all():
+            raise ValueError("POVM element has a non-finite entry")
+        if not (np.abs(stack - stack.conj().transpose(0, 2, 1)) <= 1e-12).all():
+            raise ValueError("POVM element not Hermitian")
+        if not (np.linalg.eigvalsh(stack) >= _POVM_EIG_FLOOR).all():
+            raise ValueError("POVM element has a negative eigenvalue")
+        if not np.abs(stack.sum(axis=0) - np.eye(2)).max() <= _POVM_SUM_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
         if len(self.guesses) != len(ops):
             raise ValueError("need exactly one guess state per POVM element")
@@ -79,13 +77,12 @@ def classical_fidelity(strategy: ClassicalStrategy, ens: TwoStateEnsemble) -> fl
     Evaluates (1/2) sum_i sum_j <psi_j|A_i|psi_j> |<psi_j|g_i>|^2 for the
     strategy's POVM {A_i} and guesses {g_i}.
     """
-    f = 0.0
-    for psi in make_states(ens):
-        a = psi.amplitudes
-        for m, g in zip(strategy.povm, strategy.guesses):
-            p = float(np.real(a.conj() @ m @ a))
-            f += 0.5 * p * float(abs(np.vdot(g.amplitudes, a)) ** 2)
-    return f
+    a = np.array([psi.amplitudes for psi in make_states(ens)])
+    g = np.array([g.amplitudes for g in strategy.guesses])
+    # p[s, i] = <psi_s|A_i|psi_s> and overlap[s, i] = |<g_i|psi_s>|^2
+    p = np.einsum("sj,ijk,sk->si", a.conj(), np.array(strategy.povm), a).real
+    overlap = np.abs(a @ g.conj().T) ** 2
+    return float(0.5 * (p * overlap).sum())
 
 
 def min_error_probability(ens: TwoStateEnsemble) -> float:

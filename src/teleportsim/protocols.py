@@ -182,7 +182,7 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
     for k, o in enumerate(outcomes):
         if o.post_state is not None:
             out = apply_local(spec.corrections[o.index], o.post_state)
-            fids[k] = fidelity(target, out if full else partial_trace(out.density(), kept))
+            fids[k] = fidelity(target, out if full else partial_trace(out, kept))
     probs = probs / probs.sum()
     counts = np.zeros(4, dtype=np.int64)
     for size, gen in chunks:

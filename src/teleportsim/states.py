@@ -8,7 +8,11 @@ significant bit of the amplitude index, e.g. ``|1>|0>`` has amplitudes
 
 Fixed operators are built once (a LocalOperator caches its read-only matrix;
 correction sets are module constants), and every object the public API
-returns still goes through its validating constructor.
+returns still goes through its validating constructor.  Validation happens
+where a state is returned, not on the way to it: ``partial_trace`` reduces a
+``PureState`` from its amplitudes and builds no full density matrix, so only
+the returned reduced state is validated, with every check it would get from
+the density route.
 """
 
 from __future__ import annotations
@@ -171,14 +175,23 @@ def _kept_qubits(keep: Iterable[int], n: int) -> list:
     return kept
 
 
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced state on the qubits in ``keep`` (ascending original order)."""
-    n = rho.n_qubits
+def partial_trace(state: PureState | DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
+    """Reduced state on the qubits in ``keep`` (ascending original order).
+
+    ``state`` is a DensityMatrix or a PureState.  A pure state is reduced as
+    M M^dagger, with M its amplitude tensor reshaped to (kept, traced), so
+    no density matrix of the whole state is built.
+    """
+    n = state.n_qubits
     kept = _kept_qubits(keep, n)
-    t = rho.elements.reshape([2] * (2 * n))
-    for q in sorted(set(range(n)) - set(kept), reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
+    traced = [q for q in range(n) if q not in kept]
     d = 2 ** len(kept)
+    if isinstance(state, PureState):
+        m = state.amplitudes.reshape([2] * n).transpose(kept + traced).reshape(d, -1)
+        return DensityMatrix(m @ m.conj().T)
+    t = state.elements.reshape([2] * (2 * n))
+    for q in reversed(traced):
+        t = np.trace(t, axis1=q, axis2=q + t.ndim // 2)
     return DensityMatrix(t.reshape(d, d))
 
 

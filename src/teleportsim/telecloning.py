@@ -164,22 +164,24 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
     Bell-measures (input, port) and applies the standard correction
     P x P x P on (ancilla, B, C) through the transfer operators T of
     ``protocol_spec(system)``, built once per system: with v_k = T[k] z,
-    outcome k has probability ||v_k||^2 and branch state v_k / ||v_k||, and
-    the clones are partial traces of sum_k v_k v_k^dagger.  Every corrected branch equals
-    x phi0 + y phi1 exactly, so the four outcome probabilities are 1/4
-    independent of the input.
+    outcome k has probability ||v_k||^2 and branch state v_k / ||v_k||.
+    The outcome register purifies the branch mixture sum_k v_k v_k^dagger,
+    so the clone pair is the partial trace of the pure state
+    sum_k |k> (x) v_k, and each clone is a partial trace of the pair.  Every
+    corrected branch equals x phi0 + y phi1 exactly, so the four outcome
+    probabilities are 1/4 independent of the input.
     """
     if input_state.n_qubits != 1:
         raise ValueError("telecloning input must be a single qubit")
     v = system._clone_spec.transfer @ input_state.amplitudes
     p = (np.abs(v) ** 2).sum(axis=1)
     per = tuple((float(pk), PureState(vk / np.sqrt(pk))) for pk, vk in zip(p, v))
-    rho = DensityMatrix(v.T @ v.conj())
+    joint = partial_trace(PureState(v), (3, 4))
     return TelecloneResult(
         per_outcome=per,
-        clone_b=partial_trace(rho, (1,)),
-        clone_c=partial_trace(rho, (2,)),
-        joint_clones=partial_trace(rho, (1, 2)),
+        clone_b=partial_trace(joint, (0,)),
+        clone_c=partial_trace(joint, (1,)),
+        joint_clones=joint,
     )
 
 

@@ -32,7 +32,6 @@ from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
-    apply_local,
     bell_measure,
     fidelity,
     partial_trace,
@@ -72,8 +71,9 @@ def check_norm_preservation(cfg):
     worst = 0.0
     for _ in range(20):
         psi = _random_state(rng, 3)
-        out = apply_local(_random_local_unitary(rng, 3), psi)
-        worst = max(worst, abs(float(np.vdot(out.amplitudes, out.amplitudes).real) - 1.0))
+        # the bare product: a PureState would reject a norm off by 1e-12 itself
+        out = _random_local_unitary(rng, 3).matrix() @ psi.amplitudes
+        worst = max(worst, abs(float(np.vdot(out, out).real) - 1.0))
     return worst <= 1e-12, f"max |norm-1| = {worst:.2e} (tol 1e-12)"
 
 
@@ -81,11 +81,11 @@ def check_partial_trace_consistency(cfg):
     rng = np.random.default_rng(cfg.seed + 1)
     worst = 0.0
     for _ in range(10):
-        rho = _random_state(rng, 4).density()
-        direct = partial_trace(rho, (0, 2))
-        stepped = partial_trace(partial_trace(rho, (0, 2, 3)), (0, 1))
+        psi = _random_state(rng, 4)
+        direct = partial_trace(psi, (0, 2))
+        stepped = partial_trace(partial_trace(psi.density(), (0, 2, 3)), (0, 1))
         worst = max(worst, float(np.abs(direct.elements - stepped.elements).max()))
-    return worst <= 1e-12, f"two-step vs one-step, max dev = {worst:.2e}"
+    return worst <= 1e-12, f"amplitudes vs two steps of the density, max dev = {worst:.2e}"
 
 
 def check_entropy_bounds(cfg):
@@ -93,7 +93,7 @@ def check_entropy_bounds(cfg):
     worst_inv = 0.0
     for _ in range(10):
         psi = _random_state(rng, 3)
-        rho = partial_trace(psi.density(), (0, 1))
+        rho = partial_trace(psi, (0, 1))
         s = von_neumann_entropy(rho)
         if not (0.0 <= s <= 2.0 + 1e-12):
             return False, f"entropy {s} outside [0, 2]"
@@ -111,11 +111,11 @@ def check_bell_completeness(cfg):
         outcomes = bell_measure(psi, (1, 2))
         worst_p = max(worst_p, abs(sum(o.probability for o in outcomes) - 1.0))
         mix = sum(
-            o.probability * o.post_state.density().elements
+            o.probability * np.outer(o.post_state.amplitudes, o.post_state.amplitudes.conj())
             for o in outcomes
             if o.post_state is not None
         )
-        reduced = partial_trace(psi.density(), (0, 3)).elements
+        reduced = partial_trace(psi, (0, 3)).elements
         worst_r = max(worst_r, float(np.abs(mix - reduced).max()))
     ok = worst_p <= 1e-12 and worst_r <= 1e-10
     return ok, f"prob-sum dev = {worst_p:.2e}, remainder-mix dev = {worst_r:.2e}"
@@ -354,9 +354,8 @@ def check_universal_telecloning(cfg):
         f = pr.enumerate_protocol_fidelity(psi, spec)
         if abs(f - 5.0 / 6.0) > 1e-9:
             return False, f"basis clone fidelity {f} != 5/6"
-    rho = system.state.density()
     worst = max(
-        float(np.abs(partial_trace(rho, (q,)).elements - np.eye(2) / 2).max())
+        float(np.abs(partial_trace(system.state, (q,)).elements - np.eye(2) / 2).max())
         for q in range(4)
     )
     ok = worst <= 1e-10
@@ -400,7 +399,7 @@ def check_teleclone_faithfulness(cfg):
         for psi in make_states(ens):
             enum += 0.5 * pr.enumerate_protocol_fidelity(psi, spec)
             out = tc.apply_cloner(psi, coeffs)
-            joint = partial_trace(out.density(), (1, 2))
+            joint = partial_trace(out, (1, 2))
             direct += 0.5 * fidelity(tensor(psi, psi), joint)
         worst_enum = max(worst_enum, abs(closed - enum))
         worst_direct = max(worst_direct, abs(closed - direct))
@@ -418,8 +417,8 @@ def check_two_state_sweep(cfg):
         return False, f"sandwich violated at theta = {thetas[k]}: {f_tc[k]} > {f_opt[k]}"
     worst = 0.0
     for coeffs, e in zip(map(tc.CloneCoeffs, a, b, c), ent):
-        rho = tc.TelecloningSystem(coeffs).state.density()
-        worst = max(worst, abs(e - von_neumann_entropy(partial_trace(rho, (2, 3)))))
+        state = tc.TelecloningSystem(coeffs).state
+        worst = max(worst, abs(e - von_neumann_entropy(partial_trace(state, (2, 3)))))
     max_ent, max_gap = float(ent.max()), float((f_opt - f_tc).max())
     ok = worst <= 1e-12 and max_ent < LOG2_3 and max_gap > 1e-3
     detail = f"closed-form vs traced entanglement dev = {worst:.2e}, max {max_ent:.4f} < log2(3)"
@@ -443,7 +442,7 @@ _MISQUOTED_JOINT_CLONES = np.array(
 def check_joint_clones_matrix(cfg):
     s_closed = von_neumann_entropy(DensityMatrix(_MISQUOTED_JOINT_CLONES))
     system = tc.TelecloningSystem(tc.universal_coeffs())
-    s_traced = von_neumann_entropy(partial_trace(system.state.density(), (2, 3)))
+    s_traced = von_neumann_entropy(partial_trace(system.state, (2, 3)))
     ok = (
         abs(s_closed - 1.2075187496394215) <= 1e-9
         and abs(s_traced - LOG2_3) <= 1e-9

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,25 @@ class TestStrategyValidation:
             ClassicalStrategy(
                 povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), guesses=(psi1,)
             )
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.eye(3) / 3, "POVM elements must be 2x2, got (3, 3)"),
+            (np.diag([np.nan, 0.0]), "POVM element has a non-finite entry"),
+            (np.array([[0.5, 0.1], [0.0, 0.0]]), "POVM element not Hermitian"),
+            (np.diag([1.5, -0.5]), "POVM element has a negative eigenvalue"),
+            (np.diag([0.5, 0.5]), "POVM elements do not sum to the identity"),
+        ],
+        ids=["shape", "non-finite", "non-hermitian", "negative-eigenvalue", "sum"],
+    )
+    def test_names_the_defect_of_an_element_behind_valid_ones(self, bad, message):
+        # the elements are checked as one stack, so the defect is in the middle
+        psi1, psi2 = make_states(PI4)
+        valid = (np.diag([0.5, 0.0]), np.diag([0.5, 0.0]), np.diag([0.0, 1.0]))
+        ClassicalStrategy(povm=valid, guesses=(psi1, psi1, psi2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ClassicalStrategy(povm=(valid[0], bad, valid[2]), guesses=(psi1, psi1, psi2))
 
     def test_optimized_strategy_reproduces_report(self):
         strat = optimized_strategy(PI4)

@@ -1,12 +1,16 @@
 """Property tests over theta in [0, pi/2] and alpha in [0, 1/sqrt(2)].
 
-The classical and channel closed forms, and the telecloning closed forms
-against the protocol and the resource's partial trace.  Hypothesis runs
-derandomized, so every run draws the same examples.
+The classical and channel closed forms, the telecloning closed forms
+against the protocol and the resource's partial trace, and the partial
+trace of a pure state from its amplitudes against its density matrix.
+Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+from itertools import combinations
+
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from teleportsim.channels import (
@@ -21,7 +25,7 @@ from teleportsim.channels import (
 from teleportsim.classical import classical_sweep, fidelity_optimized
 from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.protocols import enumerate_protocol_fidelity
-from teleportsim.states import fidelity, partial_trace, tensor, von_neumann_entropy
+from teleportsim.states import PureState, fidelity, partial_trace, tensor, von_neumann_entropy
 from teleportsim.telecloning import (
     CloneCoeffs,
     TelecloningSystem,
@@ -123,3 +127,37 @@ def test_any_coefficients_match_direct_cloner(theta, phi, chi):
     assert abs(f - enum) < 1e-12
     traced = von_neumann_entropy(partial_trace(system.state.density(), (2, 3)))
     assert abs(ent - traced) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(2, 5), support=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+@example(n=2, support=1, seed=0)  # a product state, rank-one reductions
+@example(n=5, support=32, seed=0)
+def test_pure_state_reduces_as_its_density_matrix(n, support, seed):
+    # complex amplitudes on the first ``support`` basis states
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    z[support:] = 0.0
+    psi = PureState(z / np.linalg.norm(z))
+    rho = psi.density()
+    for size in range(1, n):
+        for kept in combinations(range(n), size):
+            for keep in (kept, kept[::-1], tuple(rng.permutation(kept))):
+                pure, dense = partial_trace(psi, keep), partial_trace(rho, keep)
+                assert np.abs(pure.elements - dense.elements).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(2, 5), keep=st.lists(st.integers(-1, 5), max_size=6))
+@example(n=2, keep=[])
+@example(n=3, keep=[2, 0, 1])
+@example(n=3, keep=[3])
+@example(n=2, keep=[-1, 0])
+def test_invalid_keep_raises_the_same_error_for_both_inputs(n, keep):
+    assume(not (0 < len(set(keep)) < n and all(0 <= q < n for q in keep)))
+    psi = PureState(np.full(2**n, 2 ** (-n / 2)))
+    with pytest.raises(ValueError) as pure:
+        partial_trace(psi, keep)
+    with pytest.raises(ValueError) as dense:
+        partial_trace(psi.density(), keep)
+    assert str(pure.value) == str(dense.value)

@@ -6,6 +6,8 @@ channel per grid point.  Every registered check has a row in the table
 below: corrupting the production code behind the check makes it fail.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ def _swapped_three_qubit_trace(rho, keep, f=v.partial_trace):
     return states.DensityMatrix(swapped)
 
 
+def _transposed_pure_trace(state, keep, f=v.partial_trace):
+    """``partial_trace``, except that a pure state is reduced as conj(M) M^T, the transpose."""
+    if isinstance(state, states.PureState):
+        return f(states.PureState(state.amplitudes.conj()), keep)
+    return f(state, keep)
+
+
 def _mutations():
     cl_opt, ch_opt = classical._optimum, channels._optimum
     pur, trace = channels._purification, v.partial_trace
@@ -91,7 +100,8 @@ def _mutations():
             (states, "reduce", lambda f, xs, r=states.reduce: r(f, xs) * (1 + 1e-9)),
         ],
         "core-partial-trace-consistency": [
-            (v, "partial_trace", _swapped_three_qubit_trace),
+            (v, "partial_trace", _swapped_three_qubit_trace),  # the density route only
+            (v, "partial_trace", _transposed_pure_trace),  # the amplitude route only
         ],
         "core-entropy-bounds": [
             (v, "von_neumann_entropy", _diagonal_entropy),
@@ -199,12 +209,6 @@ def _mutations():
     }
 
 
-# apply_local validates a state's norm to the check's own 1e-12, so no
-# corruption of the operators it applies reaches the check's comparison:
-# the check can only raise, which run_checks reports as FAIL
-CAN_ONLY_RAISE = {"core-norm-preservation": "state not normalized"}
-
-
 def test_every_registered_check_has_a_corruption_row():
     assert list(_mutations()) == [name for name, _ in v.CHECKS]
 
@@ -217,8 +221,32 @@ def test_every_registered_check_has_a_corruption_row():
 def test_fails_when_the_kernel_it_reads_is_corrupted(name, module, attr, mutant, monkeypatch):
     assert REGISTRY[name](CFG)[0]
     monkeypatch.setattr(module, attr, mutant)
-    if name in CAN_ONLY_RAISE:
-        with pytest.raises(ValueError, match=CAN_ONLY_RAISE[name]):
-            REGISTRY[name](CFG)
-    else:
-        assert not REGISTRY[name](CFG)[0]
+    assert not REGISTRY[name](CFG)[0]
+
+
+def test_only_the_partial_trace_check_builds_three_or_four_qubit_density_matrices(monkeypatch):
+    # every other reduction starts from amplitudes, so no 8x8 or 16x16 is built
+    running, built = [None], []
+    post_init = states.DensityMatrix.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append((running[0], self.elements.shape[0]))
+
+    def entered(name, fn):
+        def check(cfg):
+            running[0] = name
+            return fn(cfg)
+
+        return check
+
+    monkeypatch.setattr(states.DensityMatrix, "__post_init__", counted)
+    monkeypatch.setattr(v, "CHECKS", tuple((name, entered(name, fn)) for name, fn in v.CHECKS))
+    assert all(result.passed for result in v.run_checks(CFG))
+    # only the density route of core-partial-trace-consistency: ten 4-qubit
+    # states, each traced to 3 qubits
+    large = Counter((name, dim) for name, dim in built if dim >= 8)
+    assert large == {
+        ("core-partial-trace-consistency", 16): 10,
+        ("core-partial-trace-consistency", 8): 10,
+    }
