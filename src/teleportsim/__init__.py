@@ -23,7 +23,6 @@ from .channels import (
 )
 from .classical import (
     ClassicalStrategy,
-    DegenerateEnsembleError,
     StrategyReport,
     classical_fidelity,
     classical_sweep,

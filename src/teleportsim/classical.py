@@ -30,10 +30,6 @@ _POVM_SUM_ATOL = 1e-10
 _POVM_EIG_FLOOR = -1e-12
 
 
-class DegenerateEnsembleError(ValueError):
-    """Raised when theta = pi/2 makes the two signal states identical."""
-
-
 @dataclass(frozen=True, eq=False)
 class ClassicalStrategy:
     """A POVM together with the receiver's guess for each outcome."""
@@ -122,15 +118,11 @@ def _guess_angle(theta):
 def optimal_guess_angle(ens: TwoStateEnsemble) -> float:
     """Guess angle maximizing the biased-guess fidelity: arctan(sin/cos^2).
 
-    Raises DegenerateEnsembleError at theta = pi/2, where the signal states
-    coincide and the angle is undefined (cos^2 theta = 0).
+    Where cos^2 theta < 1e-15 the formula is undefined; there the signal
+    states (nearly) coincide and the unique maximizer is pi/2, the guess
+    ``fidelity_optimized`` reports.
     """
-    g, degenerate = _guess_angle(ens.theta)
-    if degenerate:
-        raise DegenerateEnsembleError(
-            "theta = pi/2: the two states are identical, guess angle undefined"
-        )
-    return float(g)
+    return float(_optimum(ens.theta)[1])
 
 
 def _biased_guess(theta, g):
@@ -214,13 +206,14 @@ def unknown_state_classical_fidelity(samples: int, seed: int) -> float:
     Haar-uniform inputs are measured in the computational basis and the
     measured basis state is prepared.  An input with Bloch z component r_z
     gives outcome 0 with probability u = (1 + r_z)/2, so it scores
-    u^2 + (1 - u)^2 = (1 + r_z^2)/2; only r_z is drawn
-    (``rng.haar_bloch_z``, the same draws
+    u^2 + (1 - u)^2 = (1 + r_z^2)/2; only r_z is drawn (``rng.haar_bloch_z``,
+    chunk after chunk from one generator seeded by ``seed``: the draws
     ``protocols.mc_haar_average_fidelity`` scores).  The average converges
     to 2/3.  Like both protocol estimators it takes at least 100 samples.
     """
+    sizes, gen = rngmod._chunks(samples, seed)
     total = 0.0
-    for size, gen in rngmod._chunks(samples, seed):
+    for size in sizes:
         rz = rngmod.haar_bloch_z(gen, size)
         # 0.5 * (1.0 + rz**2), evaluated in place in that order
         rz *= rz

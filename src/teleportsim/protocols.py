@@ -164,11 +164,12 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
     applies ``spec.corrections[k]`` to each post-state and scores it with
     ``states.fidelity`` against the input copied onto each of the spec's
     evaluation targets, after a ``partial_trace`` onto them when they are a
-    proper subset; a branch with no post-state scores 0.  Bell outcomes are
-    then sampled from their distribution in fixed-size chunks with split
-    seeds, so results are bit-identical for a given (samples, seed) pair.
+    proper subset; a branch with no post-state scores 0.  The ``samples``
+    Bell outcomes are then drawn from their distribution in one multinomial
+    draw from the seeded generator, so results are bit-identical for a given
+    (samples, seed) pair.
     """
-    chunks = rngmod._chunks(samples, seed)
+    _, gen = rngmod._chunks(samples, seed)
     if input_state.n_qubits != 1:
         raise ValueError("protocol input must be a single qubit")
     kept = spec.evaluation_targets
@@ -184,9 +185,7 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
             out = apply_local(spec.corrections[o.index], o.post_state)
             fids[k] = fidelity(target, out if full else partial_trace(out, kept))
     probs = probs / probs.sum()
-    counts = np.zeros(4, dtype=np.int64)
-    for size, gen in chunks:
-        counts += gen.multinomial(size, probs)
+    counts = gen.multinomial(samples, probs)
     mean = float(counts @ fids) / samples
     var = float(counts @ (fids - mean) ** 2) / max(samples - 1, 1)
     return mean, float(np.sqrt(var / samples))
@@ -219,6 +218,8 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     one is not, so no dependence on r_x or r_y is dropped.  Like the rest of
     the module it uses no closed form for the average, and at alpha = 0 it
     scores the same r_z draws as ``classical.unknown_state_classical_fidelity``.
+    The r_z draws are ``rng.haar_bloch_z(default_rng(seed), samples)``, taken
+    in successive chunks from the one generator.
     The mean is the sum of chunk sums over ``samples``; the variance merges
     each chunk's centred sum of squares in fixed chunk order
     (Chan-Golub-LeVeque), so a near-constant fidelity gives a stderr near
@@ -227,16 +228,16 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     (f - mean)^2 in that order, so each result is bit-identical to those
     expressions.  Returns (mean, stderr).
     """
-    chunks = rngmod._chunks(samples, seed)
+    sizes, gen = rngmod._chunks(samples, seed)
     q = _bloch_quadratic_form(standard_teleportation(channel).transfer)
     if np.any(q[1:3]) or np.any(q[:, 1:3]):
         raise RuntimeError("the Haar score depends on r_x or r_y, but only r_z is drawn")
     q00, lin_z, q33 = q[0, 0], 2.0 * q[0, 3], q[3, 3]
-    buf = np.empty(chunks[0][0])
+    buf = np.empty(sizes[0])
     total = 0.0
     m2 = 0.0
     done = 0
-    for size, gen in chunks:
+    for size in sizes:
         z = rngmod.haar_bloch_z(gen, size)
         f = np.multiply(z, q33, out=buf[:size])
         f += lin_z

@@ -1,17 +1,17 @@
 """Deterministic random-number plumbing.
 
-All Monte Carlo entry points take an integer seed >= 0.  Independent
-substreams are derived by seed splitting (``numpy.random.SeedSequence.spawn``)
-and partial results are reduced in fixed substream order, so results are
-bit-identical for a given (seed, samples) pair regardless of how the work
-is scheduled.  The generator is numpy's default PCG64; the name below is
-recorded in CSV metadata emitted by the CLI.
+All Monte Carlo entry points take an integer seed >= 0 and draw from one
+``numpy.random.default_rng(seed)``: numpy's default PCG64, seeded through a
+``SeedSequence``.  The name below is recorded in CSV metadata emitted by
+the CLI.  Draws are taken chunk after chunk from that one generator, so the
+chunk partition bounds memory and fixes the summation order, not which
+numbers are drawn.
 
 Reproducibility: a seeded result is bit-identical for a given
-``(samples, seed)`` within one version of the package.  The seed splitting,
-the generator, ``DEFAULT_CHUNK`` and the chunk partition are fixed; a change
-to how a sampler turns uniforms into inputs may move seeded values once, and
-the changelog lists every value that moved.  The Haar estimators score each
+``(samples, seed)`` within one version of the package.  The generator,
+``DEFAULT_CHUNK`` and the chunk partition are fixed; a change to how a
+sampler turns uniforms into inputs may move seeded values once, and the
+changelog lists every value that moved.  The Haar estimators score each
 chunk in place, overwriting the array ``haar_bloch_z`` returns, with the
 same IEEE operations in the same order as the out-of-place expressions they
 replaced, so that rewrite moved no seeded value.
@@ -26,23 +26,13 @@ GENERATOR_NAME = "numpy-pcg64-seedsequence"
 DEFAULT_CHUNK = 1 << 16
 
 
-def substreams(seed: int, count: int):
-    """``count`` independent generators split from one seed.
-
-    ``seed`` must be an integer >= 0; a bool or a float, even an integral
-    one, raises ValueError.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
-
-
 def chunk_sizes(total: int):
     """Fixed partition of ``total`` samples: full ``DEFAULT_CHUNK`` chunks, then the rest.
 
-    Every estimator draws one substream per chunk, so this partition fixes
-    which draws a seeded result uses.  ``total`` must be an integer >= 1; a
-    bool or a float, even an integral one, raises ValueError.
+    Every estimator sums chunk by chunk in this order, so the partition fixes
+    how a seeded result is rounded, not which numbers it draws.  ``total``
+    must be an integer >= 1; a bool or a float, even an integral one, raises
+    ValueError.
     """
     if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
         raise ValueError(f"samples must be an integer, got {total!r}")
@@ -55,16 +45,20 @@ def chunk_sizes(total: int):
 
 
 def _chunks(samples: int, seed: int):
-    """[(size, generator), ...]: one substream per chunk of ``samples`` draws.
+    """(sizes, generator): the chunk partition of ``samples`` and one generator seeded by ``seed``.
 
-    The set-up every estimator shares.  It checks, in this order and before
-    any draw, that ``samples`` is an integer (``chunk_sizes``), that it is
-    >= 100, and that ``seed`` is valid (``substreams``).
+    The set-up every estimator shares, and the one place a seed becomes a
+    generator.  It checks, in this order and before any draw, that
+    ``samples`` is an integer (``chunk_sizes``), that it is >= 100, and that
+    ``seed`` is an integer >= 0; a bool or a float seed, even an integral
+    one, raises ValueError.
     """
     sizes = chunk_sizes(samples)
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    return list(zip(sizes, substreams(seed, len(sizes))))
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return sizes, np.random.default_rng(seed)
 
 
 def haar_bloch_z(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -304,7 +304,7 @@ def check_haar_average(cfg):
     dev = abs(mean - ch.average_fidelity_direct(c))
     # the score is even in r_z, so only an odd moment of the draws tells a
     # one-hemisphere draw from the sphere: E[r_z] = 0, Var[r_z] = 1/3
-    mean_z = abs(rngmod.haar_bloch_z(rngmod.substreams(cfg.seed, 1)[0], 10_000).mean())
+    mean_z = abs(rngmod.haar_bloch_z(np.random.default_rng(cfg.seed), 10_000).mean())
     bound_z = 4 * np.sqrt(1 / (3 * 10_000))
     ok = dev <= 4 * stderr and mean_z <= bound_z
     return ok, (

@@ -154,12 +154,16 @@ def _mc_haar_reference(channel, samples, seed):
     """(mean, stderr) of Haar-input teleportation, one Bell vector at a time."""
     resource = channel_state(channel).amplitudes
     corrs = [STANDARD_CORRECTION_MATRICES[k] for k in (1, 2, 3, 4)]
-    sizes = rngmod.chunk_sizes(samples)
+    # every r_z first, then the azimuths: the estimator's r_z draws are the
+    # first ``samples`` uniforms of the same generator
+    draws = haar_bloch(np.random.default_rng(seed), samples)
     total = 0.0
     total_sq = 0.0
-    for size, gen in zip(sizes, rngmod.substreams(seed, len(sizes))):
+    start = 0
+    for size in rngmod.chunk_sizes(samples):
         # the amplitudes of the same Bloch-vector draws the estimator scores
-        r = haar_bloch(gen, size)
+        r = draws[start : start + size]
+        start += size
         phase = np.exp(1j * np.arctan2(r[:, 1], r[:, 0]))
         z = np.stack(
             [np.sqrt((1 + r[:, 2]) / 2), phase * np.sqrt((1 - r[:, 2]) / 2)], axis=1
@@ -182,12 +186,12 @@ def _mc_haar_full_sphere(channel, samples, seed):
     """(mean, stderr) scoring (1, r) Q (1, r)^T on whole Bloch vectors r."""
     q = protocols._bloch_quadratic_form(_transfer_operators(channel))
     q00, lin, quad = q[0, 0], 2.0 * q[0, 1:], q[1:, 1:]
-    sizes = rngmod.chunk_sizes(samples)
+    draws = haar_bloch(np.random.default_rng(seed), samples)
     total = 0.0
     m2 = 0.0
     done = 0
-    for size, gen in zip(sizes, rngmod.substreams(seed, len(sizes))):
-        r = haar_bloch(gen, size).T
+    for size in rngmod.chunk_sizes(samples):
+        r = draws[done : done + size].T
         # f = q00 + r . (2 q_0 + Q_rr r), with Q_rr = q[1:, 1:]
         f = q00 + np.einsum("jm,jm->m", r, quad @ r + lin[:, None])
         s = float(f.sum())

@@ -23,6 +23,7 @@ from teleportsim.protocols import (
     mc_protocol_fidelity,
     standard_teleportation,
 )
+from teleportsim import rng as rngmod
 from teleportsim.rng import chunk_sizes
 from teleportsim.states import PAULI_I, PAULI_Z, LocalOperator, PureState, fidelity, tensor
 from teleportsim.telecloning import (
@@ -394,6 +395,60 @@ class TestSampleCounts:
         assert chunk_sizes(1) == [1]
         assert chunk_sizes(65_536) == [65_536]
         assert chunk_sizes(200_000) == [65_536] * 3 + [3_392]
+
+
+class TestOneStream:
+    """Each call draws from one ``default_rng(seed)``; the chunks fix only the summation order."""
+
+    SAMPLES = 200_000  # three full chunks and a partial one
+
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_protocol_mc_does_not_depend_on_the_chunk_size(self, seed, monkeypatch):
+        run = _estimators(seed)["protocol"]
+        default = run(self.SAMPLES)
+        monkeypatch.setattr(rngmod, "DEFAULT_CHUNK", 1000)
+        assert run(self.SAMPLES) == default
+
+    @pytest.mark.parametrize("estimator", ["haar", "unknown"])
+    @pytest.mark.parametrize("seed", [1, 7919])
+    def test_haar_means_depend_on_the_chunk_size_only_through_rounding(
+        self, estimator, seed, monkeypatch
+    ):
+        run = _estimators(seed)[estimator]
+        # the Haar protocol estimator returns (mean, stderr)
+        default = np.ravel(run(self.SAMPLES))[0]
+        monkeypatch.setattr(rngmod, "DEFAULT_CHUNK", 1000)
+        small = np.ravel(run(self.SAMPLES))[0]
+        assert abs(small - default) <= 1e-15 * abs(default)
+
+    @pytest.mark.parametrize("estimator", ["haar", "unknown"])
+    @pytest.mark.parametrize("samples", [100, 65_537, 200_000])
+    def test_haar_draws_are_one_stream_cut_into_chunks(self, estimator, samples, monkeypatch):
+        expected = rngmod.haar_bloch_z(np.random.default_rng(99), samples)
+        drawn = []
+
+        def recorded(gen, count, f=rngmod.haar_bloch_z):
+            z = f(gen, count)
+            drawn.append(z.copy())  # the estimator overwrites z in place
+            return z
+
+        monkeypatch.setattr(rngmod, "haar_bloch_z", recorded)
+        _estimators(99)[estimator](samples)
+        assert [len(z) for z in drawn] == chunk_sizes(samples)
+        assert np.array_equal(np.concatenate(drawn), expected)
+
+    @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
+    def test_each_call_builds_one_generator(self, estimator, monkeypatch):
+        built = []
+
+        def counted(*args, f=np.random.default_rng):
+            built.append(args)
+            return f(*args)
+
+        run = _estimators(5)[estimator]
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        run(self.SAMPLES)
+        assert built == [(5,)]
 
 
 class TestCorrectionsTable:

@@ -41,7 +41,6 @@ PUBLIC = frozenset(
         "source_entropy",
         # classical
         "ClassicalStrategy",
-        "DegenerateEnsembleError",
         "StrategyReport",
         "classical_fidelity",
         "classical_sweep",

@@ -171,8 +171,9 @@ def _mutations():
             (rng, "haar_bloch_z", lambda gen, n: gen.random(n)),
         ],
         "protocol-reproducibility": [
-            # substreams seeded from fresh OS entropy instead of the seed
-            (rng, "substreams", lambda seed, n: [np.random.default_rng() for _ in range(n)]),
+            # the generator seeded from fresh OS entropy instead of the seed
+            (rng, "_chunks",
+             lambda n, seed, f=rng._chunks: (f(n, seed)[0], np.random.default_rng())),
         ],
         "protocol-probability-sanity": [
             (states, "_BELL_BRAS", _mistyped_bell_bras(2)),  # psi+ as phi+
