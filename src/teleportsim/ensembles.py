@@ -12,6 +12,7 @@ The channel is the pure resource alpha|00> + beta|11> with real
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ class Channel:
 
     @property
     def beta(self) -> float:
-        return float(np.sqrt(1.0 - self.alpha**2))
+        return math.sqrt(1.0 - self.alpha**2)
 
 
 def _checked_grid(values, upper: float, name: str, interval: str) -> np.ndarray:

@@ -13,16 +13,23 @@ the input z to the corrected, unnormalised output v_k = T[k] z, with
 probability p_k = ||v_k||^2.  A ``ProtocolSpec`` builds its T
 (4 x d_out x 2, read-only) once, at construction, from one contraction of
 the Bell bras with the resource (``states._bell_transfer``).  Every
-evaluated qubit is scored against a copy of the input, so with n_t
-evaluated qubits the score is a contraction on T,
+evaluated qubit is scored against a copy of the input.  An evaluation reads
+T at call time as a (4, 2^rest, 2^kept, 2) view, the output qubits split
+into the unscored rest and the n_t evaluated ones (a reshape, plus a
+transpose only when a rest qubit follows an evaluated one), and contracts
+it twice:
 
-    w_k = ||(I_rest (x) <z|^{(x) n_t}) T[k] z||^2,
+    v = view @ z,    s = v @ conj(z)^{(x) n_t},
 
-which is |<z|^{(x) n_t} T[k] z|^2 when every output qubit is evaluated; the
-protocol fidelity is sum_k w_k and the branch fidelity w_k / p_k.  No branch
-is renormalised.  The Haar Monte Carlo scores every sampled input z as
-sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector that, for the
-standard protocol, depends on r_z alone.
+so v_k = T[k] z and s_k = (I_rest (x) <z|^{(x) n_t}) v_k for all four
+outcomes at once.  ||v||^2 = sum_k p_k is checked to be 1 within 1e-12,
+and the protocol fidelity sum_k w_k, with w_k = ||s_k||^2 (which is
+|<z|^{(x) n_t} v_k|^2 when every output qubit is evaluated), is ||s||^2,
+one ``vdot``.  The branch table (``_branch_weights``) reduces the same v
+and s per outcome, and the branch fidelity is w_k / p_k.  No branch is
+renormalised and no per-branch state is built.  The Haar Monte Carlo
+scores every sampled input z as sum_k |<z|T[k]|z>|^2, a quadratic form in
+its Bloch vector that, for the standard protocol, depends on r_z alone.
 
 The protocol Monte Carlo (``mc_protocol_fidelity``) reads no T: it
 Bell-measures input (x) resource state by state, corrects each post-state
@@ -75,14 +82,15 @@ class ProtocolSpec:
     """A measure-and-correct protocol over ``input (x) resource_state``.
 
     The input is one qubit, Bell-measured together with the resource's first
-    qubit.  ``corrections`` maps each Bell outcome 1..4 to a LocalOperator
-    on the resource's other qubits, the output; ``evaluation_targets``
-    selects the output qubits (indexed from 0) that are scored, all of them
-    or a proper subset, given in any order and stored in ascending order.
-    Each evaluated qubit is scored against the input itself, so the order
-    of ``evaluation_targets`` cannot change a score.  ``transfer``
-    holds the read-only transfer operators T (4 x d_out x 2), built at
-    construction.
+    qubit.  ``resource_state`` must be a PureState.  ``corrections`` maps
+    each Bell outcome 1..4 to a LocalOperator on the resource's other
+    qubits, the output (a bare matrix is rejected with an error naming its
+    outcome); ``evaluation_targets`` selects the output qubits (indexed
+    from 0) that are scored, all of them or a proper subset, given in any
+    order and stored in ascending order.  Each evaluated qubit is scored
+    against the input itself, so the order of ``evaluation_targets`` cannot
+    change a score.  ``transfer`` holds the read-only transfer operators T
+    (4 x d_out x 2), built at construction.
     """
 
     resource_state: PureState
@@ -95,9 +103,12 @@ class ProtocolSpec:
         if missing:
             raise ValueError(f"corrections missing for outcomes {sorted(missing)}")
         object.__setattr__(self, "corrections", dict(self.corrections))
-        t = _bell_transfer(self.resource_state, self.corrections)
+        resource = self.resource_state
+        if not isinstance(resource, PureState):
+            raise ValueError(f"resource must be a PureState, got {type(resource).__name__}")
+        t = _bell_transfer(resource, self.corrections)
         n = _n_qubits_for(t.shape[1])
-        targets = tuple(sorted(int(q) for q in self.evaluation_targets))
+        targets = tuple(sorted(map(int, self.evaluation_targets)))
         if len(set(targets)) != len(targets):
             raise ValueError(f"dimension mismatch: evaluation_targets {targets} repeat a qubit")
         if targets != tuple(range(n)):
@@ -115,33 +126,46 @@ def standard_teleportation(channel: Channel) -> ProtocolSpec:
     )
 
 
-def _branch_weights(spec: ProtocolSpec, inputs: np.ndarray):
-    """(p, w), each (m, 4), for the m one-qubit input rows z of ``inputs``.
+def _scored(spec: ProtocolSpec, z: np.ndarray):
+    """(v, s) for the one-qubit input amplitudes ``z``: v_k = T[k] z and its score s_k.
 
-    With v_k = T[k] z: p_k = ||v_k||^2 and w_k = ||(I_rest (x) <z|^{(x) n_t}) v_k||^2,
-    where the n_t copies of z sit on ``spec.evaluation_targets`` (validated
-    by the spec).  Each input's probabilities must sum to 1 within 1e-12.
+    ``spec.transfer`` is read as a (4, 2^rest, 2^kept, 2) view, the output
+    qubits split into the unscored rest and the evaluation targets (a
+    reshape, plus a transpose when a rest qubit follows a target), so
+    v = view @ z is (4, 2^rest, 2^kept) and s_k = (I_rest (x) <z|^{(x) n_t}) v_k
+    is (4, 2^rest).  The input's total probability ||v||^2 must be 1 within
+    1e-12.
     """
-    t = spec.transfer
-    if inputs.shape[1] != t.shape[2]:
+    if z.shape != (2,):
         raise ValueError("protocol input must be a single qubit")
-    kept = list(spec.evaluation_targets)
-    n = _n_qubits_for(t.shape[1])
-    rest = [q for q in range(n) if q not in kept]
-    m = len(inputs)
-    v = (t @ inputs.T).transpose(2, 0, 1)
-    p = (np.abs(v) ** 2).sum(axis=2)
-    for total in p.sum(axis=1).tolist():
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
-    copies = inputs
+    t = spec.transfer
+    kept = spec.evaluation_targets
+    d = t.shape[1]
+    n = d.bit_length() - 1
+    if kept[0] != n - len(kept):
+        rest = [q for q in range(n) if q not in kept]
+        axes = [q + 1 for q in rest + list(kept)]
+        t = t.reshape([4] + [2] * n + [2]).transpose([0] + axes + [n + 1])
+    v = t.reshape(4, d >> len(kept), 1 << len(kept), 2) @ z
+    total = float(np.vdot(v, v).real)
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")
+    bra = z.conj()
+    copies = bra
     for _ in kept[1:]:
-        copies = np.einsum("ja,jb->jab", copies, inputs).reshape(m, -1)
-    # (m, 4, 2^rest, 2^kept): each branch's amplitudes, rest qubits by scored qubits
-    split = v.reshape([m, 4] + [2] * n).transpose([0, 1] + [q + 2 for q in rest + kept])
-    scored = split.reshape(m, 4, 2 ** len(rest), -1) @ copies.conj()[:, None, :, None]
-    w = (np.abs(scored) ** 2).sum(axis=(2, 3))
-    return p, w
+        copies = (copies[:, None] * bra).ravel()
+    return v, v @ copies
+
+
+def _branch_weights(spec: ProtocolSpec, z: np.ndarray):
+    """(p, w), each (4,), for the one-qubit input amplitudes ``z``, one entry per outcome.
+
+    The per-outcome reduction of ``_scored``: p_k = ||v_k||^2 and
+    w_k = ||s_k||^2 = ||(I_rest (x) <z|^{(x) n_t}) v_k||^2, where the n_t
+    copies of z sit on ``spec.evaluation_targets`` (validated by the spec).
+    """
+    v, s = _scored(spec, z)
+    return (np.abs(v) ** 2).sum(axis=(1, 2)), (np.abs(s) ** 2).sum(axis=1)
 
 
 def enumerate_protocol_fidelity(input_state: PureState, spec: ProtocolSpec) -> float:
@@ -149,10 +173,13 @@ def enumerate_protocol_fidelity(input_state: PureState, spec: ProtocolSpec) -> f
 
     Each of the spec's evaluated qubits is scored against the input: the
     received qubit against psi for teleportation, the clone pair against
-    psi (x) psi for ``telecloning.protocol_spec``.
+    psi (x) psi for ``telecloning.protocol_spec``.  The sum is taken in one
+    step as ||s||^2 over the scores s of ``_scored``.
     """
-    _, w = _branch_weights(spec, input_state.amplitudes[None])
-    return float(w.sum())
+    if not isinstance(input_state, PureState):
+        raise ValueError(f"protocol input must be a PureState, got {type(input_state).__name__}")
+    s = _scored(spec, input_state.amplitudes)[1]
+    return float(np.vdot(s, s).real)
 
 
 def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: int, seed: int):
@@ -170,6 +197,8 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
     (samples, seed) pair.
     """
     _, gen = rngmod._chunks(samples, seed)
+    if not isinstance(input_state, PureState):
+        raise ValueError(f"protocol input must be a PureState, got {type(input_state).__name__}")
     if input_state.n_qubits != 1:
         raise ValueError("protocol input must be a single qubit")
     kept = spec.evaluation_targets

@@ -52,6 +52,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# <Bell_k|b j> indexed (k, j, b): a resource reshaped to (d_out, 2) times this
+# stack is every basis residual in the (k, out, b) layout of a transfer operator
+_BELL_BRAS_JB = _read_only(np.ascontiguousarray(_BELL_BRAS.reshape(4, 2, 2).transpose(0, 2, 1)))
+
+
 def _n_qubits_for(dim: int) -> int:
     n = int(dim).bit_length() - 1
     if dim < 2 or 2**n != dim:
@@ -244,25 +249,29 @@ def _bell_transfer(resource: PureState, corrections) -> np.ndarray:
     outcome k maps the input z to its corrected, unnormalised output
     ``T[k] @ z`` on the resource's other qubits.  For the basis input |b> the
     residual of outcome k is sum_j <Bell_k|b j> resource[j, :], so one
-    contraction of the Bell bras (as 4 x 2 x 2) with the resource (as
-    2 x d_out) gives every residual, and the stacked ``corrections[k]`` act
-    on outcome k.  Every basis branch of weight above 1e-30 is checked to
-    stay normalised within 1e-12, the check that a validated post-state
-    makes.
+    product of the resource (as d_out x 2) with the Bell bras (as
+    4 x 2 x 2, indexed k, j, b) gives every residual already in T's
+    (k, out, b) layout, and the stacked ``corrections[k]`` act on outcome k.
+    Each correction must be a LocalOperator on the d_out qubits.  Every
+    basis branch of weight above 1e-30 is checked to stay normalised within
+    1e-12, the check that a validated post-state makes; the eight (k, b)
+    pairs are compared as plain floats, in (k, b) order.
     """
     n_out = resource.n_qubits - 1
     ops = [corrections[k] for k in (1, 2, 3, 4)]
-    for k, op in enumerate(ops):
+    for k, op in enumerate(ops, 1):
+        if not isinstance(op, LocalOperator):
+            raise ValueError(f"correction {k} must be a LocalOperator, got {type(op).__name__}")
         if op.n_qubits != n_out:
-            raise ValueError(f"correction {k + 1} acts on {op.n_qubits} qubits, {n_out} remain")
-    residuals = _BELL_BRAS.reshape(4, 2, 2) @ resource.amplitudes.reshape(2, -1)
-    t = np.array([op.matrix() for op in ops]) @ residuals.transpose(0, 2, 1)
-    p = (np.abs(residuals) ** 2).sum(axis=2)
-    norm = (np.abs(t) ** 2).sum(axis=1)
-    bad = (p > 1e-30) & (np.abs(norm - p) > _NORM_ATOL * p)
-    if bad.any():
-        worst = float(norm[bad][0] / p[bad][0])
-        raise ValueError(f"state not normalized: sum |a|^2 = {worst!r}")
+            raise ValueError(f"correction {k} acts on {op.n_qubits} qubits, {n_out} remain")
+    residuals = resource.amplitudes.reshape(2, -1).T @ _BELL_BRAS_JB
+    t = np.array([op.matrix() for op in ops]) @ residuals
+    sq = np.abs(np.concatenate([residuals, t]))
+    sq *= sq
+    p, norm = sq.sum(axis=1).reshape(2, 8).tolist()
+    for pb, nb in zip(p, norm):
+        if pb > 1e-30 and abs(nb - pb) > _NORM_ATOL * pb:
+            raise ValueError(f"state not normalized: sum |a|^2 = {nb / pb!r}")
     t.setflags(write=False)
     return t
 

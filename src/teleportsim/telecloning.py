@@ -28,6 +28,7 @@ which ``teleclone`` and protocol enumeration read.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -68,10 +69,10 @@ class CloneCoeffs:
         norm = a * a + 2 * b * b + c * c
         if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"a^2 + 2b^2 + c^2 = {norm!r}, expected 1")
-        scale = 1.0 / np.sqrt(norm)
-        object.__setattr__(self, "a", float(max(a, 0.0) * scale))
-        object.__setattr__(self, "b", float(max(b, 0.0) * scale))
-        object.__setattr__(self, "c", float(max(c, 0.0) * scale))
+        scale = 1.0 / math.sqrt(norm)
+        object.__setattr__(self, "a", max(a, 0.0) * scale)
+        object.__setattr__(self, "b", max(b, 0.0) * scale)
+        object.__setattr__(self, "c", max(c, 0.0) * scale)
 
 
 @dataclass(frozen=True, eq=False)

@@ -66,8 +66,8 @@ def _transfer_operators(channel):
 
 def _branch_table(input_state, spec):
     """(p_k, w_k / p_k) per Bell outcome, with 0.0 for a branch of p_k <= 1e-30."""
-    p, w = protocols._branch_weights(spec, input_state.amplitudes[None])
-    return [(float(pk), float(wk / pk) if pk > 1e-30 else 0.0) for pk, wk in zip(p[0], w[0])]
+    p, w = protocols._branch_weights(spec, input_state.amplitudes)
+    return [(float(pk), float(wk / pk) if pk > 1e-30 else 0.0) for pk, wk in zip(p, w)]
 
 
 THETAS = (0.0, np.pi / 4, np.pi / 2)
@@ -227,6 +227,16 @@ class TestBranchTable:
                         total = sum(p * f for p, f in expected)
                         assert abs(enumerate_protocol_fidelity(psi, spec) - total) < 1e-12
 
+    def test_enumeration_is_the_sum_of_branch_weights_at_the_corners(self):
+        # one contraction for the total, a per-outcome reduction for the table
+        with np.errstate(divide="raise", invalid="raise"):
+            for alpha in (0.0, 1 / np.sqrt(2)):
+                spec = standard_teleportation(Channel(alpha))
+                for theta in (0.0, np.pi / 2):
+                    for psi in make_states(TwoStateEnsemble(theta)):
+                        _, w = protocols._branch_weights(spec, psi.amplitudes)
+                        assert abs(enumerate_protocol_fidelity(psi, spec) - w.sum()) < 1e-15
+
     def test_zero_weight_branches_at_alpha_zero(self):
         # |0> (x) |11> has no phi+/phi- weight and |1> (x) |11> no psi+/psi- weight
         spec = standard_teleportation(Channel(0.0))
@@ -252,9 +262,11 @@ class TestBranchTable:
                 assert np.abs(o.post_state.amplitudes - post.amplitudes).max() < 1e-12
 
     def test_telecloning_spec_matches_reference_loop(self):
+        # all seven nonempty target subsets: (0,), (2,), (0, 1) and (0, 2)
+        # bring the unscored qubits after a target, so the view transposes
         rng = np.random.default_rng(103)
         system = TelecloningSystem(random_coeffs(rng))
-        for targets in ((0, 1, 2), (1,), (1, 2)):
+        for targets in ((0, 1, 2), (1,), (1, 2), (0,), (2,), (0, 1), (0, 2)):
             spec = protocol_spec(system, targets=targets)
             for psi in inputs_for(np.pi / 4, rng):
                 target = psi
@@ -578,6 +590,46 @@ class TestProtocolTransferOperators:
         global_clone_fidelity(TwoStateEnsemble(np.pi / 4), universal_coeffs())
         assert len(calls) == 1
 
+    def test_evaluation_builds_no_per_branch_objects(self, monkeypatch):
+        # one spec and two enumerations: one transfer build, the resource as
+        # the only state, no Bell measurement and no density matrix
+        counts = {"_bell_transfer": 0, "PureState": 0, "DensityMatrix": 0, "bell_measure": 0}
+        build = protocols._bell_transfer
+        pure_init = PureState.__post_init__
+        density_init = DensityMatrix.__post_init__
+
+        def counting_build(*args):
+            counts["_bell_transfer"] += 1
+            return build(*args)
+
+        def counting_pure_init(self):
+            counts["PureState"] += 1
+            pure_init(self)
+
+        def counting_density_init(self):
+            counts["DensityMatrix"] += 1
+            density_init(self)
+
+        def counting_bell_measure(*args):
+            counts["bell_measure"] += 1
+            return bell_measure(*args)
+
+        psi1, psi2 = make_states(TwoStateEnsemble(np.pi / 4))
+        monkeypatch.setattr(protocols, "_bell_transfer", counting_build)
+        monkeypatch.setattr(PureState, "__post_init__", counting_pure_init)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_density_init)
+        for module in (states, protocols):
+            monkeypatch.setattr(module, "bell_measure", counting_bell_measure)
+        spec = standard_teleportation(Channel(0.3))
+        enumerate_protocol_fidelity(psi1, spec)
+        enumerate_protocol_fidelity(psi2, spec)
+        assert counts == {
+            "_bell_transfer": 1, "PureState": 1, "DensityMatrix": 0, "bell_measure": 0
+        }
+        # the counters do see the per-branch route of the Monte Carlo
+        mc_protocol_fidelity(psi1, spec, 1000, seed=1)
+        assert counts["bell_measure"] == 1 and counts["PureState"] > 1
+
     def test_clone_spec_built_once_per_system(self, monkeypatch):
         calls = []
         build = protocols._bell_transfer
@@ -598,7 +650,7 @@ class TestProtocolTransferOperators:
     def test_rejects_malformed_inputs_and_corrections(self):
         spec = standard_teleportation(Channel(0.3))
         # a PureState is normalised within 1e-12; bypass it to reach the check
-        scaled = np.array([[1.0 + 1e-9, 0.0]])
+        scaled = np.array([1.0 + 1e-9, 0.0])
         with pytest.raises(ValueError, match="not normalized"):
             protocols._branch_weights(spec, scaled)
         pair = reference_tensor(ZERO, ZERO)
@@ -622,3 +674,17 @@ class TestProtocolTransferOperators:
                 corrections={k: stretched for k in (1, 2, 3, 4)},
                 evaluation_targets=(1, 2),
             )
+
+    def test_branch_norm_check_names_the_first_offender(self):
+        # outcomes 2 and 3 both stretch their branches, by (1 + 4e-13)^6 and
+        # (1 + 3e-13)^6 in norm; the error reports the first in (k, b) order
+        system = TelecloningSystem(universal_coeffs())
+        corrections = {k: LocalOperator.uniform(3, PAULI_I) for k in (1, 4)}
+        corrections[2] = LocalOperator.uniform(3, (1 + 4e-13) * np.eye(2))
+        corrections[3] = LocalOperator.uniform(3, (1 + 3e-13) * np.eye(2))
+        with pytest.raises(ValueError, match="not normalized") as caught:
+            ProtocolSpec(
+                resource_state=system.state, corrections=corrections, evaluation_targets=(1, 2)
+            )
+        reported = float(str(caught.value).rsplit("= ", 1)[1])
+        assert abs(reported - (1 + 4e-13) ** 6) < 1e-14

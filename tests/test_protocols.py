@@ -149,6 +149,42 @@ class TestEnumeration:
                 evaluation_targets=(0,),
             )
 
+    def test_raw_matrix_correction_rejected_naming_its_outcome(self):
+        # a bare 2x2 matrix (here a STANDARD_CORRECTION_MATRICES value) is not
+        # a LocalOperator; the error names the first such outcome
+        spec = standard_teleportation(Channel(0.4))
+        wrapped = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_MATRICES.items()}
+        for raw in (1, 3):
+            corrections = {**wrapped, raw: STANDARD_CORRECTION_MATRICES[raw]}
+            message = f"^correction {raw} must be a LocalOperator, got ndarray$"
+            with pytest.raises(ValueError, match=message):
+                ProtocolSpec(
+                    resource_state=spec.resource_state,
+                    corrections=corrections,
+                    evaluation_targets=(0,),
+                )
+        with pytest.raises(ValueError, match="^correction 1 must be a LocalOperator"):
+            ProtocolSpec(
+                resource_state=spec.resource_state,
+                corrections=STANDARD_CORRECTION_MATRICES,
+                evaluation_targets=(0,),
+            )
+
+    def test_density_matrix_input_or_resource_rejected(self):
+        spec = standard_teleportation(Channel(0.4))
+        psi, _ = make_states(PI4)
+        message = "^protocol input must be a PureState, got DensityMatrix$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_protocol_fidelity(psi.density(), spec)
+        with pytest.raises(ValueError, match=message):
+            mc_protocol_fidelity(psi.density(), spec, 1000, seed=1)
+        with pytest.raises(ValueError, match="^resource must be a PureState, got DensityMatrix$"):
+            ProtocolSpec(
+                resource_state=spec.resource_state.density(),
+                corrections=spec.corrections,
+                evaluation_targets=(0,),
+            )
+
 
 class TestMonteCarlo:
     def test_maximal_channel_gives_mean_one_stderr_zero(self):
