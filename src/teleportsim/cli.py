@@ -11,15 +11,21 @@ Commands:
                     entanglement over theta
   verify            run every registered invariant check
 
-Options, with defaults in brackets; every command takes the first five:
+Options of the fig-* commands, with defaults in brackets.  Each fig-*
+command takes both grid options and reads the one its grid runs over:
 
   --theta-steps N   theta grid points, 2 <= N <= 100000 [181]
   --alpha-steps N   alpha^2 grid points, 2 <= N <= 100000 [101]
+  --theta X         fig-channel: ensemble angle, 0 <= X <= pi/2 [pi/4]
+  --unknown         fig-channel: the unknown-state variant, which takes
+                    no --theta
+  --out PATH        output file [stdout]
+
+Options of verify, with defaults in brackets:
+
   --samples N       Monte Carlo samples, 100 <= N <= 10^9 [1000000]
   --seed N          random seed, N >= 0 [42]
   --out PATH        output file [stdout]
-  --theta X         fig-channel: ensemble angle, 0 <= X <= pi/2 [pi/4]
-  --unknown         fig-channel: the unknown-state variant
 
 An option's value is the next argument, even one that starts with '-'
 (--theta -1e-13 is an out-of-range theta), or follows '=' (--seed=7).
@@ -46,7 +52,6 @@ from . import channels as ch
 from . import classical as cl
 from . import telecloning as tc
 from .ensembles import checked_thetas
-from .rng import GENERATOR_NAME
 from .verification import run_checks
 
 
@@ -94,44 +99,36 @@ def _csv(metadata: dict, header: tuple, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _base_metadata(config: RunConfig) -> dict:
-    return {
-        "command": config.command,
-        "version": __version__,
-        "seed": config.seed,
-        "rng": GENERATOR_NAME,
-    }
+def _metadata(config: RunConfig, **fields) -> dict:
+    return {"command": config.command, "version": __version__, **fields}
 
 
-def cmd_fig_classical(config: RunConfig) -> str:
+def cmd_fig_classical(config: RunConfig) -> tuple[str, int]:
     """Classical fidelities on an inclusive theta grid, each column one broadcast call."""
-    meta = _base_metadata(config)
-    meta["theta_steps"] = config.theta_steps
+    meta = _metadata(config, theta_steps=config.theta_steps)
     theta = np.linspace(0.0, np.pi / 2, config.theta_steps)
     header = ("theta", "f_min_error", "f_unambiguous", "f_optimized", "f_fuchs_peres")
-    return _csv(meta, header, (theta, *cl.classical_sweep(theta)))
+    return _csv(meta, header, (theta, *cl.classical_sweep(theta))), 0
 
 
-def cmd_fig_channel(config: RunConfig) -> str:
+def cmd_fig_channel(config: RunConfig) -> tuple[str, int]:
     """Channel-strategy fidelities over alpha^2 in [0, 1/2] inclusive, one broadcast call each."""
-    meta = _base_metadata(config)
-    meta["alpha_steps"] = config.alpha_steps
     alpha_sq = np.linspace(0.0, 0.5, config.alpha_steps)
     alpha = np.sqrt(alpha_sq)
     if config.unknown:
-        meta["variant"] = "unknown-state"
+        meta = _metadata(config, alpha_steps=config.alpha_steps, variant="unknown-state")
         header = ("alpha_sq", "f_direct_avg", "f_purif_unknown")
-        return _csv(meta, header, (alpha_sq, *ch.unknown_state_sweep(alpha)))
-    meta["variant"] = "two-state"
-    meta["theta"] = _fmt(config.theta)
+        return _csv(meta, header, (alpha_sq, *ch.unknown_state_sweep(alpha))), 0
+    meta = _metadata(
+        config, alpha_steps=config.alpha_steps, variant="two-state", theta=_fmt(config.theta)
+    )
     header = ("alpha_sq", "f_direct", "f_purification", "f_combined", "alpha_prime_opt")
-    return _csv(meta, header, (alpha_sq, *ch.channel_sweep(config.theta, alpha)))
+    return _csv(meta, header, (alpha_sq, *ch.channel_sweep(config.theta, alpha))), 0
 
 
-def cmd_fig_telecloning(config: RunConfig) -> str:
+def cmd_fig_telecloning(config: RunConfig) -> tuple[str, int]:
     """Optimized two-state telecloning sweep over theta, each column one broadcast call."""
-    meta = _base_metadata(config)
-    meta["theta_steps"] = config.theta_steps
+    meta = _metadata(config, theta_steps=config.theta_steps)
     theta = np.linspace(0.0, np.pi / 2, config.theta_steps)
     header = (
         "theta",
@@ -142,34 +139,38 @@ def cmd_fig_telecloning(config: RunConfig) -> str:
         "f_global_optimal",
         "entanglement_alice_receivers",
     )
-    return _csv(meta, header, (theta, *tc.telecloning_sweep(theta)))
+    return _csv(meta, header, (theta, *tc.telecloning_sweep(theta))), 0
 
 
-def cmd_verify(config: RunConfig, stream) -> int:
-    """Run the invariant suite; write one line per check to ``stream``; 0 iff all pass."""
+def cmd_verify(config: RunConfig) -> tuple[str, int]:
+    """Run the invariant suite: one line per check and a count; exit code 0 iff all pass."""
     results = run_checks(config)
-    for r in results:
-        stream.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
-    failed = [r for r in results if not r.passed]
-    stream.write(
-        f"{len(results) - len(failed)}/{len(results)} checks passed\n"
-    )
-    return 1 if failed else 0
+    failed = sum(not r.passed for r in results)
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n" for r in results]
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed\n")
+    return "".join(lines), 1 if failed else 0
 
 
-# command -> option -> (RunConfig field, value type); a flag's type is None
-_COMMON = {
+# option -> (RunConfig field, value type); a flag's type is None
+_OUT = {"--out": ("output_path", str)}
+_FIG_OPTIONS = {
     "--theta-steps": ("theta_steps", int),
     "--alpha-steps": ("alpha_steps", int),
-    "--samples": ("samples", int),
-    "--seed": ("seed", int),
-    "--out": ("output_path", str),
+    **_OUT,
 }
-_OPTIONS = {
-    "fig-classical": _COMMON,
-    "fig-channel": {**_COMMON, "--theta": ("theta", float), "--unknown": ("unknown", None)},
-    "fig-telecloning": _COMMON,
-    "verify": _COMMON,
+# command -> (name of its handler, the options it takes).  Every handler
+# maps a RunConfig to (output text, exit code).  It is looked up by name when
+# it runs, so a wrapper bound to that name in this module is what runs.
+# Each fig-* command takes both grid options, though it reads only one,
+# because perfbench's tiny inputs pass both to every fig-* command.
+_COMMANDS = {
+    "fig-classical": ("cmd_fig_classical", _FIG_OPTIONS),
+    "fig-channel": (
+        "cmd_fig_channel",
+        {**_FIG_OPTIONS, "--theta": ("theta", float), "--unknown": ("unknown", None)},
+    ),
+    "fig-telecloning": ("cmd_fig_telecloning", _FIG_OPTIONS),
+    "verify": ("cmd_verify", {"--samples": ("samples", int), "--seed": ("seed", int), **_OUT}),
 }
 _HELP = ("-h", "--help")
 
@@ -177,13 +178,13 @@ _HELP = ("-h", "--help")
 def _parse(argv) -> Optional[RunConfig]:
     """The command line's RunConfig, or None for -h/--help; a usage error raises ValueError."""
     if not argv:
-        raise ValueError(f"missing command, one of {', '.join(_OPTIONS)}")
+        raise ValueError(f"missing command, one of {', '.join(_COMMANDS)}")
     command, *rest = argv
     if command in _HELP:
         return None
-    if command not in _OPTIONS:
-        raise ValueError(f"unknown command {command!r}, expected one of {', '.join(_OPTIONS)}")
-    options, fields = _OPTIONS[command], {"command": command}
+    if command not in _COMMANDS:
+        raise ValueError(f"unknown command {command!r}, expected one of {', '.join(_COMMANDS)}")
+    options, fields = _COMMANDS[command][1], {"command": command}
     tokens = iter(rest)
     for token in tokens:
         if token in _HELP:
@@ -205,19 +206,15 @@ def _parse(argv) -> Optional[RunConfig]:
             fields[field] = kind(value)
         except ValueError:
             raise ValueError(f"{name}: invalid {kind.__name__} value {value!r}") from None
+    if fields.get("unknown") and "theta" in fields:
+        raise ValueError("--unknown takes no --theta: the unknown state has no ensemble angle")
     return RunConfig(**fields)
 
 
 def _run(config: RunConfig, stream) -> int:
-    if config.command == "verify":
-        return cmd_verify(config, stream)
-    figures = {
-        "fig-classical": cmd_fig_classical,
-        "fig-channel": cmd_fig_channel,
-        "fig-telecloning": cmd_fig_telecloning,
-    }
-    stream.write(figures[config.command](config))
-    return 0
+    text, code = globals()[_COMMANDS[config.command][0]](config)
+    stream.write(text)
+    return code
 
 
 def main(argv=None) -> int:

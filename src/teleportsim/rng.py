@@ -2,10 +2,9 @@
 
 All Monte Carlo entry points take an integer seed >= 0 and draw from one
 ``numpy.random.default_rng(seed)``: numpy's default PCG64, seeded through a
-``SeedSequence``.  The name below is recorded in CSV metadata emitted by
-the CLI.  Draws are taken chunk after chunk from that one generator, so the
-chunk partition bounds memory and fixes the summation order, not which
-numbers are drawn.
+``SeedSequence``.  Draws are taken chunk after chunk from that one
+generator, so the chunk partition bounds memory and fixes the summation
+order, not which numbers are drawn.
 
 Reproducibility: a seeded result is bit-identical for a given
 ``(samples, seed)`` within one version of the package.  The generator,
@@ -20,8 +19,6 @@ replaced, so that rewrite moved no seeded value.
 from __future__ import annotations
 
 import numpy as np
-
-GENERATOR_NAME = "numpy-pcg64-seedsequence"
 
 DEFAULT_CHUNK = 1 << 16
 

@@ -1,4 +1,3 @@
-import io
 import os
 import subprocess
 import sys
@@ -41,6 +40,13 @@ def parse_csv(text):
     return meta, header, rows
 
 
+def csv_text(handler, config):
+    """A figure handler's CSV text; a figure command always exits 0."""
+    text, code = handler(config)
+    assert code == 0
+    return text
+
+
 def _cli_in_new_process(*args):
     src = os.path.dirname(os.path.dirname(teleportsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -55,18 +61,18 @@ def row_nearest(rows, column, value):
 
 class TestFigClassical:
     def test_header_contract(self):
-        text = cmd_fig_classical(RunConfig(command="fig-classical", theta_steps=5))
+        text = csv_text(cmd_fig_classical, RunConfig(command="fig-classical", theta_steps=5))
         _, header, _ = parse_csv(text)
         assert header == ["theta", "f_min_error", "f_unambiguous", "f_optimized", "f_fuchs_peres"]
 
     def test_first_row_all_ones(self):
-        text = cmd_fig_classical(RunConfig(command="fig-classical", theta_steps=19))
+        text = csv_text(cmd_fig_classical, RunConfig(command="fig-classical", theta_steps=19))
         _, _, rows = parse_csv(text)
         assert rows[0][0] == 0.0
         assert np.allclose(rows[0][1:], 1.0, atol=1e-9)
 
     def test_row_at_pi_over_4(self):
-        text = cmd_fig_classical(RunConfig(command="fig-classical"))
+        text = csv_text(cmd_fig_classical, RunConfig(command="fig-classical"))
         _, _, rows = parse_csv(text)
         row = row_nearest(rows, 0, np.pi / 4)
         assert abs(row[0] - np.pi / 4) < 1e-12
@@ -77,18 +83,23 @@ class TestFigClassical:
 
     def test_deterministic_output(self):
         config = RunConfig(command="fig-classical", theta_steps=61)
-        assert cmd_fig_classical(config) == cmd_fig_classical(config)
+        assert csv_text(cmd_fig_classical, config) == csv_text(cmd_fig_classical, config)
 
     def test_metadata_lines(self):
-        meta, _, _ = parse_csv(cmd_fig_classical(RunConfig(command="fig-classical", theta_steps=3)))
-        joined = "\n".join(meta)
-        assert "seed=42" in joined and "rng=" in joined and "theta_steps=3" in joined
+        config = RunConfig(command="fig-classical", theta_steps=3)
+        meta, _, _ = parse_csv(csv_text(cmd_fig_classical, config))
+        # no figure draws a random number, so no seed or rng line is written
+        assert meta == [
+            "# command=fig-classical",
+            f"# version={teleportsim.__version__}",
+            "# theta_steps=3",
+        ]
 
 
 class TestFigChannel:
     def test_two_state_headers_and_endpoint(self):
         config = RunConfig(command="fig-channel", alpha_steps=11)
-        text = cmd_fig_channel(config)
+        text = csv_text(cmd_fig_channel, config)
         _, header, rows = parse_csv(text)
         assert header == ["alpha_sq", "f_direct", "f_purification", "f_combined", "alpha_prime_opt"]
         last = rows[-1]
@@ -97,7 +108,7 @@ class TestFigChannel:
 
     def test_two_state_row_at_alpha2_03(self):
         config = RunConfig(command="fig-channel", alpha_steps=101)
-        _, _, rows = parse_csv(cmd_fig_channel(config))
+        _, _, rows = parse_csv(csv_text(cmd_fig_channel, config))
         row = row_nearest(rows, 0, 0.3)
         assert abs(row[0] - 0.3) < 1e-12
         assert abs(row[1] - 0.979128784747792) < 1e-9
@@ -106,7 +117,7 @@ class TestFigChannel:
 
     def test_unknown_variant(self):
         config = RunConfig(command="fig-channel", alpha_steps=11, unknown=True)
-        _, header, rows = parse_csv(cmd_fig_channel(config))
+        _, header, rows = parse_csv(csv_text(cmd_fig_channel, config))
         assert header == ["alpha_sq", "f_direct_avg", "f_purif_unknown"]
         assert abs(rows[0][1] - 2 / 3) < 1e-12
         assert abs(rows[0][2] - 2 / 3) < 1e-12
@@ -116,7 +127,7 @@ class TestFigChannel:
 class TestFigTelecloning:
     def test_columns_and_theta_zero_row(self):
         config = RunConfig(command="fig-telecloning", theta_steps=9)
-        text = cmd_fig_telecloning(config)
+        text = csv_text(cmd_fig_telecloning, config)
         _, header, rows = parse_csv(text)
         assert header == [
             "theta",
@@ -134,7 +145,7 @@ class TestFigTelecloning:
 
     def test_bounds_hold_on_all_rows(self):
         config = RunConfig(command="fig-telecloning", theta_steps=9)
-        _, _, rows = parse_csv(cmd_fig_telecloning(config))
+        _, _, rows = parse_csv(csv_text(cmd_fig_telecloning, config))
         for row in rows:
             assert row[6] < LOG2_3
             assert row[4] <= row[5] + 1e-9
@@ -186,18 +197,14 @@ def test_fig_commands_build_no_per_row_objects(argv, monkeypatch):
 
 class TestVerifyCommand:
     def test_default_config_passes(self):
-        stream = io.StringIO()
-        code = cmd_verify(RunConfig(command="verify"), stream=stream)
-        output = stream.getvalue()
+        output, code = cmd_verify(RunConfig(command="verify"))
         assert code == 0, output
         assert "FAIL" not in output
         assert output.count("PASS") == len(output.strip().split("\n")) - 1
 
     def test_tamper_mode_fails(self, monkeypatch):
         _bump_singlet_fraction(monkeypatch)
-        stream = io.StringIO()
-        code = cmd_verify(RunConfig(command="verify", samples=10_000), stream=stream)
-        output = stream.getvalue()
+        output, code = cmd_verify(RunConfig(command="verify", samples=10_000))
         assert code == 1
         fails = [line for line in output.split("\n") if line.startswith("FAIL")]
         assert len(fails) == 1 and fails[0].startswith("FAIL channel-horodecki-identity")
@@ -298,10 +305,14 @@ class TestMainEntry:
         assert out.read_bytes() == b"kept\r\n"
         assert "theta must lie in [0, pi/2], got 2.0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["fig-classical", "verify"])
-    def test_exit_code_2_on_empty_out(self, command, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig-classical", "--theta-steps", "3"], ["verify", "--samples", "100"]],
+        ids=" ".join,
+    )
+    def test_exit_code_2_on_empty_out(self, argv, capsys):
         # an empty path is a path that cannot be written, not a request for stdout
-        assert main([command, "--samples", "100", "--out", ""]) == 2
+        assert main(argv + ["--out", ""]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: cannot write") and captured.err.count("\n") == 1
@@ -318,6 +329,16 @@ class TestMainEntry:
             ["fig-classical", "--theta-steps=abc"],
             ["fig-classical", "--theta-st", "5"],
             ["verify", "--tamper"],
+            ["fig-classical", "--seed", "1"],
+            ["fig-classical", "--samples", "100"],
+            ["fig-channel", "--seed", "1"],
+            ["fig-channel", "--samples", "100"],
+            ["fig-telecloning", "--seed", "1"],
+            ["fig-telecloning", "--samples", "100"],
+            ["verify", "--theta-steps", "5"],
+            ["verify", "--alpha-steps", "5"],
+            ["fig-channel", "--unknown", "--theta", "0.3"],
+            ["fig-channel", "--theta", "0.3", "--unknown"],
         ],
         ids=[
             "no-command",
@@ -329,6 +350,18 @@ class TestMainEntry:
             "bad-int",
             "prefix",
             "tamper",
+            # no figure draws a random number, and verify has no grid
+            "fig-classical-seed",
+            "fig-classical-samples",
+            "fig-channel-seed",
+            "fig-channel-samples",
+            "fig-telecloning-seed",
+            "fig-telecloning-samples",
+            "verify-theta-steps",
+            "verify-alpha-steps",
+            # the unknown state has no ensemble angle
+            "unknown-then-theta",
+            "theta-then-unknown",
         ],
     )
     def test_usage_error_exits_2_with_one_line(self, argv, tmp_path, capsys):
@@ -341,12 +374,51 @@ class TestMainEntry:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert out.read_bytes() == b"kept\r\n"
 
-    def test_seed_does_not_change_enumeration_figures(self):
-        a = cmd_fig_classical(RunConfig(command="fig-classical", theta_steps=21, seed=1))
-        b = cmd_fig_classical(RunConfig(command="fig-classical", theta_steps=21, seed=2))
-        _, _, rows_a = parse_csv(a)
-        _, _, rows_b = parse_csv(b)
-        assert rows_a == rows_b
+
+# each command's settings at small sizes; an option given again keeps its last value
+SMALL_GRIDS = ["--theta-steps", "3", "--alpha-steps", "3"]
+BASE_ARGV = {
+    **dict.fromkeys(("fig-classical", "fig-channel", "fig-telecloning"), SMALL_GRIDS),
+    "verify": ["--samples", "100", "--seed", "1"],
+}
+# a second value of each option that takes one; --unknown is a flag
+OTHER_VALUE = {
+    "--theta-steps": "4", "--alpha-steps": "4", "--theta": "0.3", "--samples": "200", "--seed": "2"
+}
+# Each fig-* command takes both grid options but reads only its own, because
+# perfbench's tiny inputs pass both to every fig-* command.
+UNREAD = {
+    ("fig-classical", "--alpha-steps"),
+    ("fig-channel", "--theta-steps"),
+    ("fig-telecloning", "--alpha-steps"),
+}
+
+
+class TestCommandTable:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        grids = {"--theta-steps", "--alpha-steps", "--out"}
+        options = {command: set(opts) for command, (_, opts) in cli._COMMANDS.items()}
+        assert options == {
+            "fig-classical": grids,
+            "fig-channel": grids | {"--theta", "--unknown"},
+            "fig-telecloning": grids,
+            "verify": {"--samples", "--seed", "--out"},
+        }
+        assert sum(map(len, options.values())) == 14
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [(c, o) for c, (_, opts) in cli._COMMANDS.items() for o in opts if o != "--out"],
+    )
+    def test_every_option_changes_the_output(self, command, option, capsys):
+        outputs = []
+        for extra in ([], [option] + ([OTHER_VALUE[option]] if option in OTHER_VALUE else [])):
+            assert main([command, *BASE_ARGV[command], *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        if (command, option) in UNREAD:
+            assert outputs[0] == outputs[1]
+        else:
+            assert outputs[0] != outputs[1]
 
 
 class TestParserReuse:
