@@ -23,6 +23,11 @@ import numpy as np
 DEFAULT_CHUNK = 1 << 16
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, a float or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def chunk_sizes(total: int):
     """Fixed partition of ``total`` samples: full ``DEFAULT_CHUNK`` chunks, then the rest.
 
@@ -31,7 +36,7 @@ def chunk_sizes(total: int):
     must be an integer >= 1; a bool or a float, even an integral one, raises
     ValueError.
     """
-    if isinstance(total, bool) or not isinstance(total, (int, np.integer)):
+    if not _is_integer(total):
         raise ValueError(f"samples must be an integer, got {total!r}")
     if total < 1:
         raise ValueError("samples must be >= 1")
@@ -45,15 +50,15 @@ def _chunks(samples: int, seed: int):
     """(sizes, generator): the chunk partition of ``samples`` and one generator seeded by ``seed``.
 
     The set-up every estimator shares, and the one place a seed becomes a
-    generator.  It checks, in this order and before any draw, that
-    ``samples`` is an integer (``chunk_sizes``), that it is >= 100, and that
-    ``seed`` is an integer >= 0; a bool or a float seed, even an integral
-    one, raises ValueError.
+    generator.  It checks, in this order and before any draw, that an
+    integer ``samples`` is >= 100, that ``samples`` is an integer
+    (``chunk_sizes``), and that ``seed`` is an integer >= 0; a bool or a
+    float, even an integral one, raises ValueError.
     """
-    sizes = chunk_sizes(samples)
-    if samples < 100:
+    if _is_integer(samples) and samples < 100:
         raise ValueError("samples must be >= 100")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    sizes = chunk_sizes(samples)
+    if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return sizes, np.random.default_rng(seed)
 

@@ -50,7 +50,6 @@ from teleportsim.states import (
 from teleportsim.telecloning import (
     CloneCoeffs,
     TelecloningSystem,
-    _qubit_marginals,
     alice_receivers_entanglement,
     global_clone_fidelity,
     optimize_coeffs,
@@ -396,33 +395,6 @@ class TestGlobalCloneFidelity:
 
 
 class TestMarginalCheck:
-    def test_equals_partial_trace(self):
-        rng = np.random.default_rng(105)
-        for coeffs in [universal_coeffs()] + [random_coeffs(rng) for _ in range(10)]:
-            state = TelecloningSystem(coeffs).state
-            rho = state.density()
-            for q, reduced in enumerate(_qubit_marginals(state.amplitudes)):
-                assert np.abs(reduced - partial_trace(rho, (q,)).elements).max() < 1e-14
-
-    def test_equals_partial_trace_off_the_telecloning_family(self):
-        # a generic 4-qubit state, whose marginals are far from I/2
-        rng = np.random.default_rng(106)
-        z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state = PureState(z / np.linalg.norm(z))
-        rho = state.density()
-        for q, reduced in enumerate(_qubit_marginals(state.amplitudes)):
-            assert np.abs(reduced - partial_trace(rho, (q,)).elements).max() < 1e-14
-
-    def test_check_still_rejects_non_maximally_mixed_marginals(self, monkeypatch):
-        # every coefficient-built state has I/2 marginals, so reaching the
-        # check needs the construction replaced
-        rng = np.random.default_rng(107)
-        z = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        state = PureState(z / np.linalg.norm(z))
-        monkeypatch.setattr(telecloning, "_telecloning_amplitudes", lambda _: state.amplitudes)
-        with pytest.raises(ValueError, match="is not I/2"):
-            TelecloningSystem(universal_coeffs())
-
     def test_state_is_built_once_per_system(self, monkeypatch):
         calls = []
         build = telecloning._telecloning_amplitudes

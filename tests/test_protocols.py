@@ -418,8 +418,10 @@ class TestSampleCounts:
     @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
     def test_sample_floor_is_100(self, estimator):
         run = _estimators()[estimator]
-        with pytest.raises(ValueError, match=r"^samples must be >= 100$"):
-            run(99)
+        # below 1 too: the floor is named, not chunk_sizes' own >= 1
+        for samples in (99, 0, -1, np.int64(0)):
+            with pytest.raises(ValueError, match=r"^samples must be >= 100$"):
+                run(samples)
         run(100)
 
     def test_chunk_sizes_rejects_totals_below_one(self):

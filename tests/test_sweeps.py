@@ -31,6 +31,7 @@ from teleportsim import (
     optimize_coeffs,
     purification_fidelity_two_state,
     spectrum_entropy,
+    telecloning,
     telecloning_sweep,
     two_state_direct_fidelity,
     unknown_state_sweep,
@@ -97,6 +98,20 @@ def test_telecloning_sweep_equals_scalar_functions(grid):
         assert f_tc[k] == global_clone_fidelity(ens, coeffs)
         assert f_opt[k] == optimal_global_fidelity(ens)
         assert ent[k] == alice_receivers_entanglement(coeffs)
+
+
+def test_sweep_coefficients_need_no_check():
+    # the top eigenvectors on a grid one point finer than the --theta-steps
+    # cap are nonnegative and on a^2 + 2b^2 + c^2 = 1, so the sweep only
+    # rescales them, as CloneCoeffs does, and stays bit-identical to it
+    grid = np.linspace(0, np.pi / 2, 100_001)
+    a, b, c = telecloning._top_coeffs(telecloning._fidelity_matrix(grid))
+    assert min(a.min(), b.min(), c.min()) >= 0.0
+    assert np.abs(a * a + 2 * b * b + c * c - 1.0).max() <= 1e-12
+    a, b, c = telecloning_sweep(grid)[:3]
+    for k in range(0, grid.size, 1000):
+        coeffs = optimize_coeffs(TwoStateEnsemble(grid[k]))
+        assert (a[k], b[k], c[k]) == (coeffs.a, coeffs.b, coeffs.c), grid[k]
 
 
 @pytest.mark.parametrize(

@@ -160,13 +160,20 @@ class TestBuildCloneStates:
 
 class TestTelecloningSystem:
     def test_single_qubit_marginals_maximally_mixed(self):
+        # the constructor does not check this: parity makes each marginal
+        # diagonal and the 0<->1 mirror makes its two entries equal
         rng = np.random.default_rng(8)
-        for coeffs in [universal_coeffs()] + [random_coeffs(rng) for _ in range(5)]:
-            system = TelecloningSystem(coeffs)
-            rho = system.state.density()
-            for q in range(4):
-                reduced = partial_trace(rho, (q,)).elements
-                assert np.abs(reduced - np.eye(2) / 2).max() < 1e-10
+        edges = [(1, 0, 0), (0, 1 / np.sqrt(2), 0), (0, 0, 1), (0.5, 0.5, 0.5)]
+        for coeffs in (
+            [CloneCoeffs(*abc) for abc in edges]
+            + [universal_coeffs()]
+            + [random_coeffs(rng) for _ in range(50)]
+        ):
+            state = TelecloningSystem(coeffs).state
+            for route in (state, state.density()):  # amplitude and density traces
+                for q in range(4):
+                    reduced = partial_trace(route, (q,)).elements
+                    assert np.abs(reduced - np.eye(2) / 2).max() <= 1e-14, (coeffs, q)
 
     def test_single_qubit_vs_rest_entanglement_is_one(self):
         rng = np.random.default_rng(12)

@@ -88,6 +88,12 @@ def _transposed_pure_trace(state, keep, f=v.partial_trace):
     return f(state, keep)
 
 
+def _unbalanced_resource(coeffs):
+    """sqrt(0.6)|0>phi0 + sqrt(0.4)|1>phi1: normalised, but its port marginal is diag(0.6, 0.4)."""
+    phi0, phi1 = telecloning._phi_pair(coeffs)
+    return np.concatenate([np.sqrt(0.6) * phi0, np.sqrt(0.4) * phi1])
+
+
 def _mutations():
     cl_opt, ch_opt = classical._optimum, channels._optimum
     pur, trace = channels._purification, v.partial_trace
@@ -181,6 +187,8 @@ def _mutations():
         ],
         "teleclone-universal-values": [
             (telecloning, "_entanglement", lambda a, b, c, f=ent: f(a, b, c) + 1e-8),
+            # the constructor does not check the marginals, so this check must
+            (telecloning, "_telecloning_amplitudes", _unbalanced_resource),
         ],
         "teleclone-correction-exactness": [
             # outcomes 2 and 3 corrected by each other's Pauli
