@@ -158,22 +158,43 @@ class TestBuildCloneStates:
         assert np.allclose(phi1.amplitudes, np.eye(8)[7])
 
 
+def marginal_test_coeffs():
+    """The edge sets, the universal set and 50 seeded random sets."""
+    rng = np.random.default_rng(8)
+    edges = [(1, 0, 0), (0, 1 / np.sqrt(2), 0), (0, 0, 1), (0.5, 0.5, 0.5)]
+    return (
+        [CloneCoeffs(*abc) for abc in edges]
+        + [universal_coeffs()]
+        + [random_coeffs(rng) for _ in range(50)]
+    )
+
+
 class TestTelecloningSystem:
     def test_single_qubit_marginals_maximally_mixed(self):
         # the constructor does not check this: parity makes each marginal
         # diagonal and the 0<->1 mirror makes its two entries equal
-        rng = np.random.default_rng(8)
-        edges = [(1, 0, 0), (0, 1 / np.sqrt(2), 0), (0, 0, 1), (0.5, 0.5, 0.5)]
-        for coeffs in (
-            [CloneCoeffs(*abc) for abc in edges]
-            + [universal_coeffs()]
-            + [random_coeffs(rng) for _ in range(50)]
-        ):
+        for coeffs in marginal_test_coeffs():
             state = TelecloningSystem(coeffs).state
             for route in (state, state.density()):  # amplitude and density traces
                 for q in range(4):
                     reduced = partial_trace(route, (q,)).elements
                     assert np.abs(reduced - np.eye(2) / 2).max() <= 1e-14, (coeffs, q)
+
+    def test_resource_lies_in_the_even_parity_sector(self):
+        # Z x Z x Z x Z = +1: every basis state of odd weight has amplitude 0,
+        # which makes each one-qubit marginal diagonal
+        odd = np.array([bin(i).count("1") % 2 == 1 for i in range(16)])
+        for coeffs in marginal_test_coeffs():
+            amplitudes = TelecloningSystem(coeffs).state.amplitudes
+            assert np.all(amplitudes[odd] == 0), coeffs
+            assert np.any(amplitudes[~odd] != 0), coeffs
+
+    def test_resource_is_fixed_by_the_global_bit_flip(self):
+        # X x X x X x X maps basis index i to 15 - i and leaves the state
+        # unchanged, which makes each marginal's two diagonal entries equal
+        for coeffs in marginal_test_coeffs():
+            amplitudes = TelecloningSystem(coeffs).state.amplitudes
+            assert np.array_equal(amplitudes[::-1], amplitudes), coeffs
 
     def test_single_qubit_vs_rest_entanglement_is_one(self):
         rng = np.random.default_rng(12)
