@@ -169,11 +169,15 @@ def fidelity_optimized(ens: TwoStateEnsemble) -> StrategyReport:
     )
 
 
-def _fuchs_peres(theta):
-    """Fuchs-Peres form (1 + sqrt(1 - s^2 + s^4))/2, s = sin theta: the optimum, independently."""
-    s = np.sin(theta)
-    s2 = s * s
-    return 0.5 * (1.0 + np.sqrt(1.0 - s2 + s2 * s2))
+def _fuchs_peres(theta, kappa):
+    """The Fuchs-Peres shape (1 + sqrt(1 - kappa sin^2 2 theta))/2, broadcast over theta.
+
+    kappa = 1/4 is the classical optimum of Fuchs and Peres, PRA 53, 2038
+    (1996), which checks the biased-guess optimum independently; kappa = 3/4
+    is the global fidelity of the best telecloning coefficients.
+    """
+    s = np.sin(2 * theta)
+    return 0.5 * (1.0 + np.sqrt(1.0 - kappa * s * s))
 
 
 def classical_sweep(theta):
@@ -185,7 +189,7 @@ def classical_sweep(theta):
     ``fidelity_optimized`` at every point.
     """
     t = checked_thetas(theta)
-    return _min_error(t), _unambiguous(t), _optimum(t)[0], _fuchs_peres(t)
+    return _min_error(t), _unambiguous(t), _optimum(t)[0], _fuchs_peres(t, 0.25)
 
 
 def projective_guess_strategy(

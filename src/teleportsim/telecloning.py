@@ -16,10 +16,13 @@ each of (ancilla, B, C) maps every branch exactly onto x*phi0 + y*phi1 for
 input x|0> + y|1>; the clones are partial traces of that state.
 
 The answers are closed forms that build no 4-qubit state: the global clone
-fidelity u^T M(theta) u with u = (a, sqrt(2) b, c), the top eigenvector of
-M as the optimal coefficients, the (port, ancilla) | (B, C) entanglement
-from the clone pair's spectrum, and the optimal-cloner bound of Bruss et
-al., PRA 57, 2368 (1998).  Each has one implementation that broadcasts over
+fidelity u^T M(theta) u with u = (a, sqrt(2) b, c); the optimal
+coefficients, M's top eigenvector, taken from the 2x2 Gram matrix of the
+rank-2 M with no eigensolver, and their fidelity
+F_tc = (1 + sqrt(1 - 3/4 sin^2 2 theta))/2, the Fuchs-Peres shape that
+``classical`` shares; the (port, ancilla) | (B, C) entanglement from the
+clone pair's spectrum; and the optimal-cloner bound of Bruss et al., PRA
+57, 2368 (1998).  Each has one implementation that broadcasts over
 theta: ``telecloning_sweep`` takes every ``fig-telecloning`` column in one
 call on the whole grid, and the functions that take one ensemble or one
 coefficient set call the same code.  The protocol is their oracle:
@@ -36,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .classical import _fuchs_peres
 from .ensembles import TwoStateEnsemble, checked_thetas
 from .protocols import STANDARD_CORRECTION_MATRICES, ProtocolSpec
 from .states import (
@@ -184,27 +188,25 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
     )
 
 
-def _fidelity_matrix(theta):
-    """M(theta) = m1 m1^T + m2 m2^T, the 3x3 form of the global clone fidelity.
+def _clone_overlaps(theta):
+    """(m1, m2) on a leading axis, broadcast over theta: shape (2, 3) + theta.shape.
 
     m1 = (x^3, sqrt(2) x y^2, x y^2) and m2 = (y^3, sqrt(2) x^2 y, x^2 y) with
     x, y = cos(theta/2), sin(theta/2): m1 . u and m2 . u are the overlaps of
     psi1 psi1 with the cloner output on ancilla 0 and 1, and psi2 swaps them.
-    Broadcast over theta: the result has shape theta.shape + (3, 3).
     """
     x, y = np.cos(theta / 2), np.sin(theta / 2)
     x2, y2 = x * x, y * y
-    m = np.array([[x2 * x, _SQRT2 * x * y2, x * y2], [y2 * y, _SQRT2 * x2 * y, x2 * y]])
+    return np.array([[x2 * x, _SQRT2 * x * y2, x * y2], [y2 * y, _SQRT2 * x2 * y, x2 * y]])
+
+
+def _fidelity_matrix(theta):
+    """M(theta) = m1 m1^T + m2 m2^T, the 3x3 form of the global clone fidelity.
+
+    Broadcast over theta: the result has shape theta.shape + (3, 3).
+    """
+    m = _clone_overlaps(theta)
     return np.einsum("ki...,kj...->...ij", m, m)
-
-
-def _unit_vector(a, b, c):
-    """u = (a, sqrt(2) b, c) on a leading axis, so u^T M u is the global clone fidelity."""
-    return np.array([a, _SQRT2 * b, c])
-
-
-def _clone_fidelity(m, u):
-    return np.einsum("i...,...ij,j...->...", u, m, u)
 
 
 def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
@@ -213,28 +215,45 @@ def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
     (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> in closed form, as
     u^T M u with u = (a, sqrt(2) b, c).  The oracle is the protocol: verify's
     teleclone-faithfulness check compares this with enumeration over
-    ``protocol_spec(system)`` and with the direct cloner map.
+    ``protocol_spec(system)`` and with the direct cloner map, and its
+    teleclone-two-state-sweep check compares the optimum's closed form with it.
     """
-    u = _unit_vector(coeffs.a, coeffs.b, coeffs.c)
-    return float(_clone_fidelity(_fidelity_matrix(ens.theta), u))
+    u = np.array([coeffs.a, _SQRT2 * coeffs.b, coeffs.c])
+    return float(u @ _fidelity_matrix(ens.theta) @ u)
 
 
-def _top_coeffs(m):
-    """(a, b, c) from the entrywise nonnegative top eigenvector of each M in ``m``."""
-    u = np.abs(np.linalg.eigh(m)[1][..., -1])
-    return u[..., 0], u[..., 1] / _SQRT2, u[..., 2]
+def _optimum(theta):
+    """(a, b, c, F) of the coefficients maximizing u^T M u, broadcast over theta.
+
+    M = m1 m1^T + m2 m2^T has rank 2, so its top eigenpair comes from the
+    Gram matrix G of m1 and m2: g11 + g22 = 1, g11 - g22 = cos^3 theta and
+    g12 = sin^3 theta / 2.  Its top eigenvalue is
+    F = (1 + sqrt(1 - 3/4 sin^2 2 theta))/2, the Fuchs-Peres shape with
+    kappa = 3/4, and M's top eigenvector is u ~ (F - g22) m1 + g12 m2, of
+    squared norm F ((F - g22)^2 + g12^2); (a, b, c) = (u0, u1/sqrt(2), u2).
+    """
+    f = _fuchs_peres(theta, 0.75)
+    # g11 >= g22 everywhere on [0, pi/2], so F - g22 >= F - 1/2 >= 1/4: this
+    # branch never vanishes, and the other one, (g12, F - g11), which cancels at
+    # theta = 0, is never needed.  Both weights are nonnegative, and so is u.
+    ct, st = np.cos(theta), np.sin(theta)
+    w1, w2 = f - 0.5 * (1.0 - ct * ct * ct), 0.5 * st * st * st
+    m1, m2 = _clone_overlaps(theta)
+    u = (w1 * m1 + w2 * m2) / np.sqrt(f * (w1 * w1 + w2 * w2))
+    return u[0], u[1] / _SQRT2, u[2], f
 
 
 def optimize_coeffs(ens: TwoStateEnsemble) -> CloneCoeffs:
     """Coefficients maximizing global clone fidelity for this ensemble.
 
     The fidelity is u^T M u on unit vectors u = (a, sqrt(2) b, c), so the
-    maximizer is the top eigenvector of M; M is nonnegative, so by
-    Perron-Frobenius that eigenvector can be taken entrywise nonnegative.
-    theta = 0 gives (1, 0, 0) and theta = pi/2, where the signal states
-    coincide, the fidelity-1 choice (1/2, 1/2, 1/2).
+    maximizer is the top eigenvector of M, here in closed form, and the
+    maximum is F_tc = (1 + sqrt(1 - 3/4 sin^2 2 theta))/2: its dip to 0.75 at
+    theta = pi/4 is kappa = 3/4 at sin 2 theta = 1.  theta = 0 gives
+    (1, 0, 0) and theta = pi/2, where the signal states coincide, the
+    fidelity-1 choice (1/2, 1/2, 1/2).
     """
-    return CloneCoeffs(*_top_coeffs(_fidelity_matrix(ens.theta)))
+    return CloneCoeffs(*_optimum(ens.theta)[:3])
 
 
 def _bruss_bound(theta):
@@ -278,21 +297,18 @@ def telecloning_sweep(theta):
     """The ``fig-telecloning`` columns over ``theta`` (a scalar or an array).
 
     Returns (a, b, c, f_global_teleclone, f_global_optimal, entanglement),
-    each one broadcast call: one ``eigh`` on the stack of M(theta), the
-    quadratic forms as one ``einsum`` and the entropies of the stacked
-    clone-pair spectra.  The grid is checked once as TwoStateEnsemble checks
-    one angle, and the coefficients are rescaled as CloneCoeffs rescales one
-    set.  Each column matches ``optimize_coeffs``, ``global_clone_fidelity``,
-    ``optimal_global_fidelity`` and ``alice_receivers_entanglement`` at
-    every point.
+    each one broadcast call: the closed-form optimum, its Fuchs-Peres
+    fidelity, the Bruss bound and the entropies of the stacked clone-pair
+    spectra.  The grid is checked once as TwoStateEnsemble checks one angle,
+    and the coefficients are rescaled as CloneCoeffs rescales one set.  Each
+    column matches ``optimize_coeffs``, ``optimal_global_fidelity`` and
+    ``alice_receivers_entanglement`` at every point; f_global_teleclone
+    agrees with ``global_clone_fidelity``, an independent formula, to
+    rounding.
     """
     t = checked_thetas(theta)
-    m = _fidelity_matrix(t)
-    a, b, c = _top_coeffs(m)
-    # CloneCoeffs' rescale in its IEEE operations, so each set equals optimize_coeffs
-    # bit for bit; |unit eigenvector| is nonnegative and on the constraint: no check
+    a, b, c, f_tc = _optimum(t)
+    # CloneCoeffs' rescale in its IEEE operations, so each set equals optimize_coeffs bit for bit
     scale = 1.0 / np.sqrt(a * a + 2 * b * b + c * c)
     a, b, c = a * scale, b * scale, c * scale
-    f_tc = _clone_fidelity(m, _unit_vector(a, b, c))
     return a, b, c, f_tc, _bruss_bound(t), _entanglement(a, b, c)
-

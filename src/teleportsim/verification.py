@@ -6,7 +6,8 @@ pairs closed forms with independent routes (protocol enumeration, Monte
 Carlo, partial traces, finite differences) so a regression in either side
 is caught.  A check over a theta or alpha grid reads the broadcast sweep
 that the ``fig-*`` commands print (``classical_sweep``, ``channel_sweep``,
-``unknown_state_sweep``) and states its invariant as one array comparison.
+``unknown_state_sweep``, ``telecloning_sweep``) and states its invariant as
+one array comparison.
 """
 
 from __future__ import annotations
@@ -415,13 +416,17 @@ def check_two_state_sweep(cfg):
     if above.any():
         k = int(np.argmax(above))
         return False, f"sandwich violated at theta = {thetas[k]}: {f_tc[k]} > {f_opt[k]}"
+    # the closed-form optimum's F against u^T M u at the sweep's own coefficients
+    u = np.stack([a, np.sqrt(2.0) * b, c], axis=-1)
+    worst_f = np.abs(f_tc - np.einsum("ni,nij,nj->n", u, tc._fidelity_matrix(thetas), u)).max()
     worst = 0.0
     for coeffs, e in zip(map(tc.CloneCoeffs, a, b, c), ent):
         state = tc.TelecloningSystem(coeffs).state
         worst = max(worst, abs(e - von_neumann_entropy(partial_trace(state, (2, 3)))))
     max_ent, max_gap = float(ent.max()), float((f_opt - f_tc).max())
-    ok = worst <= 1e-12 and max_ent < LOG2_3 and max_gap > 1e-3
-    detail = f"closed-form vs traced entanglement dev = {worst:.2e}, max {max_ent:.4f} < log2(3)"
+    ok = worst_f <= 1e-12 and worst <= 1e-12 and max_ent < LOG2_3 and max_gap > 1e-3
+    detail = f"closed-form F vs u^T M u dev = {worst_f:.2e}, entanglement vs traced"
+    detail = f"{detail} dev = {worst:.2e}, max {max_ent:.4f} < log2(3)"
     return ok, f"{detail}, max fidelity gap to the Bruss bound {max_gap:.4f}"
 
 

@@ -394,23 +394,6 @@ class TestGlobalCloneFidelity:
         assert counts == {"DensityMatrix": 3, "partial_trace": 3}
 
 
-class TestMarginalCheck:
-    def test_state_is_built_once_per_system(self, monkeypatch):
-        calls = []
-        build = telecloning._telecloning_amplitudes
-
-        def counting_build(coeffs):
-            calls.append(coeffs)
-            return build(coeffs)
-
-        monkeypatch.setattr(telecloning, "_telecloning_amplitudes", counting_build)
-        rng = np.random.default_rng(110)
-        for n, coeffs in enumerate([universal_coeffs()] + [random_coeffs(rng) for _ in range(3)]):
-            system = TelecloningSystem(coeffs)
-            assert len(calls) == n + 1
-            assert system.coeffs is coeffs
-
-
 class TestHaarTransferOperators:
     HAAR_ALPHAS = (0.0, 0.3, np.sqrt(0.3), 1 / np.sqrt(2))
 

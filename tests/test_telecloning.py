@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from teleportsim import telecloning
 from teleportsim.ensembles import TwoStateEnsemble, make_states
 from teleportsim.protocols import enumerate_protocol_fidelity
 from teleportsim.states import (
@@ -22,6 +23,7 @@ from teleportsim.telecloning import (
     optimize_coeffs,
     protocol_spec,
     teleclone,
+    telecloning_sweep,
     universal_coeffs,
 )
 
@@ -210,6 +212,21 @@ class TestTelecloningSystem:
         ghz[0], ghz[15] = 1 / np.sqrt(2), 1 / np.sqrt(2)
         assert np.array_equal(system.state.amplitudes, ghz)
 
+    def test_state_is_built_once_per_system(self, monkeypatch):
+        calls = []
+        build = telecloning._telecloning_amplitudes
+
+        def counting_build(coeffs):
+            calls.append(coeffs)
+            return build(coeffs)
+
+        monkeypatch.setattr(telecloning, "_telecloning_amplitudes", counting_build)
+        rng = np.random.default_rng(110)
+        for n, coeffs in enumerate([universal_coeffs()] + [random_coeffs(rng) for _ in range(3)]):
+            system = TelecloningSystem(coeffs)
+            assert len(calls) == n + 1
+            assert system.coeffs is coeffs
+
 
 class TestTeleclone:
     def test_clones_of_zero_input_universal(self):
@@ -283,6 +300,25 @@ class TestOptimizeCoeffs:
             got = np.array([coeffs.a, coeffs.b, coeffs.c])
             assert np.all(np.isfinite(got))
             assert np.abs(got - expected).max() < 1e-12
+
+    def test_closed_form_matches_the_eigh_oracle(self):
+        # M(theta) has rank 2, so the production path takes its top eigenpair
+        # from the 2x2 Gram matrix; eigh on the full 3x3 stack checks it on a
+        # grid one point finer than the --theta-steps cap
+        grid = np.linspace(0, np.pi / 2, 100_001)
+        values, vectors = np.linalg.eigh(telecloning._fidelity_matrix(grid))
+        top = np.abs(vectors[..., -1])  # an eigenvector's sign is arbitrary
+        a, b, c, f = telecloning._optimum(grid)
+        assert np.abs(f - values[..., -1]).max() <= 1e-14
+        expected = (top[..., 0], top[..., 1] / np.sqrt(2), top[..., 2])
+        for got, want in zip((a, b, c), expected):
+            assert np.abs(got - want).max() <= 1e-14
+        # the endpoints exactly, as optimize_coeffs and the sweep give them
+        a, b, c = telecloning_sweep(np.array([0.0, np.pi / 2]))[:3]
+        for k, (theta, want) in enumerate(((0.0, (1.0, 0.0, 0.0)), (np.pi / 2, (0.5, 0.5, 0.5)))):
+            coeffs = optimize_coeffs(TwoStateEnsemble(theta))
+            assert (coeffs.a, coeffs.b, coeffs.c) == want
+            assert (a[k], b[k], c[k]) == want
 
     def test_matches_slsqp_oracle_over_grid(self):
         for t in np.linspace(0.0, np.pi / 2, 16):

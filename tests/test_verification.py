@@ -95,7 +95,8 @@ def _unbalanced_resource(coeffs):
 
 
 def _mutations():
-    cl_opt, ch_opt = classical._optimum, channels._optimum
+    cl_opt, ch_opt, tc_opt = classical._optimum, channels._optimum, telecloning._optimum
+    fp = classical._fuchs_peres
     pur, trace = channels._purification, v.partial_trace
     matrix, ent = telecloning._fidelity_matrix, telecloning._entanglement
     paulis = protocols.STANDARD_CORRECTION_MATRICES
@@ -133,7 +134,7 @@ def _mutations():
             (classical, "_optimum", _shift_first(cl_opt, lambda t: 1e-8 * t)),
         ],
         "classical-fuchs-peres-coincidence": [
-            (classical, "_fuchs_peres", lambda t, f=classical._fuchs_peres: f(t) + 1e-8),
+            (classical, "_fuchs_peres", lambda t, kappa, f=fp: f(t, kappa) + 1e-8),
         ],
         "classical-evaluator-consistency": [
             (classical, "_biased_guess", lambda t, g, f=classical._biased_guess: f(t, g) + 1e-9),
@@ -207,6 +208,8 @@ def _mutations():
         ],
         "teleclone-two-state-sweep": [
             (telecloning, "_entanglement", lambda a, b, c, f=ent: f(a, b, c) + 1e-9),
+            # the closed-form F off u^T M u at the same coefficients
+            (telecloning, "_optimum", lambda t, f=tc_opt: (*f(t)[:3], f(t)[3] + 1e-9)),
         ],
         "discrepancy-source-entropy": [
             (ensembles, "spectrum_entropy", lambda p, f=ensembles.spectrum_entropy: f(p) + 1e-8),
