@@ -25,11 +25,10 @@ so v_k = T[k] z and s_k = (I_rest (x) <z|^{(x) n_t}) v_k for all four
 outcomes at once.  ||v||^2 = sum_k p_k is checked to be 1 within 1e-12,
 and the protocol fidelity sum_k w_k, with w_k = ||s_k||^2 (which is
 |<z|^{(x) n_t} v_k|^2 when every output qubit is evaluated), is ||s||^2,
-one ``vdot``.  The branch table (``_branch_weights``) reduces the same v
-and s per outcome, and the branch fidelity is w_k / p_k.  No branch is
-renormalised and no per-branch state is built.  The Haar Monte Carlo
-scores every sampled input z as sum_k |<z|T[k]|z>|^2, a quadratic form in
-its Bloch vector that, for the standard protocol, depends on r_z alone.
+one ``vdot``.  No branch is renormalised and no per-branch state is
+built.  The Haar Monte Carlo scores every sampled input z as
+sum_k |<z|T[k]|z>|^2, a quadratic form in its Bloch vector that, for the
+standard protocol, depends on r_z alone.
 
 The protocol Monte Carlo (``mc_protocol_fidelity``) reads no T: it
 Bell-measures input (x) resource state by state, corrects each post-state
@@ -61,6 +60,7 @@ from .states import (
     _bell_transfer,
     _kept_qubits,
     _n_qubits_for,
+    _require_pure,
     apply_local,
     bell_measure,
     fidelity,
@@ -104,8 +104,7 @@ class ProtocolSpec:
             raise ValueError(f"corrections missing for outcomes {sorted(missing)}")
         object.__setattr__(self, "corrections", dict(self.corrections))
         resource = self.resource_state
-        if not isinstance(resource, PureState):
-            raise ValueError(f"resource must be a PureState, got {type(resource).__name__}")
+        _require_pure(resource, "resource")
         t = _bell_transfer(resource, self.corrections)
         n = _n_qubits_for(t.shape[1])
         targets = tuple(sorted(map(int, self.evaluation_targets)))
@@ -157,17 +156,6 @@ def _scored(spec: ProtocolSpec, z: np.ndarray):
     return v, v @ copies
 
 
-def _branch_weights(spec: ProtocolSpec, z: np.ndarray):
-    """(p, w), each (4,), for the one-qubit input amplitudes ``z``, one entry per outcome.
-
-    The per-outcome reduction of ``_scored``: p_k = ||v_k||^2 and
-    w_k = ||s_k||^2 = ||(I_rest (x) <z|^{(x) n_t}) v_k||^2, where the n_t
-    copies of z sit on ``spec.evaluation_targets`` (validated by the spec).
-    """
-    v, s = _scored(spec, z)
-    return (np.abs(v) ** 2).sum(axis=(1, 2)), (np.abs(s) ** 2).sum(axis=1)
-
-
 def enumerate_protocol_fidelity(input_state: PureState, spec: ProtocolSpec) -> float:
     """Exact protocol fidelity: sum of probability * branch fidelity, i.e. sum_k w_k.
 
@@ -176,8 +164,7 @@ def enumerate_protocol_fidelity(input_state: PureState, spec: ProtocolSpec) -> f
     psi (x) psi for ``telecloning.protocol_spec``.  The sum is taken in one
     step as ||s||^2 over the scores s of ``_scored``.
     """
-    if not isinstance(input_state, PureState):
-        raise ValueError(f"protocol input must be a PureState, got {type(input_state).__name__}")
+    _require_pure(input_state, "protocol input")
     s = _scored(spec, input_state.amplitudes)[1]
     return float(np.vdot(s, s).real)
 
@@ -197,8 +184,7 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
     (samples, seed) pair.
     """
     _, gen = rngmod._chunks(samples, seed)
-    if not isinstance(input_state, PureState):
-        raise ValueError(f"protocol input must be a PureState, got {type(input_state).__name__}")
+    _require_pure(input_state, "protocol input")
     if input_state.n_qubits != 1:
         raise ValueError("protocol input must be a single qubit")
     kept = spec.evaluation_targets

@@ -165,8 +165,16 @@ class BellOutcome:
     post_state: Optional[PureState]
 
 
+def _require_pure(state, name: str) -> None:
+    """Raise ValueError, naming ``state`` as ``name``, unless it is a PureState."""
+    if not isinstance(state, PureState):
+        raise ValueError(f"{name} must be a PureState, got {type(state).__name__}")
+
+
 def tensor(a: PureState, b: PureState) -> PureState:
     """Product state of ``a`` (leading qubits) and ``b`` (trailing qubits)."""
+    _require_pure(a, "tensor factor")
+    _require_pure(b, "tensor factor")
     return PureState(np.outer(a.amplitudes, b.amplitudes).ravel())
 
 
@@ -226,6 +234,7 @@ def bell_measure(state: PureState, pair: tuple) -> list:
     projections, all four from one matmul with the Bell bras; post-states
     keep the relative order of the remaining qubits.
     """
+    _require_pure(state, "measured state")
     n = state.n_qubits
     i, j = int(pair[0]), int(pair[1])
     if i == j:
@@ -278,6 +287,7 @@ def _bell_transfer(resource: PureState, corrections) -> np.ndarray:
 
 def apply_local(op: LocalOperator, state: PureState) -> PureState:
     """Apply a product of single-qubit unitaries to a state."""
+    _require_pure(state, "operand")
     if op.n_qubits != state.n_qubits:
         raise ValueError(
             f"operator acts on {op.n_qubits} qubits, state has {state.n_qubits}"
@@ -287,6 +297,7 @@ def apply_local(op: LocalOperator, state: PureState) -> PureState:
 
 def fidelity(psi: PureState, rho) -> float:
     """Overlap <psi|rho|psi>; ``rho`` may be a DensityMatrix or a PureState."""
+    _require_pure(psi, "psi")
     a = psi.amplitudes
     if isinstance(rho, PureState):
         if rho.amplitudes.size != a.size:

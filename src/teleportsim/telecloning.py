@@ -46,6 +46,7 @@ from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
+    _require_pure,
     partial_trace,
     spectrum_entropy,
 )
@@ -140,6 +141,7 @@ def _telecloning_amplitudes(coeffs: CloneCoeffs) -> np.ndarray:
 
 def apply_cloner(input_state: PureState, coeffs: CloneCoeffs) -> PureState:
     """Direct cloner map x|0> + y|1>  ->  x phi0 + y phi1 (no teleportation)."""
+    _require_pure(input_state, "cloner input")
     if input_state.n_qubits != 1:
         raise ValueError("cloner input must be a single qubit")
     x, y = input_state.amplitudes
@@ -174,6 +176,7 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
     corrected branch equals x phi0 + y phi1 exactly, so the four outcome
     probabilities are 1/4 independent of the input.
     """
+    _require_pure(input_state, "telecloning input")
     if input_state.n_qubits != 1:
         raise ValueError("telecloning input must be a single qubit")
     v = system._clone_spec.transfer @ input_state.amplitudes

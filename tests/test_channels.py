@@ -19,6 +19,9 @@ from teleportsim.ensembles import Channel, TwoStateEnsemble
 PI4 = TwoStateEnsemble(np.pi / 4)
 CH03 = Channel(np.sqrt(0.3))
 CH02 = Channel(np.sqrt(0.2))
+# three interior points each way, then a 50 x 50 grid with its edges
+ENDPOINT_THETAS = (0.2, np.pi / 4, 1.2, *np.linspace(0, np.pi / 2, 50))
+ENDPOINT_ALPHA_SQS = (0.05, 0.2, 0.4, *np.linspace(0, 0.5, 50))
 
 
 class TestDirectFidelity:
@@ -130,18 +133,18 @@ class TestPurification:
 
 class TestCombined:
     def test_endpoint_alpha_reduces_to_direct(self):
-        for t in (0.2, np.pi / 4, 1.2):
+        for t in ENDPOINT_THETAS:
             ens = TwoStateEnsemble(t)
-            for a2 in (0.05, 0.2, 0.4):
+            for a2 in ENDPOINT_ALPHA_SQS:
                 c = Channel(np.sqrt(a2))
                 assert abs(
                     combined_fidelity(ens, c, c.alpha) - two_state_direct_fidelity(ens, c)
                 ) < 1e-15
 
     def test_endpoint_max_reduces_to_purification(self):
-        for t in (0.2, np.pi / 4, 1.2):
+        for t in ENDPOINT_THETAS:
             ens = TwoStateEnsemble(t)
-            for a2 in (0.05, 0.2, 0.4):
+            for a2 in ENDPOINT_ALPHA_SQS:
                 c = Channel(np.sqrt(a2))
                 assert abs(
                     combined_fidelity(ens, c, 1 / np.sqrt(2))
@@ -198,9 +201,10 @@ class TestOptimizeCombined:
         assert abs(report.fidelity - 0.9647114317029972) < 1e-9
 
     def test_dominates_both_pure_strategies(self):
-        for t in np.linspace(0, np.pi / 2, 15):
+        # a 15 x 15 grid, then verify's 50 x 50 one
+        for t in (*np.linspace(0, np.pi / 2, 15), *np.linspace(0, np.pi / 2, 50)):
             ens = TwoStateEnsemble(t)
-            for a2 in np.linspace(0, 0.5, 15):
+            for a2 in (*np.linspace(0, 0.5, 15), *np.linspace(0, 0.5, 50)):
                 c = Channel(np.sqrt(a2))
                 best = optimize_combined(ens, c).fidelity
                 assert best >= two_state_direct_fidelity(ens, c) - 1e-12

@@ -147,7 +147,8 @@ class TestFidelityOptimized:
         assert abs(report.guess_angle - optimal_guess_angle(PI4)) < 1e-15
 
     def test_symmetric_about_pi_over_4(self):
-        for t in np.linspace(0.0, np.pi / 4, 40):
+        # a 40-point half grid, then fig-classical's whole 181-point grid
+        for t in (*np.linspace(0.0, np.pi / 4, 40), *np.linspace(0.0, np.pi / 2, 181)):
             a = fidelity_optimized(TwoStateEnsemble(t)).fidelity
             b = fidelity_optimized(TwoStateEnsemble(np.pi / 2 - t)).fidelity
             assert abs(a - b) < 1e-9

@@ -7,7 +7,7 @@ import pytest
 
 import teleportsim
 import teleportsim.cli as cli
-from teleportsim import channels, protocols
+from teleportsim import protocols
 from teleportsim.cli import (
     RunConfig,
     _csv,
@@ -23,12 +23,6 @@ from teleportsim.states import DensityMatrix
 from teleportsim.telecloning import CloneCoeffs, TelecloningSystem
 
 LOG2_3 = np.log2(3.0)
-
-
-def _bump_singlet_fraction(monkeypatch):
-    """Perturb one formula by 1e-6, so exactly channel-horodecki-identity must fail."""
-    original = channels.singlet_fraction
-    monkeypatch.setattr(channels, "singlet_fraction", lambda c: original(c) + 1e-6)
 
 
 def parse_csv(text):
@@ -196,18 +190,19 @@ def test_fig_commands_build_no_per_row_objects(argv, monkeypatch):
 
 
 class TestVerifyCommand:
-    def test_default_config_passes(self):
-        output, code = cmd_verify(RunConfig(command="verify"))
+    # the defaults, a held-out seed, and the samples floor, where the Monte
+    # Carlo bounds are widest; test_verification.py shows each check can fail
+    @pytest.mark.parametrize(
+        "settings",
+        [{}, {"seed": 7919}, {"samples": 100}],
+        ids=["defaults", "seed-7919", "samples-100"],
+    )
+    def test_default_config_passes(self, settings):
+        output, code = cmd_verify(RunConfig(command="verify", **settings))
         assert code == 0, output
         assert "FAIL" not in output
         assert output.count("PASS") == len(output.strip().split("\n")) - 1
-
-    def test_tamper_mode_fails(self, monkeypatch):
-        _bump_singlet_fraction(monkeypatch)
-        output, code = cmd_verify(RunConfig(command="verify", samples=10_000))
-        assert code == 1
-        fails = [line for line in output.split("\n") if line.startswith("FAIL")]
-        assert len(fails) == 1 and fails[0].startswith("FAIL channel-horodecki-identity")
+        assert output.endswith("\n30/30 checks passed\n")
 
 
 class TestMainEntry:
@@ -264,7 +259,7 @@ class TestMainEntry:
         target = tmp_path / "no_such_dir" / "x.csv"
         assert main(["fig-classical", "--theta-steps", "3", "--out", str(target)]) == 2
 
-    def test_verify_writes_report_to_out(self, tmp_path, capsys, monkeypatch):
+    def test_verify_writes_report_to_out(self, tmp_path, capsys):
         argv = ["verify", "--samples", "1000"]
         assert main(argv) == 0
         report = capsys.readouterr().out
@@ -274,11 +269,6 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == ""
         assert out.read_text() == report
-        # a failing run still writes its report and exits 1
-        _bump_singlet_fraction(monkeypatch)
-        assert main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().out == ""
-        assert "FAIL channel-horodecki-identity" in out.read_text()
 
     def test_verify_exit_code_2_on_unwritable_out(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "verify.txt"
@@ -325,6 +315,7 @@ class TestMainEntry:
             ["fig-classical", "--theta", "0.3"],
             ["fig-classical", "--unknown"],
             ["verify", "--seed"],
+            ["fig-channel", "--theta"],
             ["verify", "--unknown=1"],
             ["fig-classical", "--theta-steps=abc"],
             ["fig-classical", "--theta-st", "5"],
@@ -346,6 +337,7 @@ class TestMainEntry:
             "other-commands-option",
             "other-commands-flag",
             "trailing-option",
+            "trailing-float-option",
             "unknown-option",
             "bad-int",
             "prefix",
@@ -494,8 +486,20 @@ class TestParserReuse:
         _, header, _ = parse_csv(capsys.readouterr().out)
         assert header == ["alpha_sq", "f_direct", "f_purification", "f_combined", "alpha_prime_opt"]
 
-    def test_usage_errors_leave_output_unchanged(self, capsys):
-        argv = ["fig-channel", "--theta", "0.3", "--alpha-steps", "5"]
+    # each default figure, and fig-channel at a chosen theta: in this process,
+    # after every test before it, a command prints what a process of its own prints
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig-channel", "--theta", "0.3", "--alpha-steps", "5"],
+            ["fig-classical"],
+            ["fig-channel"],
+            ["fig-channel", "--unknown"],
+            ["fig-telecloning"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_errors_leave_output_unchanged(self, argv, capsys):
         alone = _cli_in_new_process("-m", "teleportsim.cli", *argv)
         for bad in (
             ["fig-channel", "--theta", "abc"],

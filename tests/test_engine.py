@@ -1,11 +1,12 @@
 """The transfer-operator routes against the per-outcome loops they replaced.
 
 ``_branch_table`` is the per-outcome (probability, branch fidelity) view of
-``protocols._branch_weights``.  ``reference_bell_measure`` and
-``reference_branch_table`` are the loops that ``states.bell_measure`` and
-that view ran before the shared kernel: one Bell vector at a time, a
-validated post-state per outcome, then ``apply_local`` and
-``fidelity``/``partial_trace``.  ``reference_teleclone``
+the (v, s) that ``protocols._scored`` returns: p_k = ||v_k||^2,
+w_k = ||s_k||^2 and the branch fidelity w_k / p_k.
+``reference_bell_measure`` and ``reference_branch_table`` are the loops
+that ``states.bell_measure`` and that view ran before the shared kernel:
+one Bell vector at a time, a validated post-state per outcome, then
+``apply_local`` and ``fidelity``/``partial_trace``.  ``reference_teleclone``
 is the matching loop that ``telecloning.teleclone`` ran before it read the
 transfer operators T.  ``_mc_haar_reference`` is the per-outcome einsum loop,
 with its one-pass variance, that ``protocols.mc_haar_average_fidelity`` ran
@@ -65,7 +66,8 @@ def _transfer_operators(channel):
 
 def _branch_table(input_state, spec):
     """(p_k, w_k / p_k) per Bell outcome, with 0.0 for a branch of p_k <= 1e-30."""
-    p, w = protocols._branch_weights(spec, input_state.amplitudes)
+    v, s = protocols._scored(spec, input_state.amplitudes)
+    p, w = (np.abs(v) ** 2).sum(axis=(1, 2)), (np.abs(s) ** 2).sum(axis=1)
     return [(float(pk), float(wk / pk) if pk > 1e-30 else 0.0) for pk, wk in zip(p, w)]
 
 
@@ -233,7 +235,8 @@ class TestBranchTable:
                 spec = standard_teleportation(Channel(alpha))
                 for theta in (0.0, np.pi / 2):
                     for psi in make_states(TwoStateEnsemble(theta)):
-                        _, w = protocols._branch_weights(spec, psi.amplitudes)
+                        s = protocols._scored(spec, psi.amplitudes)[1]
+                        w = (np.abs(s) ** 2).sum(axis=1)
                         assert abs(enumerate_protocol_fidelity(psi, spec) - w.sum()) < 1e-15
 
     def test_zero_weight_branches_at_alpha_zero(self):
@@ -607,7 +610,7 @@ class TestProtocolTransferOperators:
         # a PureState is normalised within 1e-12; bypass it to reach the check
         scaled = np.array([1.0 + 1e-9, 0.0])
         with pytest.raises(ValueError, match="not normalized"):
-            protocols._branch_weights(spec, scaled)
+            protocols._scored(spec, scaled)
         pair = reference_tensor(ZERO, ZERO)
         with pytest.raises(ValueError, match="single qubit"):
             enumerate_protocol_fidelity(pair, spec)

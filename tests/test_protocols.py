@@ -25,10 +25,20 @@ from teleportsim.protocols import (
 )
 from teleportsim import rng as rngmod
 from teleportsim.rng import chunk_sizes
-from teleportsim.states import PAULI_I, PAULI_Z, LocalOperator, PureState, fidelity, tensor
+from teleportsim.states import (
+    PAULI_I,
+    PAULI_Z,
+    LocalOperator,
+    PureState,
+    apply_local,
+    bell_measure,
+    fidelity,
+    tensor,
+)
 from teleportsim.telecloning import (
     CloneCoeffs,
     TelecloningSystem,
+    apply_cloner,
     optimize_coeffs,
     protocol_spec,
     teleclone,
@@ -184,6 +194,20 @@ class TestEnumeration:
                 corrections=spec.corrections,
                 evaluation_targets=(0,),
             )
+        # every public function that reads amplitudes names its argument
+        rho = psi.density()
+        system = TelecloningSystem(optimize_coeffs(PI4))
+        for name, call in [
+            ("tensor factor", lambda: tensor(rho, psi)),
+            ("tensor factor", lambda: tensor(psi, rho)),
+            ("measured state", lambda: bell_measure(spec.resource_state.density(), (0, 1))),
+            ("operand", lambda: apply_local(LocalOperator((PAULI_Z,)), rho)),
+            ("psi", lambda: fidelity(rho, psi)),
+            ("telecloning input", lambda: teleclone(rho, system)),
+            ("cloner input", lambda: apply_cloner(rho, system.coeffs)),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be a PureState, got DensityMatrix$"):
+                call()
 
 
 class TestMonteCarlo:

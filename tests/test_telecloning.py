@@ -30,6 +30,8 @@ from teleportsim.telecloning import (
 LOG2_3 = np.log2(3.0)
 ZERO = PureState(np.array([1.0, 0.0]))
 ONE = PureState(np.array([0.0, 1.0]))
+# a 20-point grid, then verify's 50-point teleclone-two-state-sweep grid
+SWEEP_THETAS = (*np.linspace(0.0, np.pi / 2, 20), *np.linspace(0.0, np.pi / 2, 50))
 
 
 def clone_states(coeffs):
@@ -253,7 +255,8 @@ class TestTeleclone:
     def test_corrected_branches_equal_cloner_output(self):
         # every Bell outcome, after P x P x P, is exactly x*phi0 + y*phi1
         rng = np.random.default_rng(15)
-        for coeffs in (universal_coeffs(), random_coeffs(rng)):
+        pi4 = optimize_coeffs(TwoStateEnsemble(np.pi / 4))
+        for coeffs in (universal_coeffs(), random_coeffs(rng), pi4):
             system = TelecloningSystem(coeffs)
             for _ in range(20):
                 psi = random_qubit(rng)
@@ -392,7 +395,7 @@ class TestEntanglement:
         assert abs(alice_receivers_entanglement(CloneCoeffs(1.0, 0.0, 0.0)) - 1.0) < 1e-12
 
     def test_optimized_family_stays_below_log2_3(self):
-        for t in np.linspace(0.0, np.pi / 2, 20):
+        for t in SWEEP_THETAS:
             coeffs = optimize_coeffs(TwoStateEnsemble(t))
             ent = alice_receivers_entanglement(coeffs)
             assert ent < LOG2_3 - 1e-6
@@ -401,7 +404,7 @@ class TestEntanglement:
 class TestSandwich:
     def test_teleclone_below_optimal_with_strict_gap(self):
         max_gap = 0.0
-        for t in np.linspace(0.0, np.pi / 2, 20):
+        for t in SWEEP_THETAS:
             ens = TwoStateEnsemble(t)
             f_tc = global_clone_fidelity(ens, optimize_coeffs(ens))
             f_opt = optimal_global_fidelity(ens)

@@ -3,7 +3,8 @@
 The checks over theta and alpha grids read the broadcast sweeps: each states
 its invariant on the columns of one sweep call, so it builds no ensemble or
 channel per grid point.  Every registered check has a row in the table
-below: corrupting the production code behind the check makes it fail.
+below: corrupting the production code behind the check makes
+``teleportsim verify`` exit 1 with that check among its FAIL lines.
 """
 
 from collections import Counter
@@ -11,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from teleportsim import channels, classical, ensembles, protocols, rng, states, telecloning
+from teleportsim import channels, classical, cli, ensembles, protocols, rng, states, telecloning
 from teleportsim import verification as v
 from teleportsim.cli import RunConfig
 
@@ -225,15 +226,37 @@ def test_every_registered_check_has_a_corruption_row():
     assert list(_mutations()) == [name for name, _ in v.CHECKS]
 
 
+# Two rows pin their whole fail set: no other check catches what they corrupt,
+# so verify fails exactly one check.  The other rows' fail sets are not
+# pinned, because some cross-catches sit at their tolerance and may flip
+# with libm rounding.
+ONLY_THEIR_OWN = {
+    "channel-horodecki-identity-singlet_fraction",
+    "teleclone-two-state-sweep-_optimum",
+}
+
+
 @pytest.mark.parametrize(
     "name,module,attr,mutant",
     [(name, *m) for name, ms in _mutations().items() for m in ms],
     ids=[f"{name}-{m[1]}" for name, ms in _mutations().items() for m in ms],
 )
-def test_fails_when_the_kernel_it_reads_is_corrupted(name, module, attr, mutant, monkeypatch):
-    assert REGISTRY[name](CFG)[0]
+def test_verify_fails_when_the_kernel_it_reads_is_corrupted(
+    name, module, attr, mutant, monkeypatch, tmp_path, capsys
+):
+    # through the command users run, at its default settings; that every
+    # check passes there is TestVerifyCommand's test in test_cli.py
     monkeypatch.setattr(module, attr, mutant)
-    assert not REGISTRY[name](CFG)[0]
+    out = tmp_path / "verify.txt"
+    assert cli.main(["verify", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    *lines, summary = out.read_text().splitlines()
+    failed = {line.split()[1].rstrip(":") for line in lines if line.startswith("FAIL")}
+    assert name in failed
+    # k/30 with k < 30, as name failed
+    assert len(lines) == 30 and summary == f"{30 - len(failed)}/30 checks passed"
+    if f"{name}-{attr}" in ONLY_THEIR_OWN:
+        assert failed == {name}
 
 
 def test_only_the_partial_trace_check_builds_three_or_four_qubit_density_matrices(monkeypatch):
