@@ -19,8 +19,13 @@ from teleportsim.ensembles import Channel, TwoStateEnsemble
 PI4 = TwoStateEnsemble(np.pi / 4)
 CH03 = Channel(np.sqrt(0.3))
 CH02 = Channel(np.sqrt(0.2))
-# three interior points each way, then a 50 x 50 grid with its edges
-ENDPOINT_THETAS = (0.2, np.pi / 4, 1.2, *np.linspace(0, np.pi / 2, 50))
+# three interior points each way, then a 50 x 50 grid with its edges;
+# each theta set is one case, crossed with every alpha^2
+ENDPOINT_THETAS = pytest.mark.parametrize(
+    "thetas",
+    [(0.2, np.pi / 4, 1.2), np.linspace(0, np.pi / 2, 50)],
+    ids=["interior-thetas", "grid-50-thetas"],
+)
 ENDPOINT_ALPHA_SQS = (0.05, 0.2, 0.4, *np.linspace(0, 0.5, 50))
 
 
@@ -132,8 +137,9 @@ class TestPurification:
 
 
 class TestCombined:
-    def test_endpoint_alpha_reduces_to_direct(self):
-        for t in ENDPOINT_THETAS:
+    @ENDPOINT_THETAS
+    def test_endpoint_alpha_reduces_to_direct(self, thetas):
+        for t in thetas:
             ens = TwoStateEnsemble(t)
             for a2 in ENDPOINT_ALPHA_SQS:
                 c = Channel(np.sqrt(a2))
@@ -141,8 +147,9 @@ class TestCombined:
                     combined_fidelity(ens, c, c.alpha) - two_state_direct_fidelity(ens, c)
                 ) < 1e-15
 
-    def test_endpoint_max_reduces_to_purification(self):
-        for t in ENDPOINT_THETAS:
+    @ENDPOINT_THETAS
+    def test_endpoint_max_reduces_to_purification(self, thetas):
+        for t in thetas:
             ens = TwoStateEnsemble(t)
             for a2 in ENDPOINT_ALPHA_SQS:
                 c = Channel(np.sqrt(a2))
@@ -200,9 +207,10 @@ class TestOptimizeCombined:
         assert abs(report.alpha_prime - grid[k]) < 1e-5
         assert abs(report.fidelity - 0.9647114317029972) < 1e-9
 
-    def test_dominates_both_pure_strategies(self):
-        # a 15 x 15 grid, then verify's 50 x 50 one
-        for t in (*np.linspace(0, np.pi / 2, 15), *np.linspace(0, np.pi / 2, 50)):
+    @pytest.mark.parametrize("theta_steps", [15, 50], ids=["thetas-15", "thetas-50"])
+    def test_dominates_both_pure_strategies(self, theta_steps):
+        # each theta grid against a 15-point and verify's 50-point alpha^2 grid
+        for t in np.linspace(0, np.pi / 2, theta_steps):
             ens = TwoStateEnsemble(t)
             for a2 in (*np.linspace(0, 0.5, 15), *np.linspace(0, 0.5, 50)):
                 c = Channel(np.sqrt(a2))

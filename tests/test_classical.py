@@ -146,9 +146,13 @@ class TestFidelityOptimized:
         assert abs(report.error_probability - min_error_probability(PI4)) < 1e-15
         assert abs(report.guess_angle - optimal_guess_angle(PI4)) < 1e-15
 
-    def test_symmetric_about_pi_over_4(self):
-        # a 40-point half grid, then fig-classical's whole 181-point grid
-        for t in (*np.linspace(0.0, np.pi / 4, 40), *np.linspace(0.0, np.pi / 2, 181)):
+    @pytest.mark.parametrize(
+        "thetas",
+        [np.linspace(0.0, np.pi / 4, 40), np.linspace(0.0, np.pi / 2, 181)],
+        ids=["half-grid-40", "fig-classical-grid-181"],
+    )
+    def test_symmetric_about_pi_over_4(self, thetas):
+        for t in thetas:
             a = fidelity_optimized(TwoStateEnsemble(t)).fidelity
             b = fidelity_optimized(TwoStateEnsemble(np.pi / 2 - t)).fidelity
             assert abs(a - b) < 1e-9

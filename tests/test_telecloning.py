@@ -31,7 +31,9 @@ LOG2_3 = np.log2(3.0)
 ZERO = PureState(np.array([1.0, 0.0]))
 ONE = PureState(np.array([0.0, 1.0]))
 # a 20-point grid, then verify's 50-point teleclone-two-state-sweep grid
-SWEEP_THETAS = (*np.linspace(0.0, np.pi / 2, 20), *np.linspace(0.0, np.pi / 2, 50))
+SWEEP_THETAS = pytest.mark.parametrize(
+    "theta_steps", [20, 50], ids=["thetas-20", "teleclone-two-state-sweep-50"]
+)
 
 
 def clone_states(coeffs):
@@ -394,17 +396,19 @@ class TestEntanglement:
     def test_ghz_like_state_is_one_ebit(self):
         assert abs(alice_receivers_entanglement(CloneCoeffs(1.0, 0.0, 0.0)) - 1.0) < 1e-12
 
-    def test_optimized_family_stays_below_log2_3(self):
-        for t in SWEEP_THETAS:
+    @SWEEP_THETAS
+    def test_optimized_family_stays_below_log2_3(self, theta_steps):
+        for t in np.linspace(0.0, np.pi / 2, theta_steps):
             coeffs = optimize_coeffs(TwoStateEnsemble(t))
             ent = alice_receivers_entanglement(coeffs)
             assert ent < LOG2_3 - 1e-6
 
 
 class TestSandwich:
-    def test_teleclone_below_optimal_with_strict_gap(self):
+    @SWEEP_THETAS
+    def test_teleclone_below_optimal_with_strict_gap(self, theta_steps):
         max_gap = 0.0
-        for t in SWEEP_THETAS:
+        for t in np.linspace(0.0, np.pi / 2, theta_steps):
             ens = TwoStateEnsemble(t)
             f_tc = global_clone_fidelity(ens, optimize_coeffs(ens))
             f_opt = optimal_global_fidelity(ens)
