@@ -11,13 +11,15 @@ the resource's other qubits, the output.  The protocol is linear in its
 input, so four transfer operators describe it completely: outcome k maps
 the input z to the corrected, unnormalised output v_k = T[k] z, with
 probability p_k = ||v_k||^2.  A ``ProtocolSpec`` builds its T
-(4 x d_out x 2, read-only) once, at construction, from one contraction of
-the Bell bras with the resource (``states._bell_transfer``).  Every
-evaluated qubit is scored against a copy of the input.  An evaluation reads
-T at call time as a (4, 2^rest, 2^kept, 2) view, the output qubits split
-into the unscored rest and the n_t evaluated ones (a reshape, plus a
-transpose only when a rest qubit follows an evaluated one), and contracts
-it twice:
+(4 x d_out x 2, read-only) once, at construction, in one product of the
+resource's amplitudes with the (corrections o Bell bras) map of its
+correction set (``states._bell_transfer``).  That map is built once per
+correction set and cached, so a spec on a set seen before repeats no work
+that depends on the corrections alone.  Every evaluated qubit is scored
+against a copy of the input.  An evaluation reads T at call time as a
+(4, 2^rest, 2^kept, 2) view, the output qubits split into the unscored
+rest and the n_t evaluated ones (a reshape, plus a transpose only when a
+rest qubit follows an evaluated one), and contracts it twice:
 
     v = view @ z,    s = v @ conj(z)^{(x) n_t},
 
@@ -108,9 +110,12 @@ class ProtocolSpec:
         t = _bell_transfer(resource, self.corrections)
         n = _n_qubits_for(t.shape[1])
         targets = tuple(sorted(map(int, self.evaluation_targets)))
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"dimension mismatch: evaluation_targets {targets} repeat a qubit")
+        # every output qubit once is valid, so only other targets are checked
         if targets != tuple(range(n)):
+            if len(set(targets)) != len(targets):
+                raise ValueError(
+                    f"dimension mismatch: evaluation_targets {targets} repeat a qubit"
+                )
             _kept_qubits(targets, n)
         object.__setattr__(self, "evaluation_targets", targets)
         object.__setattr__(self, "transfer", t)

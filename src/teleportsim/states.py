@@ -6,19 +6,22 @@ machinery.  Qubit ordering is big-endian throughout: qubit 0 is the most
 significant bit of the amplitude index, e.g. ``|1>|0>`` has amplitudes
 ``(0, 0, 1, 0)``.
 
-Fixed operators are built once (a LocalOperator caches its read-only matrix;
-correction sets are module constants), and every object the public API
-returns still goes through its validating constructor.  Validation happens
-where a state is returned, not on the way to it: ``partial_trace`` reduces a
-``PureState`` from its amplitudes and builds no full density matrix, so only
-the returned reduced state is validated, with every check it would get from
-the density route.
+Fixed operators are built once: a LocalOperator caches its read-only matrix,
+correction sets are module constants, and each correction set's
+(corrections o Bell bras) map, which turns a resource's amplitudes into its
+transfer operators in one matmul, is built on the first spec that uses the
+set and cached by the set's identity (``_transfer_map``).  Every object the
+public API returns still goes through its validating constructor.
+Validation happens where a state is returned, not on the way to it:
+``partial_trace`` reduces a ``PureState`` from its amplitudes and builds no
+full density matrix, so only the returned reduced state is validated, with
+every check it would get from the density route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Optional
 
 import numpy as np
@@ -52,8 +55,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# <Bell_k|b j> indexed (k, j, b): a resource reshaped to (d_out, 2) times this
-# stack is every basis residual in the (k, out, b) layout of a transfer operator
+# <Bell_k|b j> indexed (k, j, b), the bras every cached ``_transfer_map`` is
+# built from; ``bell_measure`` reads ``_BELL_BRAS``
 _BELL_BRAS_JB = _read_only(np.ascontiguousarray(_BELL_BRAS.reshape(4, 2, 2).transpose(0, 2, 1)))
 
 
@@ -251,38 +254,68 @@ def bell_measure(state: PureState, pair: tuple) -> list:
     return outcomes
 
 
+@lru_cache(maxsize=8)
+def _transfer_map(ops: tuple) -> np.ndarray:
+    """Read-only (16 d, 2 d) map from a resource's amplitudes to its residuals and T.
+
+    ``ops`` is the tuple of the four correction LocalOperators, each a
+    d x d matrix on the resource's output qubits.  The rows hold two stacked
+    maps, each (4, d, 2) in the (k, out, b) layout of a transfer operator
+    and equal to ``einsum("koq,kjb->kobjq", U, _BELL_BRAS_JB)``: first with
+    U[k] = I (the uncorrected residuals), then with U[k] = ops[k] (T).  The
+    columns are the resource's amplitude index (j, q), so one matmul with
+    the amplitudes gives both.  The map depends on the corrections alone,
+    and real callers pass module-constant sets, so it is cached per set:
+    keyed by the operators' identity (LocalOperator is frozen and hashes by
+    id), and bounded, because the cache keeps each key's operators alive.  A
+    patched ``_BELL_BRAS_JB`` does not reach a map already cached, so a test
+    that patches it calls ``_transfer_map.cache_clear()`` before and after.
+    """
+    d = ops[0].matrix().shape[0]
+    iu = np.empty((2, 4, d, d), dtype=complex)
+    iu[0] = np.eye(d)
+    iu[1] = [op.matrix() for op in ops]
+    # that einsum sums over no index, so it is this broadcast product, laid
+    # out in C order so that the reshape below is a view
+    bras = _BELL_BRAS_JB.transpose(0, 2, 1)[:, None, :, :, None]
+    both = np.multiply(iu[:, :, :, None, None, :], bras, order="C")
+    both.setflags(write=False)
+    return both.reshape(16 * d, 2 * d)
+
+
 def _bell_transfer(resource: PureState, corrections) -> np.ndarray:
     """Read-only (4, d_out, 2) transfer operators of a one-qubit input and ``resource``.
 
     The input is Bell-measured together with the resource's first qubit, and
     outcome k maps the input z to its corrected, unnormalised output
     ``T[k] @ z`` on the resource's other qubits.  For the basis input |b> the
-    residual of outcome k is sum_j <Bell_k|b j> resource[j, :], so one
-    product of the resource (as d_out x 2) with the Bell bras (as
-    4 x 2 x 2, indexed k, j, b) gives every residual already in T's
-    (k, out, b) layout, and the stacked ``corrections[k]`` act on outcome k.
-    Each correction must be a LocalOperator on the d_out qubits.  Every
-    basis branch of weight above 1e-30 is checked to stay normalised within
-    1e-12, the check that a validated post-state makes; the eight (k, b)
-    pairs are compared as plain floats, in (k, b) order.
+    residual of outcome k is sum_j <Bell_k|b j> resource[j, :], and T[k] is
+    ``corrections[k]`` applied to it; both are linear in the resource, so
+    one product of the cached ``_transfer_map`` of the four corrections with
+    the resource's amplitudes gives every residual and every T[k] at once.
+    Each correction must be a LocalOperator on the d_out qubits, checked
+    before the map is looked up.  Every basis branch of weight above 1e-30
+    is checked to stay normalised within 1e-12, the check that a validated
+    post-state makes; the eight (k, b) pairs are compared as plain floats,
+    in (k, b) order.
     """
     n_out = resource.n_qubits - 1
-    ops = [corrections[k] for k in (1, 2, 3, 4)]
+    ops = tuple(corrections[k] for k in (1, 2, 3, 4))
     for k, op in enumerate(ops, 1):
         if not isinstance(op, LocalOperator):
             raise ValueError(f"correction {k} must be a LocalOperator, got {type(op).__name__}")
         if op.n_qubits != n_out:
             raise ValueError(f"correction {k} acts on {op.n_qubits} qubits, {n_out} remain")
-    residuals = resource.amplitudes.reshape(2, -1).T @ _BELL_BRAS_JB
-    t = np.array([op.matrix() for op in ops]) @ residuals
-    sq = np.abs(np.concatenate([residuals, t]))
+    both = _transfer_map(ops) @ resource.amplitudes
+    both.setflags(write=False)
+    both = both.reshape(2, 4, -1, 2)
+    sq = np.abs(both)
     sq *= sq
-    p, norm = sq.sum(axis=1).reshape(2, 8).tolist()
+    p, norm = sq.sum(axis=2).reshape(2, 8).tolist()
     for pb, nb in zip(p, norm):
         if pb > 1e-30 and abs(nb - pb) > _NORM_ATOL * pb:
             raise ValueError(f"state not normalized: sum |a|^2 = {nb / pb!r}")
-    t.setflags(write=False)
-    return t
+    return both[1]
 
 
 def apply_local(op: LocalOperator, state: PureState) -> PureState:

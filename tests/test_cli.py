@@ -468,9 +468,19 @@ class TestParserReuse:
             assert option in captured.out
         assert "--tamper" not in captured.out
 
-    def test_help_without_docstrings_prints_the_usage_line(self):
-        out = _cli_in_new_process("-OO", "-m", "teleportsim.cli", "--help")
-        assert out == "usage: teleportsim COMMAND [OPTION ...]\n"
+    @pytest.mark.parametrize(
+        "argv,expected_lines,last_line",
+        [
+            (["--help"], 1, "usage: teleportsim COMMAND [OPTION ...]"),
+            # -OO strips every assert as well, so no verify check may rest on one
+            (["verify", "--samples", "1000"], 31, "30/30 checks passed"),
+        ],
+        ids=["help", "verify"],
+    )
+    def test_runs_without_docstrings_or_asserts(self, argv, expected_lines, last_line):
+        out = _cli_in_new_process("-OO", "-W", "error", "-m", "teleportsim.cli", *argv)
+        lines = out.splitlines()
+        assert len(lines) == expected_lines and lines[-1] == last_line
 
     def test_option_values_do_not_carry_over(self, capsys):
         assert main(["fig-classical", "--theta-steps", "3"]) == 0

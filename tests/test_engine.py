@@ -82,6 +82,15 @@ def random_qubit(rng):
     return PureState(z / np.linalg.norm(z))
 
 
+def random_local_unitary(n_qubits, rng):
+    """A LocalOperator of n seeded random single-qubit unitaries (QR, phase-fixed)."""
+    factors = []
+    for _ in range(n_qubits):
+        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        factors.append(q * (np.diag(r) / np.abs(np.diag(r))))
+    return LocalOperator(tuple(factors))
+
+
 def random_coeffs(rng):
     u = np.abs(rng.standard_normal(3))
     u /= np.sqrt(u[0] ** 2 + 2 * u[1] ** 2 + u[2] ** 2)
@@ -205,6 +214,13 @@ def _mc_haar_full_sphere(channel, samples, seed):
     mean = total / samples
     var = m2 / max(samples - 1, 1)
     return mean, float(np.sqrt(var / samples))
+
+
+def assert_read_only_to_the_base(a):
+    """Neither ``a`` nor any array it views through ``.base`` is writeable."""
+    while a is not None:
+        assert not a.flags.writeable
+        a = a.base
 
 
 def assert_rows_match(got, expected):
@@ -505,6 +521,45 @@ class TestProtocolTransferOperators:
                 assert np.abs(total - np.eye(2)).max() < 1e-14
                 with pytest.raises(ValueError):
                     t[0, 0, 0] = 1.0
+                assert_read_only_to_the_base(t)
+
+    @pytest.mark.parametrize("name", ["standard", "clone", "identity", "random-1", "random-3"])
+    def test_transfer_map_matches_two_step_contraction(self, name):
+        # the residuals from the Bell vectors first, then the stacked corrections
+        rng = np.random.default_rng(113)
+        corrections = {
+            "standard": protocols._STANDARD_CORRECTIONS,
+            "clone": telecloning._CLONE_CORRECTIONS,
+            "identity": {k: LocalOperator.uniform(1, PAULI_I) for k in (1, 2, 3, 4)},
+            "random-1": {k: random_local_unitary(1, rng) for k in (1, 2, 3, 4)},
+            "random-3": {k: random_local_unitary(3, rng) for k in (1, 2, 3, 4)},
+        }[name]
+        ops = tuple(corrections[k] for k in (1, 2, 3, 4))
+        m = states._transfer_map(ops)
+        d = ops[0].matrix().shape[0]
+        assert m.shape == (16 * d, 2 * d)
+        assert_read_only_to_the_base(m)
+        bras = BELL_VECTORS.conj().reshape(4, 2, 2)  # (k, b, j)
+        for _ in range(3):
+            a = rng.standard_normal(2 * d) + 1j * rng.standard_normal(2 * d)
+            a /= np.linalg.norm(a)
+            residuals = np.einsum("kbj,jo->kob", bras, a.reshape(2, d))
+            t = np.array([op.matrix() for op in ops]) @ residuals
+            both = (m @ a).reshape(2, 4, d, 2)
+            assert np.abs(both[0] - residuals).max() < 1e-15
+            assert np.abs(both[1] - t).max() < 1e-15
+
+    def test_same_corrections_reuse_the_cached_map(self):
+        for build in (
+            lambda: standard_teleportation(Channel(0.3)),
+            lambda: protocol_spec(TelecloningSystem(universal_coeffs())),
+        ):
+            build()
+            before = states._transfer_map.cache_info()
+            build()
+            after = states._transfer_map.cache_info()
+            assert after.hits == before.hits + 1
+            assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
     def test_operators_follow_the_spec_corrections(self):
         # identity corrections: a different protocol, still matched branch by branch

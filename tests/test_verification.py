@@ -61,9 +61,14 @@ def _shift_first(fn, delta):
     return shifted
 
 
-def _mistyped_bell_bras(k):
-    """The Bell bras with bra ``k`` mistyped as phi+: no longer a complete basis."""
-    bras = states._BELL_BRAS.copy()
+def _mistyped_bell_bras(k, bras=states._BELL_BRAS):
+    """``bras`` with bra ``k`` mistyped as phi+: no longer a complete basis.
+
+    ``states._BELL_BRAS`` is what ``bell_measure`` reads; ``states._BELL_BRAS_JB``,
+    the same bras indexed (k, j, b) and built at import, is what the cached
+    transfer maps of the protocol enumeration read.
+    """
+    bras = bras.copy()
     bras[k] = bras[0]
     return bras
 
@@ -165,11 +170,15 @@ def _mutations():
         ],
         "protocol-oracle-agreement": [
             (channels, "_direct", lambda t, a, f=channels._direct: f(t, a) + 1e-9),
+            # phi- as phi+ in the bras the transfer maps read; the Monte Carlo's
+            # Bell measurement reads _BELL_BRAS and is untouched
+            (states, "_BELL_BRAS_JB", _mistyped_bell_bras(1, states._BELL_BRAS_JB)),
         ],
         "protocol-mc-agreement": [
             # every Bell outcome left uncorrected
             (protocols, "apply_local", lambda op, state: state),
-            # enumeration reads the same bras, so only the closed form catches it
+            # the Monte Carlo's Bell measurement only: the enumeration reads
+            # _BELL_BRAS_JB, so MC disagrees with both it and the closed form
             (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
         ],
         "protocol-haar-average": [
@@ -236,13 +245,22 @@ ONLY_THEIR_OWN = {
 }
 
 
+@pytest.fixture
+def fresh_transfer_maps():
+    """No cached transfer map before or after: a map cached earlier would hide a
+    patched ``_BELL_BRAS_JB``, and one built from it must not reach a later test."""
+    states._transfer_map.cache_clear()
+    yield
+    states._transfer_map.cache_clear()
+
+
 @pytest.mark.parametrize(
     "name,module,attr,mutant",
     [(name, *m) for name, ms in _mutations().items() for m in ms],
     ids=[f"{name}-{m[1]}" for name, ms in _mutations().items() for m in ms],
 )
 def test_verify_fails_when_the_kernel_it_reads_is_corrupted(
-    name, module, attr, mutant, monkeypatch, tmp_path, capsys
+    name, module, attr, mutant, fresh_transfer_maps, monkeypatch, tmp_path, capsys
 ):
     # through the command users run, at its default settings; that every
     # check passes there is TestVerifyCommand's test in test_cli.py
