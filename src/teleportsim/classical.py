@@ -24,10 +24,13 @@ import numpy as np
 
 from . import rng as rngmod
 from .ensembles import TwoStateEnsemble, checked_thetas, make_states
-from .states import PureState
+from .states import PureState, _read_only
 
 _POVM_SUM_ATOL = 1e-10
 _POVM_EIG_FLOOR = -1e-12
+# the computational-basis projectors, complex and read-only, which every
+# projective_guess_strategy shares
+_BASIS_POVM = (_read_only(np.diag([1.0, 0.0])), _read_only(np.diag([0.0, 1.0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +202,7 @@ def projective_guess_strategy(
     g = guess_angle
     g0 = PureState(np.array([np.cos(g / 2), np.sin(g / 2)]))
     g1 = PureState(np.array([np.sin(g / 2), np.cos(g / 2)]))
-    return ClassicalStrategy(
-        povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), guesses=(g0, g1)
-    )
+    return ClassicalStrategy(povm=_BASIS_POVM, guesses=(g0, g1))
 
 
 def unknown_state_classical_fidelity(samples: int, seed: int) -> float:

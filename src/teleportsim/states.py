@@ -15,12 +15,16 @@ public API returns still goes through its validating constructor.
 Validation happens where a state is returned, not on the way to it:
 ``partial_trace`` reduces a ``PureState`` from its amplitudes and builds no
 full density matrix, so only the returned reduced state is validated, with
-every check it would get from the density route.
+every check it would get from the density route.  Each piece of validation
+work is done once: a ``DensityMatrix`` copies its elements once and keeps
+the spectrum that its positivity check computed, which
+``von_neumann_entropy`` reads, and a ``TelecloneResult``'s reduced states
+are built and validated when they are first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Iterable, Optional
 
@@ -92,26 +96,38 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive semidefinite operator."""
+    """Hermitian, unit-trace, positive semidefinite operator.
+
+    ``spectrum`` holds the ascending, read-only eigenvalues of the
+    symmetrised elements (e + e^dagger)/2, which the positivity check
+    computes; ``von_neumann_entropy`` reads them.
+    """
 
     elements: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        e = np.asarray(self.elements, dtype=complex)
+        e = np.array(self.elements, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"density matrix must be square, got {e.shape}")
         _n_qubits_for(e.shape[0])
+        # finite first, so an inf entry raises here and not a warning from inf - inf
         if not np.isfinite(e).all():
             raise ValueError("density matrix has a non-finite entry")
-        if not np.abs(e - e.conj().T).max() <= _HERM_ATOL:
+        eh = e.conj().T
+        if not np.abs(e - eh).max() <= _HERM_ATOL:
             raise ValueError("density matrix not Hermitian within 1e-12")
         tr = complex(np.trace(e))
         if not abs(tr - 1.0) <= _NORM_ATOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        low = float(np.linalg.eigvalsh((e + e.conj().T) / 2).min())
+        w = np.linalg.eigvalsh((e + eh) / 2)
+        low = float(w.min())
         if not low >= _EIG_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {low} < -1e-10")
-        object.__setattr__(self, "elements", _read_only(e))
+        e.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "elements", e)
+        object.__setattr__(self, "spectrum", w)
 
     @property
     def n_qubits(self) -> int:
@@ -212,9 +228,12 @@ def partial_trace(state: PureState | DensityMatrix, keep: Iterable[int]) -> Dens
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum(w * log2 w) in bits; eigenvalues below 1e-12 count as 0."""
-    e = rho.elements
-    return float(spectrum_entropy(np.linalg.eigvalsh((e + e.conj().T) / 2)))
+    """Entropy -sum(w * log2 w) in bits; eigenvalues below 1e-12 count as 0.
+
+    Reads the spectrum that validating ``rho`` computed, so no second
+    eigendecomposition is made.
+    """
+    return float(spectrum_entropy(rho.spectrum))
 
 
 def spectrum_entropy(w):

@@ -111,12 +111,30 @@ class TelecloningSystem:
 
 @dataclass(frozen=True, eq=False)
 class TelecloneResult:
-    """Outcome branches and clone states from one telecloning run."""
+    """Outcome branches and clone states from one telecloning run.
+
+    ``branches`` is the read-only (4, 8) matrix v = T z of corrected,
+    unnormalised branches on (ancilla, B, C), and ``per_outcome`` holds each
+    outcome's (probability, branch state).  The reduced states are built
+    from ``branches`` and validated when first read, then kept: the clone
+    pair is the partial trace of the outcome-purified pure state
+    sum_k |k> (x) v_k, and each clone is a partial trace of the pair.
+    """
 
     per_outcome: tuple
-    clone_b: DensityMatrix
-    clone_c: DensityMatrix
-    joint_clones: DensityMatrix
+    branches: np.ndarray
+
+    @cached_property
+    def joint_clones(self) -> DensityMatrix:
+        return partial_trace(PureState(self.branches), (3, 4))
+
+    @cached_property
+    def clone_b(self) -> DensityMatrix:
+        return partial_trace(self.joint_clones, (0,))
+
+    @cached_property
+    def clone_c(self) -> DensityMatrix:
+        return partial_trace(self.joint_clones, (1,))
 
 
 def universal_coeffs() -> CloneCoeffs:
@@ -172,23 +190,20 @@ def teleclone(input_state: PureState, system: TelecloningSystem) -> TelecloneRes
     outcome k has probability ||v_k||^2 and branch state v_k / ||v_k||.
     The outcome register purifies the branch mixture sum_k v_k v_k^dagger,
     so the clone pair is the partial trace of the pure state
-    sum_k |k> (x) v_k, and each clone is a partial trace of the pair.  Every
-    corrected branch equals x phi0 + y phi1 exactly, so the four outcome
-    probabilities are 1/4 independent of the input.
+    sum_k |k> (x) v_k, and each clone is a partial trace of the pair.  The
+    result keeps v and builds those reduced states only when they are first
+    read, so a caller that reads only ``per_outcome`` builds no density
+    matrix.  Every corrected branch equals x phi0 + y phi1 exactly, so the
+    four outcome probabilities are 1/4 independent of the input.
     """
     _require_pure(input_state, "telecloning input")
     if input_state.n_qubits != 1:
         raise ValueError("telecloning input must be a single qubit")
     v = system._clone_spec.transfer @ input_state.amplitudes
+    v.setflags(write=False)
     p = (np.abs(v) ** 2).sum(axis=1)
     per = tuple((float(pk), PureState(vk / np.sqrt(pk))) for pk, vk in zip(p, v))
-    joint = partial_trace(PureState(v), (3, 4))
-    return TelecloneResult(
-        per_outcome=per,
-        clone_b=partial_trace(joint, (0,)),
-        clone_c=partial_trace(joint, (1,)),
-        joint_clones=joint,
-    )
+    return TelecloneResult(per_outcome=per, branches=v)
 
 
 def _clone_overlaps(theta):

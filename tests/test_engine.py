@@ -407,9 +407,12 @@ class TestGlobalCloneFidelity:
         global_clone_fidelity(ens, coeffs)
         _branch_table(psi, protocol_spec(system, targets=(1,)))
         assert counts == {"DensityMatrix": 0, "partial_trace": 0}
-        # the counters do see teleclone's reduced states: the clone pair,
-        # traced from the outcome-purified branches, and each clone from the pair
-        teleclone(psi, system)
+        # a teleclone whose clones are never read builds none of them
+        result = teleclone(psi, system)
+        assert counts == {"DensityMatrix": 0, "partial_trace": 0}
+        # the counters do see teleclone's reduced states once read: the clone
+        # pair, traced from the outcome-purified branches, and each clone from the pair
+        result.joint_clones, result.clone_b, result.clone_c
         assert counts == {"DensityMatrix": 3, "partial_trace": 3}
 
 

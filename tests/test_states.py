@@ -13,6 +13,7 @@ from teleportsim.states import (
     bell_measure,
     fidelity,
     partial_trace,
+    spectrum_entropy,
     tensor,
     von_neumann_entropy,
 )
@@ -114,6 +115,56 @@ class TestEntropy:
             u = random_local_unitary(rng, 2).matrix()
             rotated = DensityMatrix(u @ rho.elements @ u.conj().T)
             assert abs(von_neumann_entropy(rotated) - s) < 1e-9
+
+
+def stored_spectrum_cases():
+    """Random 1-4 qubit density matrices: reduced pure states, mixtures, rotated states."""
+    rng = np.random.default_rng(6)
+    cases = []
+    for n in (1, 2, 3, 4):
+        rho = partial_trace(random_state(rng, n + 2), range(n))
+        weights = rng.dirichlet(np.ones(3))
+        vectors = [random_state(rng, n).amplitudes for _ in weights]
+        mixture = DensityMatrix(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vectors)))
+        u = random_local_unitary(rng, n).matrix()
+        rotated = DensityMatrix(u @ rho.elements @ u.conj().T)
+        cases += [
+            pytest.param(rho, id=f"reduced-{n}"),
+            pytest.param(mixture, id=f"mixture-{n}"),
+            pytest.param(rotated, id=f"rotated-{n}"),
+        ]
+    return cases + [
+        pytest.param(PLUS.density(), id="pure-1"),
+        pytest.param(DensityMatrix(np.eye(4) / 4), id="diagonal-2"),
+    ]
+
+
+STORED_SPECTRUM_CASES = pytest.mark.parametrize("rho", stored_spectrum_cases())
+
+
+class TestStoredSpectrum:
+    @STORED_SPECTRUM_CASES
+    def test_entropy_equals_a_fresh_eigendecomposition_bit_for_bit(self, rho):
+        e = rho.elements
+        fresh = float(spectrum_entropy(np.linalg.eigvalsh((e + e.conj().T) / 2)))
+        assert von_neumann_entropy(rho) == fresh
+
+    @STORED_SPECTRUM_CASES
+    def test_spectrum_and_elements_are_read_only_to_the_base(self, rho):
+        assert rho.spectrum.shape == (rho.elements.shape[0],)
+        for a in (rho.spectrum, rho.elements):
+            while a is not None:
+                assert not a.flags.writeable
+                a = a.base
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 1.0
+
+    def test_elements_are_an_owned_copy(self):
+        source = np.eye(2, dtype=complex) / 2
+        rho = DensityMatrix(source)
+        source[0, 0] = 1.0
+        assert rho.elements[0, 0] == 0.5
+        assert rho.elements.base is None
 
 
 class TestBellMeasure:

@@ -274,6 +274,38 @@ class TestTeleclone:
             assert np.abs(result.clone_b.elements - result.clone_c.elements).max() < 1e-12
 
 
+# the universal cloner, the edge sets and seeded random coefficients
+LAZY_CLONE_COEFFS = {
+    "universal": universal_coeffs(),
+    "a": CloneCoeffs(1.0, 0.0, 0.0),
+    "abc": CloneCoeffs(0.5, 0.5, 0.5),
+    "b": CloneCoeffs(0.0, 1 / np.sqrt(2), 0.0),
+    "random-17": random_coeffs(np.random.default_rng(17)),
+    "random-18": random_coeffs(np.random.default_rng(18)),
+}
+
+
+class TestLazyCloneStates:
+    @pytest.mark.parametrize("name", LAZY_CLONE_COEFFS)
+    def test_match_the_eager_construction_bit_for_bit(self, name):
+        system = TelecloningSystem(LAZY_CLONE_COEFFS[name])
+        transfer = protocol_spec(system).transfer
+        rng = np.random.default_rng(19)
+        for psi in [ZERO, ONE] + [random_qubit(rng) for _ in range(6)]:
+            result = teleclone(psi, system)
+            assert not result.branches.flags.writeable
+            pair = partial_trace(PureState(transfer @ psi.amplitudes), (3, 4))
+            eager = (pair, partial_trace(pair, (0,)), partial_trace(pair, (1,)))
+            lazy = (result.joint_clones, result.clone_b, result.clone_c)
+            for got, expected in zip(lazy, eager):
+                assert got.elements.tobytes() == expected.elements.tobytes()
+            assert np.array_equal(result.clone_b.elements, result.clone_c.elements)
+            # a second read returns the state built on the first
+            assert result.joint_clones is lazy[0]
+            assert result.clone_b is lazy[1]
+            assert result.clone_c is lazy[2]
+
+
 class TestGlobalCloneFidelity:
     def test_orthogonal_states_clone_perfectly(self):
         ens = TwoStateEnsemble(0.0)
