@@ -35,7 +35,11 @@ _BASIS_POVM = (_read_only(np.diag([1.0, 0.0])), _read_only(np.diag([0.0, 1.0])))
 
 @dataclass(frozen=True, eq=False)
 class ClassicalStrategy:
-    """A POVM together with the receiver's guess for each outcome."""
+    """A POVM together with the receiver's guess for each outcome.
+
+    ``povm`` is stored as the validated elements' owned, read-only (n, 2, 2)
+    stack, so a later write to a caller's array changes nothing.
+    """
 
     povm: tuple
     guesses: tuple
@@ -45,7 +49,7 @@ class ClassicalStrategy:
         for m in ops:
             if m.shape != (2, 2):
                 raise ValueError(f"POVM elements must be 2x2, got {m.shape}")
-        stack = np.array(ops).reshape(-1, 2, 2)
+        stack = np.array(ops) if ops else np.empty((0, 2, 2), dtype=complex)
         if not np.isfinite(stack).all():
             raise ValueError("POVM element has a non-finite entry")
         if not (np.abs(stack - stack.conj().transpose(0, 2, 1)) <= 1e-12).all():
@@ -59,7 +63,8 @@ class ClassicalStrategy:
         for g in self.guesses:
             if not isinstance(g, PureState) or g.n_qubits != 1:
                 raise ValueError("guesses must be single-qubit PureState values")
-        object.__setattr__(self, "povm", tuple(ops))
+        stack.setflags(write=False)
+        object.__setattr__(self, "povm", stack)
         object.__setattr__(self, "guesses", tuple(self.guesses))
 
 
@@ -79,7 +84,7 @@ def classical_fidelity(strategy: ClassicalStrategy, ens: TwoStateEnsemble) -> fl
     a = np.array([psi.amplitudes for psi in make_states(ens)])
     g = np.array([g.amplitudes for g in strategy.guesses])
     # p[s, i] = <psi_s|A_i|psi_s> and overlap[s, i] = |<g_i|psi_s>|^2
-    p = np.einsum("sj,ijk,sk->si", a.conj(), np.array(strategy.povm), a).real
+    p = np.einsum("sj,ijk,sk->si", a.conj(), strategy.povm, a).real
     overlap = np.abs(a @ g.conj().T) ** 2
     return float(0.5 * (p * overlap).sum())
 

@@ -16,16 +16,19 @@ Validation happens where a state is returned, not on the way to it:
 ``partial_trace`` reduces a ``PureState`` from its amplitudes and builds no
 full density matrix, so only the returned reduced state is validated, with
 every check it would get from the density route.  Each piece of validation
-work is done once: a ``DensityMatrix`` copies its elements once and keeps
-the spectrum that its positivity check computed, which
-``von_neumann_entropy`` reads, and a ``TelecloneResult``'s reduced states
-are built and validated when they are first read.
+work is done once: a ``LocalOperator`` copies its factors once into one
+read-only (n, 2, 2) stack, checks the whole stack for finiteness and for
+unitarity, and builds its matrix as one Kronecker chain over it; a
+``DensityMatrix`` copies its elements once and keeps the spectrum that its
+positivity check computed, which ``von_neumann_entropy`` reads; and a
+``TelecloneResult``'s reduced states are built and validated when they are
+first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -117,11 +120,13 @@ class DensityMatrix:
         eh = e.conj().T
         if not np.abs(e - eh).max() <= _HERM_ATOL:
             raise ValueError("density matrix not Hermitian within 1e-12")
-        tr = complex(np.trace(e))
+        tr = complex(e.trace())
         if not abs(tr - 1.0) <= _NORM_ATOL:
             raise ValueError(f"density matrix trace {tr!r} != 1")
-        w = np.linalg.eigvalsh((e + eh) / 2)
-        low = float(w.min())
+        sym = e + eh
+        sym /= 2
+        w = np.linalg.eigvalsh(sym)
+        low = float(w[0])
         if not low >= _EIG_FLOOR:
             raise ValueError(f"density matrix has eigenvalue {low} < -1e-10")
         e.setflags(write=False)
@@ -134,27 +139,51 @@ class DensityMatrix:
         return _n_qubits_for(self.elements.shape[0])
 
 
+def _kron_chain(stack: np.ndarray) -> np.ndarray:
+    """``reduce(np.kron, stack)`` of an (n, 2, 2) stack, bit for bit.
+
+    Each step is the broadcast product that ``np.kron`` makes, on the same
+    shapes and strides, written into an owned (d, d) array; one factor
+    gives ``stack[0]`` itself.
+    """
+    m = stack[0]
+    for f in stack[1:]:
+        h = m.shape[0]
+        out = np.empty((2 * h, 2 * h), dtype=complex)
+        np.multiply(m[:, None, :, None], f[None, :, None, :], out=out.reshape(h, 2, h, 2))
+        m = out
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class LocalOperator:
-    """Tensor product of single-qubit unitaries, one 2x2 factor per qubit."""
+    """Tensor product of single-qubit unitaries, one 2x2 factor per qubit.
+
+    ``factors`` are read-only views of one owned (n, 2, 2) copy of the
+    given factors.
+    """
 
     factors: tuple
 
     def __post_init__(self):
-        fs = []
-        for f in self.factors:
-            f = np.asarray(f, dtype=complex)
+        fs = [np.asarray(f, dtype=complex) for f in self.factors]
+        for f in fs:
             if f.shape != (2, 2):
                 raise ValueError(f"factor must be 2x2, got {f.shape}")
-            if not np.isfinite(f).all():
-                raise ValueError("factor has a non-finite entry")
-            if not np.abs(f @ f.conj().T - np.eye(2)).max() <= _HERM_ATOL:
-                raise ValueError("factor is not unitary within 1e-12")
-            fs.append(_read_only(f))
         if not fs:
             raise ValueError("LocalOperator needs at least one factor")
-        object.__setattr__(self, "factors", tuple(fs))
-        object.__setattr__(self, "_matrix", _read_only(reduce(np.kron, fs)))
+        # one owned (n, 2, 2) copy, checked as a whole; the factors are views of it
+        stack = np.array(fs)
+        if not np.isfinite(stack).all():
+            raise ValueError("factor has a non-finite entry")
+        gram = stack @ stack.conj().transpose(0, 2, 1)
+        if not np.abs(gram - np.eye(2)).max() <= _HERM_ATOL:
+            raise ValueError("factor is not unitary within 1e-12")
+        stack.setflags(write=False)
+        m = _kron_chain(stack)
+        m.setflags(write=False)
+        object.__setattr__(self, "factors", tuple(stack))
+        object.__setattr__(self, "_matrix", m)
 
     @property
     def n_qubits(self) -> int:
@@ -198,8 +227,12 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 def _kept_qubits(keep: Iterable[int], n: int) -> list:
-    """``keep`` as an ascending list, checked to be a nonempty proper subset."""
-    kept = sorted(set(int(q) for q in keep))
+    """``keep`` as an ascending list, checked to be a nonempty proper subset with no repeat."""
+    given = [int(q) for q in keep]
+    kept = sorted(set(given))
+    if len(kept) != len(given):
+        repeated = sorted(q for q in kept if given.count(q) > 1)
+        raise ValueError(f"keep indices {given} repeat qubits {repeated}")
     if any(q < 0 or q >= n for q in kept):
         raise ValueError(f"keep indices {kept} out of range for {n} qubits")
     if not kept or len(kept) == n:
@@ -258,6 +291,8 @@ def bell_measure(state: PureState, pair: tuple) -> list:
     """
     _require_pure(state, "measured state")
     n = state.n_qubits
+    if len(pair) != 2:
+        raise ValueError(f"measured pair must be two qubit indices, got {pair!r}")
     i, j = int(pair[0]), int(pair[1])
     if i == j:
         raise ValueError("measured pair must be two distinct qubits")

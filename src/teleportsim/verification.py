@@ -56,12 +56,11 @@ def _random_state(rng, n_qubits: int) -> PureState:
 
 
 def _random_local_unitary(rng, n_qubits: int) -> LocalOperator:
-    factors = []
-    for _ in range(n_qubits):
-        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        q, r = np.linalg.qr(z)
-        factors.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    return LocalOperator(tuple(factors))
+    # per factor, the real and then the imaginary 2x2 draw, as one draw
+    g = rng.standard_normal((n_qubits, 2, 2, 2))
+    q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return LocalOperator(q * (d / np.abs(d))[:, None, :])
 
 
 # --- core linear algebra -----------------------------------------------------

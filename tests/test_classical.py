@@ -256,6 +256,23 @@ class TestStrategyValidation:
                 povm=(np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])), guesses=(psi1, psi2)
             )
 
+    def test_povm_is_an_owned_read_only_stack(self):
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p1 = np.diag([0.0, 1.0]).astype(complex)
+        strategy = ClassicalStrategy((p0, p1), make_states(PI4))
+        before = classical_fidelity(strategy, PI4)
+        p0[0, 0] = 5.0
+        assert classical_fidelity(strategy, PI4) == before
+        for k in (0, 1):
+            with pytest.raises(ValueError):
+                strategy.povm[k][0, 0] = 0.0
+            with pytest.raises(ValueError):
+                strategy.povm[k] = np.eye(2)
+        a = strategy.povm
+        while a is not None:
+            assert not a.flags.writeable
+            a = a.base
+
     def test_rejects_guess_count_mismatch(self):
         psi1, _ = make_states(PI4)
         with pytest.raises(ValueError):

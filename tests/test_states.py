@@ -1,3 +1,6 @@
+import re
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,7 @@ def random_state(rng, n):
 
 
 def random_local_unitary(rng, n):
+    # one QR per 2x2 factor: the reference that verify's stacked draw must match bit for bit
     factors = []
     for _ in range(n):
         z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -85,6 +89,13 @@ class TestPartialTrace:
             partial_trace(rho, ())
         with pytest.raises(ValueError):
             partial_trace(rho, (0, 1))
+
+    @pytest.mark.parametrize("keep,repeated", [((0, 0), [0]), ((1, 0, 1), [1])])
+    def test_rejects_a_repeated_qubit_naming_it(self, keep, repeated):
+        psi = tensor(ZERO, tensor(PLUS, ONE))
+        for state in (psi, psi.density()):
+            with pytest.raises(ValueError, match=re.escape(f"repeat qubits {repeated}")):
+                partial_trace(state, keep)
 
     def test_two_step_equals_one_step(self):
         rng = np.random.default_rng(11)
@@ -220,6 +231,11 @@ class TestBellMeasure:
         with pytest.raises(ValueError):
             bell_measure(tensor(ZERO, tensor(ZERO, ZERO)), (1, 1))
 
+    @pytest.mark.parametrize("pair", [(), (0,), (0, 1, 2)])
+    def test_rejects_a_pair_that_is_not_two_indices(self, pair):
+        with pytest.raises(ValueError, match="must be two qubit indices"):
+            bell_measure(tensor(ZERO, tensor(ZERO, ZERO)), pair)
+
 
 class TestApplyLocal:
     def test_x_flips_basis(self):
@@ -304,9 +320,38 @@ class TestValidation:
                 chain = np.kron(chain, f)
             m = op.matrix()
             assert m is op.matrix()
-            assert np.abs(m - chain).max() < 1e-15
+            assert np.array_equal(m, chain)
+            assert m.tobytes() == reduce(np.kron, op.factors).tobytes()
             with pytest.raises(ValueError):
                 m[0, 0] = 0.0
+            for a in (m, *op.factors):
+                while a is not None:
+                    assert not a.flags.writeable
+                    a = a.base
+
+    def test_factors_are_an_owned_copy(self):
+        source = PAULI_X.copy()
+        op = LocalOperator((source, PAULI_Z))
+        source[0, 1] = 2.0
+        assert np.array_equal(op.factors[0], PAULI_X)
+        assert np.array_equal(op.matrix(), np.kron(PAULI_X, PAULI_Z))
+
+    @pytest.mark.parametrize(
+        "factors,message",
+        [
+            ((PAULI_I, np.eye(3), PAULI_Z), "factor must be 2x2, got (3, 3)"),
+            ((PAULI_I, np.diag([np.nan, 1.0]), PAULI_Z), "factor has a non-finite entry"),
+            ((PAULI_I, np.diag([np.inf, 1.0]), PAULI_Z), "factor has a non-finite entry"),
+            ((PAULI_I, np.diag([1.0, 2.0]), PAULI_Z), "factor is not unitary within 1e-12"),
+            ((), "LocalOperator needs at least one factor"),
+        ],
+        ids=["shape", "nan", "inf", "non-unitary", "no-factors"],
+    )
+    def test_local_operator_names_its_single_fault(self, factors, message):
+        # the faulty factor sits between valid ones, as the stack is checked whole
+        with pytest.raises(ValueError) as err:
+            LocalOperator(factors)
+        assert str(err.value) == message
 
     def test_states_are_immutable(self):
         with pytest.raises((ValueError, RuntimeError)):

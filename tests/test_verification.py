@@ -15,6 +15,7 @@ import pytest
 from teleportsim import channels, classical, cli, ensembles, protocols, rng, states, telecloning
 from teleportsim import verification as v
 from teleportsim.cli import RunConfig
+from test_states import random_local_unitary
 
 CFG = RunConfig(command="verify")
 REGISTRY = dict(v.CHECKS)
@@ -110,7 +111,7 @@ def _mutations():
     return {
         "core-norm-preservation": [
             # every LocalOperator's matrix scaled off unitary by 1e-9
-            (states, "reduce", lambda f, xs, r=states.reduce: r(f, xs) * (1 + 1e-9)),
+            (states, "_kron_chain", lambda fs, f=states._kron_chain: f(fs) * (1 + 1e-9)),
         ],
         "core-partial-trace-consistency": [
             (v, "partial_trace", _swapped_three_qubit_trace),  # the density route only
@@ -229,6 +230,21 @@ def _mutations():
             (v, "partial_trace", lambda rho, keep: trace(rho, (1, 2))),
         ],
     }
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 7919])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_local_unitary_matches_a_per_factor_qr_bit_for_bit(n, seed):
+    # one stacked QR and phase fix gives what one QR per 2x2 factor gives,
+    # and leaves the generator where the per-factor draws leave it
+    rng_got, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = v._random_local_unitary(rng_got, n)
+    ref = random_local_unitary(rng_ref, n)
+    assert got.n_qubits == n
+    for a, b in zip(got.factors, ref.factors):
+        assert a.tobytes() == b.tobytes()
+    assert got.matrix().tobytes() == ref.matrix().tobytes()
+    assert rng_got.random() == rng_ref.random()
 
 
 def test_every_registered_check_has_a_corruption_row():
