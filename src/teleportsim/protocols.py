@@ -46,6 +46,7 @@ global phase on a maximally entangled channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -62,6 +63,7 @@ from .states import (
     _bell_transfer,
     _kept_qubits,
     _n_qubits_for,
+    _read_only,
     _require_pure,
     apply_local,
     bell_measure,
@@ -70,13 +72,18 @@ from .states import (
     tensor,
 )
 
-STANDARD_CORRECTION_MATRICES = {
-    1: PAULI_I,
-    2: PAULI_Z,
-    3: PAULI_X,
-    4: PAULI_Z @ PAULI_X,
-}
+# read-only, like the Paulis it holds
+STANDARD_CORRECTION_MATRICES = MappingProxyType(
+    {
+        1: PAULI_I,
+        2: PAULI_Z,
+        3: PAULI_X,
+        4: _read_only(PAULI_Z @ PAULI_X),
+    }
+)
 _STANDARD_CORRECTIONS = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_MATRICES.items()}
+# (sigma_0, sigma_x, sigma_y, sigma_z), the basis ``_bloch_quadratic_form`` reads
+_PAULIS = _read_only(np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,8 +225,7 @@ def _bloch_quadratic_form(t: np.ndarray) -> np.ndarray:
     <z|T[k]|z> = C[k] . (1, r) with C[k, j] = Tr(T[k] sigma_j)/2 (sigma_0 = I),
     and Q = Re(C^dagger C).
     """
-    paulis = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
-    c = 0.5 * np.einsum("kab,jba->kj", t, paulis)
+    c = 0.5 * np.einsum("kab,jba->kj", t, _PAULIS)
     return (c.conj().T @ c).real
 
 

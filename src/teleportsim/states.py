@@ -7,7 +7,8 @@ significant bit of the amplitude index, e.g. ``|1>|0>`` has amplitudes
 ``(0, 0, 1, 0)``.
 
 Fixed operators are built once: a LocalOperator caches its read-only matrix,
-correction sets are module constants, and each correction set's
+the Paulis, the Bell vectors and the correction sets are module constants,
+their arrays read-only, and each correction set's
 (corrections o Bell bras) map, which turns a resource's amplitudes into its
 transfer operators in one matmul, is built on the first spec that uses the
 set and cached by the set's identity (``_transfer_map``).  Every object the
@@ -33,33 +34,38 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.array(a, dtype=complex)
+    a.setflags(write=False)
+    return a
+
+
+# public constants are read-only, so no caller can change what every protocol reads
+PAULI_I = _read_only(np.eye(2))
+PAULI_X = _read_only([[0, 1], [1, 0]])
+PAULI_Y = _read_only([[0, -1j], [1j, 0]])
+PAULI_Z = _read_only([[1, 0], [0, -1]])
 
 # Bell basis, fixed ordering (phi+, phi-, psi+, psi-); outcome indices 1..4.
-BELL_VECTORS = np.array(
-    [
-        [1, 0, 0, 1],
-        [1, 0, 0, -1],
-        [0, 1, 1, 0],
-        [0, 1, -1, 0],
-    ],
-    dtype=complex,
-) / np.sqrt(2.0)
+BELL_VECTORS = _read_only(
+    np.array(
+        [
+            [1, 0, 0, 1],
+            [1, 0, 0, -1],
+            [0, 1, 1, 0],
+            [0, 1, -1, 0],
+        ],
+        dtype=complex,
+    )
+    / np.sqrt(2.0)
+)
 
 _BELL_BRAS = BELL_VECTORS.conj()
 _NORM_ATOL = 1e-12
 _HERM_ATOL = 1e-12
 _EIG_FLOOR = -1e-10
 _ENTROPY_CUTOFF = 1e-12
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=complex)
-    a.setflags(write=False)
-    return a
 
 
 # <Bell_k|b j> indexed (k, j, b), the bras every cached ``_transfer_map`` is
@@ -354,18 +360,18 @@ def _bell_transfer(resource: PureState, corrections) -> np.ndarray:
     in (k, b) order.
     """
     n_out = resource.n_qubits - 1
-    ops = tuple(corrections[k] for k in (1, 2, 3, 4))
+    ops = (corrections[1], corrections[2], corrections[3], corrections[4])
     for k, op in enumerate(ops, 1):
         if not isinstance(op, LocalOperator):
             raise ValueError(f"correction {k} must be a LocalOperator, got {type(op).__name__}")
-        if op.n_qubits != n_out:
-            raise ValueError(f"correction {k} acts on {op.n_qubits} qubits, {n_out} remain")
+        if len(op.factors) != n_out:
+            raise ValueError(f"correction {k} acts on {len(op.factors)} qubits, {n_out} remain")
     both = _transfer_map(ops) @ resource.amplitudes
     both.setflags(write=False)
     both = both.reshape(2, 4, -1, 2)
     sq = np.abs(both)
     sq *= sq
-    p, norm = sq.sum(axis=2).reshape(2, 8).tolist()
+    p, norm = np.add.reduce(sq, axis=2).reshape(2, 8).tolist()
     for pb, nb in zip(p, norm):
         if pb > 1e-30 and abs(nb - pb) > _NORM_ATOL * pb:
             raise ValueError(f"state not normalized: sum |a|^2 = {nb / pb!r}")

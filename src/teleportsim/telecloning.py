@@ -16,19 +16,22 @@ each of (ancilla, B, C) maps every branch exactly onto x*phi0 + y*phi1 for
 input x|0> + y|1>; the clones are partial traces of that state.
 
 The answers are closed forms that build no 4-qubit state: the global clone
-fidelity u^T M(theta) u with u = (a, sqrt(2) b, c); the optimal
-coefficients, M's top eigenvector, taken from the 2x2 Gram matrix of the
-rank-2 M with no eigensolver, and their fidelity
-F_tc = (1 + sqrt(1 - 3/4 sin^2 2 theta))/2, the Fuchs-Peres shape that
-``classical`` shares; the (port, ancilla) | (B, C) entanglement from the
-clone pair's spectrum; and the optimal-cloner bound of Bruss et al., PRA
-57, 2368 (1998).  Each has one implementation that broadcasts over
-theta: ``telecloning_sweep`` takes every ``fig-telecloning`` column in one
-call on the whole grid, and the functions that take one ensemble or one
-coefficient set call the same code.  The protocol is their oracle:
-``protocol_spec`` gives its transfer operators T (4 x 8 x 2), outcome k
-mapping the input z to the corrected branch T[k] z on (ancilla, B, C),
-which ``teleclone`` and protocol enumeration read.
+fidelity u^T M(theta) u with u = (a, sqrt(2) b, c), which production
+evaluates as (m1 . u)^2 + (m2 . u)^2 from two scalar overlaps, since
+M = m1 m1^T + m2 m2^T (u^T M u on the 3x3 M is the independent route that
+verify and the tests read); the optimal coefficients, M's top eigenvector,
+taken from the 2x2 Gram matrix of the rank-2 M with no eigensolver, and
+their fidelity F_tc = (1 + sqrt(1 - 3/4 sin^2 2 theta))/2, the Fuchs-Peres
+shape that ``classical`` shares; the (port, ancilla) | (B, C) entanglement
+from the clone pair's spectrum; and the optimal-cloner bound of Bruss et
+al., PRA 57, 2368 (1998).  Apart from the one-angle fidelity, each has one
+implementation that broadcasts over theta: ``telecloning_sweep`` takes
+every ``fig-telecloning`` column in one call on the whole grid, and the
+functions that take one ensemble or one coefficient set call the same
+code.  The protocol is their oracle: ``protocol_spec`` gives its transfer
+operators T (4 x 8 x 2), outcome k mapping the input z to the corrected
+branch T[k] z on (ancilla, B, C), which ``teleclone`` and protocol
+enumeration read.
 """
 
 from __future__ import annotations
@@ -221,23 +224,41 @@ def _clone_overlaps(theta):
 def _fidelity_matrix(theta):
     """M(theta) = m1 m1^T + m2 m2^T, the 3x3 form of the global clone fidelity.
 
-    Broadcast over theta: the result has shape theta.shape + (3, 3).
+    Broadcast over theta: the result has shape theta.shape + (3, 3).  No
+    production path reads it: u^T M u is the independent route that verify's
+    teleclone-two-state-sweep check and the tests compare with.
     """
     m = _clone_overlaps(theta)
     return np.einsum("ki...,kj...->...ij", m, m)
 
 
+def _pair_overlaps(theta, coeffs: CloneCoeffs):
+    """(m1 . u, m2 . u) at one angle, in math scalars, with u = (a, sqrt(2) b, c).
+
+    With x, y = cos(theta/2), sin(theta/2), m1 . u = x (x^2 a + y^2 (2b + c))
+    and m2 . u = y (y^2 a + x^2 (2b + c)): the rows of ``_clone_overlaps``
+    against u, so their squares sum to u^T M u without building M.
+    """
+    x, y = math.cos(theta / 2), math.sin(theta / 2)
+    x2, y2 = x * x, y * y
+    a, rest = coeffs.a, 2 * coeffs.b + coeffs.c
+    return x * (x2 * a + y2 * rest), y * (y2 * a + x2 * rest)
+
+
 def global_clone_fidelity(ens: TwoStateEnsemble, coeffs: CloneCoeffs) -> float:
     """Ensemble-averaged overlap of the joint clone state with the ideal pair.
 
-    (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> in closed form, as
-    u^T M u with u = (a, sqrt(2) b, c).  The oracle is the protocol: verify's
-    teleclone-faithfulness check compares this with enumeration over
-    ``protocol_spec(system)`` and with the direct cloner map, and its
-    teleclone-two-state-sweep check compares the optimum's closed form with it.
+    (1/2) sum_j <psi_j psi_j| rho_BC^(j) |psi_j psi_j> in closed form,
+    u^T M u with u = (a, sqrt(2) b, c), evaluated as (m1 . u)^2 + (m2 . u)^2
+    from the two scalar overlaps of ``_pair_overlaps``.  u^T M u on
+    ``_fidelity_matrix`` is the independent route, which the tests compare
+    with it.  The oracle is the protocol: verify's teleclone-faithfulness
+    check compares this with enumeration over ``protocol_spec(system)`` and
+    with the direct cloner map, and its teleclone-two-state-sweep check
+    compares the optimum's closed form with u^T M u.
     """
-    u = np.array([coeffs.a, _SQRT2 * coeffs.b, coeffs.c])
-    return float(u @ _fidelity_matrix(ens.theta) @ u)
+    p, q = _pair_overlaps(ens.theta, coeffs)
+    return p * p + q * q
 
 
 def _optimum(theta):

@@ -1,7 +1,7 @@
 """Property tests over theta in [0, pi/2] and alpha in [0, 1/sqrt(2)].
 
 The classical and channel closed forms, the telecloning closed forms
-against the protocol and the resource's partial trace, and the partial
+against the protocol, the resource's partial trace and u^T M u, and the partial
 trace of a pure state from its amplitudes against its density matrix.
 Hypothesis runs derandomized, so every run draws the same examples.
 """
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from teleportsim import telecloning
 from teleportsim.channels import (
     average_fidelity_direct,
     direct_fidelity_state,
@@ -119,6 +120,9 @@ def test_any_coefficients_match_direct_cloner(theta, phi, chi):
         f = global_clone_fidelity(ens, coeffs)
         ent = alice_receivers_entanglement(coeffs)
     assert 0.0 <= f <= 1.0
+    # the two-overlap kernel against u^T M u, the same quadratic form summed another way
+    u = np.array([coeffs.a, np.sqrt(2.0) * coeffs.b, coeffs.c])
+    assert abs(f - u @ telecloning._fidelity_matrix(ens.theta) @ u) <= 1e-15
     assert abs(f - direct_global_fidelity(ens, coeffs)) < 1e-12
     # the protocol and the resource's partial trace, the closed forms' oracles
     system = TelecloningSystem(coeffs)

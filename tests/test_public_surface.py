@@ -3,12 +3,15 @@
 The surface is the four sweeps, the scalars the README and the benchmark
 call, the protocol engine, and the oracles verify calls.  A deletion that
 removes a name the benchmark's workloads or gates read fails here, not
-first in a benchmark run.
+first in a benchmark run.  The public constants are read-only.
 """
 
 import re
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import teleportsim
 
@@ -103,3 +106,21 @@ def test_every_name_the_benchmark_reads_is_public():
         used |= set(re.findall(r"\btp\.([A-Za-z_]\w*)", (root / name).read_text()))
     assert used, "no tp.<name> found: the benchmark no longer imports teleportsim as tp"
     assert used <= PUBLIC, sorted(used - PUBLIC)
+
+
+def test_public_constants_are_read_only():
+    # every protocol reads them: a write to PAULI_Z once made
+    # mc_haar_average_fidelity read 1.157, a fidelity above 1
+    tp = teleportsim
+    corrections = tp.STANDARD_CORRECTION_MATRICES
+    paulis = (tp.PAULI_I, tp.PAULI_X, tp.PAULI_Y, tp.PAULI_Z)
+    for a in (*paulis, tp.BELL_VECTORS, *corrections.values()):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tp.PAULI_Z[1, 1] = 0.5
+    with pytest.raises(TypeError):
+        corrections[1] = tp.PAULI_Z
+    with pytest.raises(TypeError):
+        del corrections[4]
+    assert np.array_equal(tp.PAULI_Z, np.diag([1, -1]))
+    assert sorted(corrections) == [1, 2, 3, 4]

@@ -306,10 +306,27 @@ class TestLazyCloneStates:
             assert result.clone_c is lazy[2]
 
 
+# the oracle workload's edge coefficient sets, with their fidelity at theta = 0 and pi/2
+EDGE_FIDELITIES = {
+    "universal": ((np.sqrt(2 / 3), np.sqrt(1 / 6), 0.0), 2 / 3, 2 / 3),
+    "no-cloning": ((1.0, 0.0, 0.0), 1.0, 0.25),
+    "half-pi-optimum": ((0.5, 0.5, 0.5), 0.25, 1.0),
+    "pure-b": ((0.0, 1 / np.sqrt(2), 0.0), 0.0, 0.5),
+}
+
+
 class TestGlobalCloneFidelity:
-    def test_orthogonal_states_clone_perfectly(self):
-        ens = TwoStateEnsemble(0.0)
-        assert abs(global_clone_fidelity(ens, CloneCoeffs(1.0, 0.0, 0.0)) - 1.0) < 1e-12
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2], ids=["theta-0", "theta-half-pi"])
+    @pytest.mark.parametrize("name", EDGE_FIDELITIES)
+    def test_edges_match_their_values_and_u_m_u(self, name, theta):
+        abc, at_zero, at_half_pi = EDGE_FIDELITIES[name]
+        coeffs = CloneCoeffs(*abc)
+        u = np.array([coeffs.a, np.sqrt(2) * coeffs.b, coeffs.c])
+        with np.errstate(divide="raise", invalid="raise"):
+            got = global_clone_fidelity(TwoStateEnsemble(theta), coeffs)
+        assert type(got) is float
+        assert abs(got - (at_zero if theta == 0 else at_half_pi)) <= 1e-15
+        assert abs(got - u @ telecloning._fidelity_matrix(theta) @ u) <= 1e-15
 
     def test_universal_coeffs_at_pi_over_4(self):
         ens = TwoStateEnsemble(np.pi / 4)

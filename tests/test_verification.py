@@ -106,6 +106,7 @@ def _mutations():
     fp = classical._fuchs_peres
     pur, trace = channels._purification, v.partial_trace
     matrix, ent = telecloning._fidelity_matrix, telecloning._entanglement
+    overlaps = telecloning._pair_overlaps
     paulis = protocols.STANDARD_CORRECTION_MATRICES
     swapped = {2: 3, 3: 2}
     return {
@@ -215,10 +216,14 @@ def _mutations():
             }),
         ],
         "teleclone-faithfulness": [
-            (telecloning, "_fidelity_matrix", lambda t, f=matrix: f(t) * (1 + 1e-9)),
+            # both overlaps scaled by 1 + 1e-9, the closed form by about 1 + 2e-9
+            (telecloning, "_pair_overlaps",
+             lambda t, u, f=overlaps: tuple(m * (1 + 1e-9) for m in f(t, u))),
         ],
         "teleclone-two-state-sweep": [
             (telecloning, "_entanglement", lambda a, b, c, f=ent: f(a, b, c) + 1e-9),
+            # the u^T M u route the closed-form optimum is checked against
+            (telecloning, "_fidelity_matrix", lambda t, f=matrix: f(t) * (1 + 1e-9)),
             # the closed-form F off u^T M u at the same coefficients
             (telecloning, "_optimum", lambda t, f=tc_opt: (*f(t)[:3], f(t)[3] + 1e-9)),
         ],
@@ -251,12 +256,14 @@ def test_every_registered_check_has_a_corruption_row():
     assert list(_mutations()) == [name for name, _ in v.CHECKS]
 
 
-# Two rows pin their whole fail set: no other check catches what they corrupt,
+# Four rows pin their whole fail set: no other check catches what they corrupt,
 # so verify fails exactly one check.  The other rows' fail sets are not
 # pinned, because some cross-catches sit at their tolerance and may flip
 # with libm rounding.
 ONLY_THEIR_OWN = {
     "channel-horodecki-identity-singlet_fraction",
+    "teleclone-faithfulness-_pair_overlaps",
+    "teleclone-two-state-sweep-_fidelity_matrix",
     "teleclone-two-state-sweep-_optimum",
 }
 
