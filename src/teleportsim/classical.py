@@ -216,18 +216,14 @@ def unknown_state_classical_fidelity(samples: int, seed: int) -> float:
     Haar-uniform inputs are measured in the computational basis and the
     measured basis state is prepared.  An input with Bloch z component r_z
     gives outcome 0 with probability u = (1 + r_z)/2, so it scores
-    u^2 + (1 - u)^2 = (1 + r_z^2)/2; only r_z is drawn (``rng.haar_bloch_z``,
-    chunk after chunk from one generator seeded by ``seed``: the draws
-    ``protocols.mc_haar_average_fidelity`` scores).  The average converges
-    to 2/3.  Like both protocol estimators it takes at least 100 samples.
+    u^2 + (1 - u)^2 = (1 + r_z^2)/2 = 1/2 + 2 w^2 with w = -r_z/2.  Only r_z
+    is drawn, as w, chunk after chunk from one generator seeded by ``seed``
+    (``rng._half_z_chunks``: the draws ``protocols.mc_haar_average_fidelity``
+    scores), so a chunk of n draws sums to n/2 + 2 sum w^2.  The average
+    converges to 2/3.  Like both protocol estimators it takes at least 100
+    samples.
     """
-    sizes, gen = rngmod._chunks(samples, seed)
     total = 0.0
-    for size in sizes:
-        rz = rngmod.haar_bloch_z(gen, size)
-        # 0.5 * (1.0 + rz**2), evaluated in place in that order
-        rz *= rz
-        rz += 1.0
-        rz *= 0.5
-        total += float(np.sum(rz))
+    for w in rngmod._half_z_chunks(samples, seed):
+        total += 0.5 * w.size + 2.0 * float(np.square(w, out=w).sum())
     return total / samples

@@ -239,43 +239,44 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     built.  Through the Schmidt-diagonal channel every corrected T[k] is
     diagonal, so Q has exactly zero x and y rows and columns and
     f = q00 + r_z (2 q03 + q33 r_z) does not depend on the azimuth: only r_z
-    is drawn (``rng.haar_bloch_z``).  A guard checks before any draw that
-    those transverse entries are exactly zero and raises RuntimeError if
-    one is not, so no dependence on r_x or r_y is dropped.  Like the rest of
-    the module it uses no closed form for the average, and at alpha = 0 it
-    scores the same r_z draws as ``classical.unknown_state_classical_fidelity``.
-    The r_z draws are ``rng.haar_bloch_z(default_rng(seed), samples)``, taken
-    in successive chunks from the one generator.
-    The mean is the sum of chunk sums over ``samples``; the variance merges
-    each chunk's centred sum of squares in fixed chunk order
-    (Chan-Golub-LeVeque), so a near-constant fidelity gives a stderr near
-    zero rather than cancellation noise.  Each chunk is scored in place in
-    one workspace, with the IEEE operations of q00 + z (lin_z + q33 z) and
-    (f - mean)^2 in that order, so each result is bit-identical to those
-    expressions.  Returns (mean, stderr).
+    is drawn.  A guard checks before any draw that those transverse entries
+    are exactly zero and raises RuntimeError if one is not, so no dependence
+    on r_x or r_y is dropped.  Like the rest of the module it uses no closed
+    form for the average, and at alpha = 0 it scores the same r_z draws as
+    ``classical.unknown_state_classical_fidelity``.
+
+    The draws come from ``rng._half_z_chunks`` as w = u - 1/2 = -r_z/2, so
+    f = a0 + a1 w + a2 w^2 with a0 = q00, a1 = -4 q03 and a2 = 4 q33.  Each
+    chunk of n draws is reduced to its power sums s1..s4 = sum w^k, which
+    give the chunk's sum a0 n + a1 s1 + a2 s2 and its centred sum of squares
+    a1^2 (s2 - s1^2/n) + 2 a1 a2 (s3 - s1 s2/n) + a2^2 (s4 - s2^2/n); a0
+    drops out of the latter exactly, so a near-constant fidelity gives a
+    stderr near zero rather than cancellation noise.  The chunks' centred
+    sums merge in fixed chunk order (Chan-Golub-LeVeque).  The mean is the
+    sum of chunk sums over ``samples``.  Returns (mean, stderr).
     """
-    sizes, gen = rngmod._chunks(samples, seed)
+    chunks = rngmod._half_z_chunks(samples, seed)
     q = _bloch_quadratic_form(standard_teleportation(channel).transfer)
     if np.any(q[1:3]) or np.any(q[:, 1:3]):
         raise RuntimeError("the Haar score depends on r_x or r_y, but only r_z is drawn")
-    q00, lin_z, q33 = q[0, 0], 2.0 * q[0, 3], q[3, 3]
-    buf = np.empty(sizes[0])
+    a0, a1, a2 = float(q[0, 0]), -4.0 * float(q[0, 3]), 4.0 * float(q[3, 3])
     total = 0.0
     m2 = 0.0
     done = 0
-    for size in sizes:
-        z = rngmod.haar_bloch_z(gen, size)
-        f = np.multiply(z, q33, out=buf[:size])
-        f += lin_z
-        f *= z
-        f += q00
-        s = float(f.sum())
+    for w in chunks:
+        size = w.size
+        w2 = np.square(w)
+        s1, s2 = float(w.sum()), float(w2.sum())
+        s3, s4 = float(np.einsum("i,i", w2, w)), float(np.einsum("i,i", w2, w2))
+        s = a0 * size + a1 * s1 + a2 * s2
         if done:
             delta = s / size - total / done
             m2 += delta**2 * done * size / (done + size)
-        f -= s / size
-        f *= f
-        m2 += float(f.sum())
+        m2 += (
+            a1 * a1 * (s2 - s1 * s1 / size)
+            + 2.0 * a1 * a2 * (s3 - s1 * s2 / size)
+            + a2 * a2 * (s4 - s2 * s2 / size)
+        )
         total += s
         done += size
     mean = total / samples

@@ -9,11 +9,12 @@ order, not which numbers are drawn.
 Reproducibility: a seeded result is bit-identical for a given
 ``(samples, seed)`` within one version of the package.  The generator,
 ``DEFAULT_CHUNK`` and the chunk partition are fixed; a change to how a
-sampler turns uniforms into inputs may move seeded values once, and the
-changelog lists every value that moved.  The Haar estimators score each
-chunk in place, overwriting the array ``haar_bloch_z`` returns, with the
-same IEEE operations in the same order as the out-of-place expressions they
-replaced, so that rewrite moved no seeded value.
+sampler turns uniforms into inputs, or to how an estimator reduces its
+draws, may move seeded values once, and the changelog lists every value
+that moved.  Both Haar estimators read their draws through
+``_half_z_chunks`` and reduce each chunk to a few power sums with
+``ndarray.sum`` and ``np.einsum``, never through BLAS, so a seeded result
+does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -63,20 +64,22 @@ def _chunks(samples: int, seed: int):
     return sizes, np.random.default_rng(seed)
 
 
-def haar_bloch_z(rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count,) z components of Haar-uniform Bloch vectors: 1 - 2 u, u uniform on [0, 1).
+def _half_z_chunks(samples: int, seed: int):
+    """Iterator over the Haar r_z draws of ``samples`` inputs, chunk by chunk, as w = u - 1/2.
 
     By Archimedes' hat-box theorem the z component of a uniform point on the
-    sphere is uniform on [-1, 1], independent of the uniform azimuth.  Both
-    Haar estimators score r_z alone, so no azimuth is drawn; a full-sphere
-    draw that takes these uniforms first and then one azimuth per sample
-    shares every r_z with it.
+    sphere is uniform on [-1, 1], independent of the uniform azimuth, so
+    r_z = 1 - 2 u = -2 w with u uniform on [0, 1).  Both Haar estimators
+    score r_z alone, so no azimuth is drawn.  ``samples`` and ``seed`` are
+    checked by ``_chunks`` when this is called, before any draw; the chunks
+    are then drawn one after another, in ``chunk_sizes`` order, from the one
+    generator seeded by ``seed``.
 
-    The result is a fresh array the caller owns and may overwrite; both Haar
-    estimators score it in place.  Negating 2 u and adding 1 is 1 - 2 u bit
-    for bit, since 2 u is exact.
+    Every chunk is a view of one reused buffer, overwritten by the next
+    chunk.  Each u is a multiple of 2^-53, so u - 1/2 is exact and -2 w is
+    1 - 2 u bit for bit.  Centred, w and w^2 are nearly uncorrelated, which
+    keeps the power-sum variance of the Haar estimator well conditioned.
     """
-    z = rng.random(count)
-    z *= -2.0
-    z += 1.0
-    return z
+    sizes, gen = _chunks(samples, seed)
+    buf = np.empty(sizes[0])
+    return (np.subtract(gen.random(out=buf[:n]), 0.5, out=buf[:n]) for n in sizes)

@@ -12,7 +12,8 @@ one array comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,9 +46,16 @@ LOG2_3 = float(np.log2(3.0))
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict and its report line; ``elapsed_s`` is its wall time.
+
+    The time is data only: it is not printed, and two results that differ
+    only in it compare equal.
+    """
+
     name: str
     passed: bool
     detail: str
+    elapsed_s: float = field(default=0.0, compare=False)
 
 
 def _random_state(rng, n_qubits: int) -> PureState:
@@ -304,7 +312,9 @@ def check_haar_average(cfg):
     dev = abs(mean - ch.average_fidelity_direct(c))
     # the score is even in r_z, so only an odd moment of the draws tells a
     # one-hemisphere draw from the sphere: E[r_z] = 0, Var[r_z] = 1/3
-    mean_z = abs(rngmod.haar_bloch_z(np.random.default_rng(cfg.seed), 10_000).mean())
+    # mean r_z = -2 s1/n over the estimators' own draws, w = -r_z/2
+    s1 = sum(float(w.sum()) for w in rngmod._half_z_chunks(10_000, cfg.seed))
+    mean_z = abs(-2.0 * s1 / 10_000)
     bound_z = 4 * np.sqrt(1 / (3 * 10_000))
     ok = dev <= 4 * stderr and mean_z <= bound_z
     return ok, (
@@ -493,16 +503,18 @@ CHECKS = (
 
 
 def run_checks(cfg):
-    """Run every registered check; returns a list of CheckResult.
+    """Run every registered check, timing each; returns a list of CheckResult.
 
     ``cfg`` is the run's ``cli.RunConfig``; the checks read its ``samples``
     and ``seed``.
     """
     results = []
     for name, fn in CHECKS:
+        start = time.perf_counter()
         try:
             ok, detail = fn(cfg)
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, passed=bool(ok), detail=detail))
+        elapsed = time.perf_counter() - start
+        results.append(CheckResult(name=name, passed=bool(ok), detail=detail, elapsed_s=elapsed))
     return results

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from povm_strategies import min_error_strategy, optimized_strategy, unambiguous_strategy
+from teleportsim import rng
 from teleportsim.classical import (
     ClassicalStrategy,
     _biased_guess,
@@ -207,38 +208,42 @@ class TestUnknownStateMC:
         with pytest.raises(ValueError):
             unknown_state_classical_fidelity(0, seed=1)
 
-    def test_equals_out_of_place_scoring(self):
-        # the estimator squares, shifts and halves r_z in place; the same
-        # IEEE operations out of place over the same draws move no bit
-        from teleportsim import rng
-
+    def test_equals_power_sum_reduction(self):
+        # each chunk sums to n/2 + 2 sum w^2 over w = u - 1/2; scoring each
+        # draw as 0.5 (1 + r_z^2) agrees to the last bit or two
         for seed in (1, 99, 7919):
             for samples in (100, 65_536, 65_537, 200_000):
-                gen = np.random.default_rng(seed)
+                u = np.random.default_rng(seed).random(samples)
                 total = 0.0
+                start = 0
                 for size in rng.chunk_sizes(samples):
-                    rz = 1.0 - 2.0 * gen.random(size)
-                    total += float(np.sum(0.5 * (1.0 + rz**2)))
-                assert unknown_state_classical_fidelity(samples, seed) == total / samples
+                    w = u[start : start + size] - 0.5
+                    start += size
+                    total += 0.5 * size + 2.0 * float((w * w).sum())
+                got = unknown_state_classical_fidelity(samples, seed)
+                assert got == total / samples
+                per_sample = 0.5 * (1.0 + (1.0 - 2.0 * u) ** 2)
+                assert abs(got - float(per_sample.mean())) <= 4.4e-16
 
     def test_fixed_input_basis_state_gives_one(self, monkeypatch):
-        # every draw at |0> (r_z = 1) or |1> (r_z = -1) scores exactly 1
-        from teleportsim import rng
-
-        for rz in (1.0, -1.0):
-            monkeypatch.setattr(rng, "haar_bloch_z", lambda _, count, rz=rz: np.full(count, rz))
+        # every draw at |0> (r_z = 1, w = -1/2) or |1> (r_z = -1, w = 1/2) scores exactly 1
+        for w in (-0.5, 0.5):
+            monkeypatch.setattr(rng, "_half_z_chunks", _fixed_half_z(w))
             assert unknown_state_classical_fidelity(1000, seed=1) == 1.0
 
     def test_fixed_input_scores_its_bloch_z(self, monkeypatch):
         # every draw at one input: |<0|psi>|^4 + |<1|psi>|^4 through r_z alone
-        from teleportsim import rng
-
         psi = PureState(np.array([np.cos(0.4), np.exp(0.9j) * np.sin(0.4)]))
         p0, p1 = np.abs(psi.amplitudes) ** 2
         u = np.cos(0.4) ** 2
-        monkeypatch.setattr(rng, "haar_bloch_z", lambda _, count: np.full(count, p0 - p1))
+        monkeypatch.setattr(rng, "_half_z_chunks", _fixed_half_z(-0.5 * (p0 - p1)))
         got = unknown_state_classical_fidelity(1000, seed=1)
         assert abs(got - (u**2 + (1 - u) ** 2)) < 1e-15
+
+
+def _fixed_half_z(w):
+    """A stand-in for ``rng._half_z_chunks`` whose every draw is w = -r_z/2."""
+    return lambda samples, seed: (np.full(n, w) for n in rng.chunk_sizes(samples))
 
 
 class TestStrategyValidation:

@@ -486,18 +486,18 @@ class TestOneStream:
     @pytest.mark.parametrize("estimator", ["haar", "unknown"])
     @pytest.mark.parametrize("samples", [100, 65_537, 200_000])
     def test_haar_draws_are_one_stream_cut_into_chunks(self, estimator, samples, monkeypatch):
-        expected = rngmod.haar_bloch_z(np.random.default_rng(99), samples)
+        expected = np.random.default_rng(99).random(samples)
         drawn = []
 
-        def recorded(gen, count, f=rngmod.haar_bloch_z):
-            z = f(gen, count)
-            drawn.append(z.copy())  # the estimator overwrites z in place
-            return z
+        def recorded(n, seed, f=rngmod._half_z_chunks):
+            for w in f(n, seed):
+                drawn.append(w.copy())  # the next chunk overwrites w
+                yield w
 
-        monkeypatch.setattr(rngmod, "haar_bloch_z", recorded)
+        monkeypatch.setattr(rngmod, "_half_z_chunks", recorded)
         _estimators(99)[estimator](samples)
-        assert [len(z) for z in drawn] == chunk_sizes(samples)
-        assert np.array_equal(np.concatenate(drawn), expected)
+        assert [len(w) for w in drawn] == chunk_sizes(samples)
+        assert np.array_equal(np.concatenate(drawn) + 0.5, expected)
 
     @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
     def test_each_call_builds_one_generator(self, estimator, monkeypatch):

@@ -1,17 +1,28 @@
-"""The Haar r_z sampler of ``rng`` and the full-sphere sampler the tests keep.
+"""The Haar r_z draws of ``rng`` and the full-sphere sampler the tests keep.
 
-The package's Haar estimators score r_z alone and draw it with
-``rng.haar_bloch_z``.  ``haar_bloch`` draws whole Bloch vectors, r_z first
-from the same uniforms, and is the input of the reference loops in
-``test_engine.py``, which score full amplitudes or (1, r) Q (1, r)^T and so
-do not rely on the score having no azimuth.
+The package's Haar estimators score r_z alone and read it, chunk by chunk,
+as w = u - 1/2 = -r_z/2 from ``rng._half_z_chunks``.  ``haar_bloch_z`` is
+the test-side r_z = 1 - 2 u of the same uniforms.  ``haar_bloch`` draws
+whole Bloch vectors, r_z first from the same uniforms, and is the input of
+the reference loops in ``test_engine.py``, which score full amplitudes or
+(1, r) Q (1, r)^T and so do not rely on the score having no azimuth.
 """
 
 import numpy as np
+import pytest
 
-from teleportsim.rng import haar_bloch_z
+from teleportsim.rng import _half_z_chunks, chunk_sizes
 
 N = 1_000_000
+
+
+def haar_bloch_z(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count,) z components of Haar-uniform Bloch vectors: 1 - 2 u, u uniform on [0, 1).
+
+    By Archimedes' hat-box theorem the z component of a uniform point on the
+    sphere is uniform on [-1, 1], independent of the uniform azimuth.
+    """
+    return 1.0 - 2.0 * rng.random(count)
 
 
 def haar_bloch(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -66,22 +77,40 @@ class TestHaarBloch:
         assert np.array_equal(r[:, 0], polar * np.cos(2.0 * np.pi * v))
         assert np.array_equal(r[:, 1], polar * np.sin(2.0 * np.pi * v))
 
-    def test_haar_bloch_z_returns_fresh_arrays_the_caller_may_overwrite(self):
-        # the Haar estimators score each returned array in place
-        count = 65_537
-        ref = np.random.default_rng(8)
-        u, v = ref.random(count), ref.random(count)
-        gen = np.random.default_rng(8)
-        a = haar_bloch_z(gen, count)
-        b = haar_bloch_z(gen, count)
-        assert np.array_equal(a, 1.0 - 2.0 * u)
-        assert np.array_equal(b, 1.0 - 2.0 * v)
-        for z in (a, b):
-            assert z.flags.writeable and z.flags.owndata
-        assert not np.shares_memory(a, b)
-
     def test_z_never_reaches_the_south_pole(self):
         # 1 - 2u with u in [0, 1)
         z = haar_bloch_z(np.random.default_rng(7), N)
         assert np.all((-1.0 < z) & (z <= 1.0))
+
+
+class TestHalfZChunks:
+    """``_half_z_chunks``: the one seam both Haar estimators draw through."""
+
+    @pytest.mark.parametrize("samples", [100, 65_536, 65_537, 200_000])
+    def test_is_one_stream_cut_into_chunks(self, samples):
+        seen = [w.copy() for w in _half_z_chunks(samples, 3)]
+        assert [len(w) for w in seen] == chunk_sizes(samples)
+        u = np.random.default_rng(3).random(samples)
+        assert np.array_equal(np.concatenate(seen) + 0.5, u)
+
+    def test_minus_two_w_is_the_hat_box_r_z_bit_for_bit(self):
+        # u - 1/2 is exact for every u = k 2^-53, and so is -2 w
+        (w,) = _half_z_chunks(50_000, 9)
+        assert np.array_equal(-2.0 * w, haar_bloch_z(np.random.default_rng(9), 50_000))
+        assert np.all((-0.5 <= w) & (w < 0.5))
+
+    def test_every_chunk_is_a_view_of_one_reused_buffer(self):
+        chunks = _half_z_chunks(200_000, 4)
+        first = next(chunks)
+        for w in chunks:
+            assert np.shares_memory(w, first)
+
+    def test_checks_its_arguments_before_any_draw(self, monkeypatch):
+        def no_generator(*_):
+            raise AssertionError("built a generator before the checks")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for samples, seed in ((99, 1), (100.0, 1), (100, -1), (100, True)):
+            with pytest.raises(ValueError):
+                _half_z_chunks(samples, seed)
 

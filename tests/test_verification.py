@@ -7,6 +7,7 @@ below: corrupting the production code behind the check makes
 ``teleportsim verify`` exit 1 with that check among its FAIL lines.
 """
 
+import time
 from collections import Counter
 
 import numpy as np
@@ -101,6 +102,11 @@ def _unbalanced_resource(coeffs):
     return np.concatenate([np.sqrt(0.6) * phi0, np.sqrt(0.4) * phi1])
 
 
+def _mapped_half_z(g):
+    """``rng._half_z_chunks`` with each chunk w = u - 1/2 of the draws replaced by g(w)."""
+    return lambda n, seed, f=rng._half_z_chunks: (g(w) for w in f(n, seed))
+
+
 def _mutations():
     cl_opt, ch_opt, tc_opt = classical._optimum, channels._optimum, telecloning._optimum
     fp = classical._fuchs_peres
@@ -152,7 +158,7 @@ def _mutations():
         ],
         "classical-unknown-state-mc": [
             # a 1.7e-3 bias, 11 standard errors at verify's default 10^6 samples
-            (rng, "haar_bloch_z", lambda gen, n, f=rng.haar_bloch_z: 0.995 * f(gen, n)),
+            (rng, "_half_z_chunks", _mapped_half_z(lambda w: 0.995 * w)),
         ],
         "channel-horodecki-identity": [
             (channels, "singlet_fraction", lambda c, f=channels.singlet_fraction: f(c) + 1e-6),
@@ -184,10 +190,10 @@ def _mutations():
             (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
         ],
         "protocol-haar-average": [
-            # polar angle drawn uniformly: r_z = cos(theta) piles up at the poles
-            (rng, "haar_bloch_z", lambda gen, n: np.cos(np.pi * gen.random(n))),
-            # the upper hemisphere only: the score is even in r_z, E[r_z] is not
-            (rng, "haar_bloch_z", lambda gen, n: gen.random(n)),
+            # polar angle drawn uniformly: r_z = cos(pi u) piles up at the poles
+            (rng, "_half_z_chunks", _mapped_half_z(lambda w: -0.5 * np.cos(np.pi * (w + 0.5)))),
+            # the upper hemisphere only, r_z = u: the score is even in r_z, E[r_z] is not
+            (rng, "_half_z_chunks", _mapped_half_z(lambda w: -0.5 * (w + 0.5))),
         ],
         "protocol-reproducibility": [
             # the generator seeded from fresh OS entropy instead of the seed
@@ -298,6 +304,22 @@ def test_verify_fails_when_the_kernel_it_reads_is_corrupted(
     assert len(lines) == 30 and summary == f"{30 - len(failed)}/30 checks passed"
     if f"{name}-{attr}" in ONLY_THEIR_OWN:
         assert failed == {name}
+
+
+def test_run_checks_records_each_check_time_as_data(monkeypatch):
+    def slow(cfg):
+        time.sleep(0.02)
+        return True, "slept"
+
+    def crash(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(v, "CHECKS", (("slow", slow), ("crash", crash)))
+    slow_result, crash_result = v.run_checks(CFG)
+    assert slow_result.elapsed_s >= 0.02
+    assert 0.0 < crash_result.elapsed_s < slow_result.elapsed_s
+    # the time is not part of the verdict
+    assert crash_result == v.CheckResult("crash", False, "raised ValueError: boom")
 
 
 def test_only_the_partial_trace_check_builds_three_or_four_qubit_density_matrices(monkeypatch):
