@@ -63,6 +63,7 @@ from .states import (
     _bell_transfer,
     _kept_qubits,
     _n_qubits_for,
+    _qubit_index,
     _read_only,
     _require_pure,
     apply_local,
@@ -94,12 +95,14 @@ class ProtocolSpec:
     qubit.  ``resource_state`` must be a PureState.  ``corrections`` maps
     each Bell outcome 1..4 to a LocalOperator on the resource's other
     qubits, the output (a bare matrix is rejected with an error naming its
-    outcome); ``evaluation_targets`` selects the output qubits (indexed
-    from 0) that are scored, all of them or a proper subset, given in any
-    order and stored in ascending order.  Each evaluated qubit is scored
-    against the input itself, so the order of ``evaluation_targets`` cannot
-    change a score.  ``transfer`` holds the read-only transfer operators T
-    (4 x d_out x 2), built at construction.
+    outcome), and is stored as a read-only copy, so the corrections cannot
+    drift from the ``transfer`` built from them; ``evaluation_targets``
+    selects the output qubits (integers, indexed from 0) that are scored,
+    all of them or a proper subset, given in any order and stored in
+    ascending order.  Each evaluated qubit is scored against the input
+    itself, so the order of ``evaluation_targets`` cannot change a score.
+    ``transfer`` holds the read-only transfer operators T (4 x d_out x 2),
+    built at construction.
     """
 
     resource_state: PureState
@@ -111,12 +114,12 @@ class ProtocolSpec:
         missing = {1, 2, 3, 4} - set(self.corrections)
         if missing:
             raise ValueError(f"corrections missing for outcomes {sorted(missing)}")
-        object.__setattr__(self, "corrections", dict(self.corrections))
+        object.__setattr__(self, "corrections", MappingProxyType(dict(self.corrections)))
         resource = self.resource_state
         _require_pure(resource, "resource")
         t = _bell_transfer(resource, self.corrections)
         n = _n_qubits_for(t.shape[1])
-        targets = tuple(sorted(map(int, self.evaluation_targets)))
+        targets = tuple(sorted(map(_qubit_index, self.evaluation_targets)))
         # every output qubit once is valid, so only other targets are checked
         if targets != tuple(range(n)):
             if len(set(targets)) != len(targets):
@@ -246,39 +249,29 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     ``classical.unknown_state_classical_fidelity``.
 
     The draws come from ``rng._half_z_chunks`` as w = u - 1/2 = -r_z/2, so
-    f = a0 + a1 w + a2 w^2 with a0 = q00, a1 = -4 q03 and a2 = 4 q33.  Each
-    chunk of n draws is reduced to its power sums s1..s4 = sum w^k, which
-    give the chunk's sum a0 n + a1 s1 + a2 s2 and its centred sum of squares
-    a1^2 (s2 - s1^2/n) + 2 a1 a2 (s3 - s1 s2/n) + a2^2 (s4 - s2^2/n); a0
-    drops out of the latter exactly, so a near-constant fidelity gives a
-    stderr near zero rather than cancellation noise.  The chunks' centred
-    sums merge in fixed chunk order (Chan-Golub-LeVeque).  The mean is the
-    sum of chunk sums over ``samples``.  Returns (mean, stderr).
+    f = a0 + a1 w + a2 w^2 with a0 = q00, a1 = -4 q03 and a2 = 4 q33.  w is
+    uniform on [-1/2, 1/2), so the odd part a1 w has Haar mean exactly 0 for
+    any form, and only the even part a0 + a2 w^2 is summed: it has the same
+    Haar mean and no larger variance (for the standard protocol q03 is
+    rounding residue anyway), so q03 is not read.  Each chunk is squared in
+    place and reduced to S2 = sum w^2 and S4 = sum w^4; the mean is
+    (a0 N + a2 S2)/N, summed chunk by chunk, and the centred sum of squares
+    is a2^2 (S4 - S2^2/N), in which a0 drops out exactly, so a near-constant
+    fidelity gives a stderr near zero rather than cancellation noise.
+    Returns (mean, stderr).
     """
     chunks = rngmod._half_z_chunks(samples, seed)
     q = _bloch_quadratic_form(standard_teleportation(channel).transfer)
     if np.any(q[1:3]) or np.any(q[:, 1:3]):
         raise RuntimeError("the Haar score depends on r_x or r_y, but only r_z is drawn")
-    a0, a1, a2 = float(q[0, 0]), -4.0 * float(q[0, 3]), 4.0 * float(q[3, 3])
-    total = 0.0
-    m2 = 0.0
-    done = 0
+    a0, a2 = float(q[0, 0]), 4.0 * float(q[3, 3])
+    total = s2 = s4 = 0.0
     for w in chunks:
-        size = w.size
-        w2 = np.square(w)
-        s1, s2 = float(w.sum()), float(w2.sum())
-        s3, s4 = float(np.einsum("i,i", w2, w)), float(np.einsum("i,i", w2, w2))
-        s = a0 * size + a1 * s1 + a2 * s2
-        if done:
-            delta = s / size - total / done
-            m2 += delta**2 * done * size / (done + size)
-        m2 += (
-            a1 * a1 * (s2 - s1 * s1 / size)
-            + 2.0 * a1 * a2 * (s3 - s1 * s2 / size)
-            + a2 * a2 * (s4 - s2 * s2 / size)
-        )
-        total += s
-        done += size
+        w2 = np.square(w, out=w)
+        sum_w2 = float(w2.sum())
+        total += a0 * w2.size + a2 * sum_w2
+        s2 += sum_w2
+        s4 += float(np.einsum("i,i", w2, w2))
     mean = total / samples
-    var = m2 / max(samples - 1, 1)
+    var = a2 * a2 * (s4 - s2 * s2 / samples) / max(samples - 1, 1)
     return mean, float(np.sqrt(var / samples))

@@ -12,21 +12,19 @@ Reproducibility: a seeded result is bit-identical for a given
 sampler turns uniforms into inputs, or to how an estimator reduces its
 draws, may move seeded values once, and the changelog lists every value
 that moved.  Both Haar estimators read their draws through
-``_half_z_chunks`` and reduce each chunk to a few power sums with
-``ndarray.sum`` and ``np.einsum``, never through BLAS, so a seeded result
-does not depend on the BLAS thread count.
+``_half_z_chunks`` as w = u - 1/2, so each score is even in w, and reduce
+each chunk to sums of w^2 (and w^4) with ``ndarray.sum`` and
+``np.einsum``, never through BLAS, so a seeded result does not depend on
+the BLAS thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .states import _is_integer
+
 DEFAULT_CHUNK = 1 << 16
-
-
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; False for a bool, a float or anything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def chunk_sizes(total: int):
@@ -77,8 +75,9 @@ def _half_z_chunks(samples: int, seed: int):
 
     Every chunk is a view of one reused buffer, overwritten by the next
     chunk.  Each u is a multiple of 2^-53, so u - 1/2 is exact and -2 w is
-    1 - 2 u bit for bit.  Centred, w and w^2 are nearly uncorrelated, which
-    keeps the power-sum variance of the Haar estimator well conditioned.
+    1 - 2 u bit for bit.  Centred, w is uniform on [-1/2, 1/2), so the odd
+    powers of w have Haar mean 0 and both estimators score an even function
+    of w, summing powers of w^2 alone.
     """
     sizes, gen = _chunks(samples, seed)
     buf = np.empty(sizes[0])

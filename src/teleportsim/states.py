@@ -35,6 +35,18 @@ from typing import Iterable, Optional
 import numpy as np
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, a float or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _qubit_index(q) -> int:
+    """``q`` as an int; a bool, a float (even an integral one) or anything else raises ValueError."""
+    if not _is_integer(q):
+        raise ValueError(f"qubit index must be an integer, got {q!r}")
+    return int(q)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
@@ -234,7 +246,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 def _kept_qubits(keep: Iterable[int], n: int) -> list:
     """``keep`` as an ascending list, checked to be a nonempty proper subset with no repeat."""
-    given = [int(q) for q in keep]
+    given = [_qubit_index(q) for q in keep]
     kept = sorted(set(given))
     if len(kept) != len(given):
         repeated = sorted(q for q in kept if given.count(q) > 1)
@@ -249,9 +261,10 @@ def _kept_qubits(keep: Iterable[int], n: int) -> list:
 def partial_trace(state: PureState | DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the qubits in ``keep`` (ascending original order).
 
-    ``state`` is a DensityMatrix or a PureState.  A pure state is reduced as
-    M M^dagger, with M its amplitude tensor reshaped to (kept, traced), so
-    no density matrix of the whole state is built.
+    ``keep`` holds integer qubit indices; a bool or a float raises
+    ValueError.  ``state`` is a DensityMatrix or a PureState.  A pure state
+    is reduced as M M^dagger, with M its amplitude tensor reshaped to
+    (kept, traced), so no density matrix of the whole state is built.
     """
     n = state.n_qubits
     kept = _kept_qubits(keep, n)
@@ -288,7 +301,7 @@ def spectrum_entropy(w):
 
 
 def bell_measure(state: PureState, pair: tuple) -> list:
-    """Measure the ordered qubit ``pair`` in the Bell basis.
+    """Measure the ordered qubit ``pair``, two integer indices, in the Bell basis.
 
     Returns the four :class:`BellOutcome` values in the fixed order
     (phi+, phi-, psi+, psi-).  Probabilities are squared norms of the
@@ -299,7 +312,7 @@ def bell_measure(state: PureState, pair: tuple) -> list:
     n = state.n_qubits
     if len(pair) != 2:
         raise ValueError(f"measured pair must be two qubit indices, got {pair!r}")
-    i, j = int(pair[0]), int(pair[1])
+    i, j = _qubit_index(pair[0]), _qubit_index(pair[1])
     if i == j:
         raise ValueError("measured pair must be two distinct qubits")
     if not (0 <= i < n and 0 <= j < n):

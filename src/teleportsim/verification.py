@@ -312,9 +312,9 @@ def check_haar_average(cfg):
     dev = abs(mean - ch.average_fidelity_direct(c))
     # the score is even in r_z, so only an odd moment of the draws tells a
     # one-hemisphere draw from the sphere: E[r_z] = 0, Var[r_z] = 1/3
-    # mean r_z = -2 s1/n over the estimators' own draws, w = -r_z/2
-    s1 = sum(float(w.sum()) for w in rngmod._half_z_chunks(10_000, cfg.seed))
-    mean_z = abs(-2.0 * s1 / 10_000)
+    # mean r_z = -2 sum(w)/n over the estimators' own draws, w = -r_z/2
+    sum_w = sum(float(w.sum()) for w in rngmod._half_z_chunks(10_000, cfg.seed))
+    mean_z = abs(-2.0 * sum_w / 10_000)
     bound_z = 4 * np.sqrt(1 / (3 * 10_000))
     ok = dev <= 4 * stderr and mean_z <= bound_z
     return ok, (

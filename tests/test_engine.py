@@ -15,7 +15,7 @@ full-sphere draws of the test-side ``haar_bloch`` (test_rng.py).
 ``_mc_haar_full_sphere`` is the loop the estimator ran before it drew r_z
 alone: it scores (1, r) Q (1, r)^T on the same full-sphere draws, one
 sample at a time.  ``_mc_haar_power_sums`` is the estimator's own per-chunk
-power-sum reduction, written out over the r_z of those draws.
+reduction to sums of w^2 and w^4, written out over the r_z of those draws.
 ``reference_global_clone_fidelity`` is a density-matrix oracle for the
 closed form ``telecloning.global_clone_fidelity``,
 built on ``reference_teleclone`` so that it shares no T with the protocol
@@ -219,31 +219,21 @@ def _mc_haar_full_sphere(channel, samples, seed):
 
 
 def _mc_haar_power_sums(channel, samples, seed):
-    """(mean, stderr) from per-chunk power sums of w = -r_z/2, r_z from the full-sphere draws."""
+    """(mean, stderr) from per-chunk sums of w^2 and w^4, w = -r_z/2 of the full-sphere draws."""
     q = protocols._bloch_quadratic_form(_transfer_operators(channel))
-    a0, a1, a2 = float(q[0, 0]), -4.0 * float(q[0, 3]), 4.0 * float(q[3, 3])
+    a0, a2 = float(q[0, 0]), 4.0 * float(q[3, 3])
     draws = haar_bloch(np.random.default_rng(seed), samples)
-    total = 0.0
-    m2 = 0.0
+    total = s2 = s4 = 0.0
     done = 0
     for n in rngmod.chunk_sizes(samples):
-        w = -0.5 * draws[done : done + n, 2]
-        w2 = w * w
-        s1, s2 = float(w.sum()), float(w2.sum())
-        s3, s4 = float(np.einsum("i,i", w2, w)), float(np.einsum("i,i", w2, w2))
-        s = a0 * n + a1 * s1 + a2 * s2
-        if done:
-            delta = s / n - total / done
-            m2 += delta**2 * done * n / (done + n)
-        m2 += (
-            a1 * a1 * (s2 - s1 * s1 / n)
-            + 2.0 * a1 * a2 * (s3 - s1 * s2 / n)
-            + a2 * a2 * (s4 - s2 * s2 / n)
-        )
-        total += s
+        w2 = np.square(-0.5 * draws[done : done + n, 2])
+        sum_w2 = float(w2.sum())
+        total += a0 * n + a2 * sum_w2
+        s2 += sum_w2
+        s4 += float(np.einsum("i,i", w2, w2))
         done += n
     mean = total / samples
-    var = m2 / max(samples - 1, 1)
+    var = a2 * a2 * (s4 - s2 * s2 / samples) / max(samples - 1, 1)
     return mean, float(np.sqrt(var / samples))
 
 
@@ -465,7 +455,7 @@ class TestHaarTransferOperators:
                             assert abs(stderr - stderr_ref) < 1e-12
 
     def test_r_z_alone_equals_full_sphere_scoring(self):
-        # the estimator's power sums of w = -r_z/2, reduced the same way over
+        # the estimator's sums of w^2 and w^4, w = -r_z/2, reduced the same way over
         # the r_z of the full-sphere draws, give the same bits; scoring each
         # full-sphere draw agrees to rounding
         for alpha in self.HAAR_ALPHAS:
@@ -483,23 +473,24 @@ class TestHaarTransferOperators:
                     else:
                         assert abs(got[1] - stderr) <= 2e-13 * stderr
 
-    def test_power_sums_score_a_form_odd_in_r_z(self, monkeypatch):
-        # the standard protocol's q03 is rounding residue (below 1e-17), so
-        # only a form with a real linear term exercises s1, s3 and the cross term
-        def odd_form(t):
+    def test_odd_part_of_the_form_is_not_scored(self, monkeypatch):
+        # w = -r_z/2 is uniform on [-1/2, 1/2), so a term odd in r_z has Haar
+        # mean 0: a form with a real linear term scores as its even part, and
+        # that still estimates the form's Haar mean q00 + q33/3
+        def form(q03):
             q = np.zeros((4, 4))
-            q[0, 0], q[0, 3], q[3, 0], q[3, 3] = 0.5, 0.2, 0.2, 0.3
-            return q
+            q[0, 0], q[0, 3], q[3, 0], q[3, 3] = 0.5, q03, q03, 0.3
+            return lambda t: q
 
-        monkeypatch.setattr(protocols, "_bloch_quadratic_form", odd_form)
         channel = Channel(0.3)
         for seed in (1, 7919):
-            for samples in (100, 65_537, 200_000):
+            for samples in (100, 65_537, 1_000_000):
+                monkeypatch.setattr(protocols, "_bloch_quadratic_form", form(0.2))
                 got = mc_haar_average_fidelity(channel, samples, seed)
-                assert got == _mc_haar_power_sums(channel, samples, seed)
-                mean, stderr = _mc_haar_full_sphere(channel, samples, seed)
-                assert abs(got[0] - mean) <= 4.4e-16
-                assert abs(got[1] - stderr) <= 2e-13 * stderr
+                monkeypatch.setattr(protocols, "_bloch_quadratic_form", form(0.0))
+                assert got == mc_haar_average_fidelity(channel, samples, seed)
+            mean, stderr = got
+            assert abs(mean - (0.5 + 0.3 / 3)) <= 4 * stderr
 
     def test_transverse_entries_are_exactly_zero(self):
         # every corrected T[k] is diagonal, so Q has no x or y row or column

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,48 @@ class TestEnumeration:
                 corrections=STANDARD_CORRECTION_MATRICES,
                 evaluation_targets=(0,),
             )
+
+    @pytest.mark.parametrize("targets,bad", [((0.6,), 0.6), ((0.0,), 0.0), ((True,), True)])
+    def test_rejects_an_evaluation_target_that_is_not_an_integer(self, targets, bad):
+        # int(0.6) would silently store (0,)
+        spec = standard_teleportation(Channel(0.4))
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+            ProtocolSpec(
+                resource_state=spec.resource_state,
+                corrections=spec.corrections,
+                evaluation_targets=targets,
+            )
+
+    def test_accepts_numpy_integer_evaluation_targets(self):
+        spec = standard_teleportation(Channel(0.4))
+        got = ProtocolSpec(
+            resource_state=spec.resource_state,
+            corrections=spec.corrections,
+            evaluation_targets=(np.int64(0),),
+        )
+        assert got.evaluation_targets == (0,)
+        assert type(got.evaluation_targets[0]) is int
+
+    def test_corrections_are_a_read_only_copy(self):
+        # transfer is built from the corrections once, so a write after
+        # construction would split the enumeration from the Monte Carlo,
+        # which reads the corrections at call time
+        psi, _ = make_states(TwoStateEnsemble(0.7))
+        given = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_MATRICES.items()}
+        spec = ProtocolSpec(
+            resource_state=standard_teleportation(Channel(0.3)).resource_state,
+            corrections=given,
+            evaluation_targets=(0,),
+        )
+        exact = enumerate_protocol_fidelity(psi, spec)
+        mc = mc_protocol_fidelity(psi, spec, 10_000, seed=1)
+        with pytest.raises(TypeError):
+            spec.corrections[2] = spec.corrections[1]
+        given[2] = given[1]
+        assert spec.corrections[2] is not spec.corrections[1]
+        assert enumerate_protocol_fidelity(psi, spec) == exact
+        assert mc_protocol_fidelity(psi, spec, 10_000, seed=1) == mc
+        assert abs(mc[0] - exact) <= 4 * mc[1]
 
     def test_density_matrix_input_or_resource_rejected(self):
         spec = standard_teleportation(Channel(0.4))

@@ -97,6 +97,19 @@ class TestPartialTrace:
             with pytest.raises(ValueError, match=re.escape(f"repeat qubits {repeated}")):
                 partial_trace(state, keep)
 
+    @pytest.mark.parametrize("q", [0.9, 1.0, True])
+    def test_rejects_a_qubit_index_that_is_not_an_integer(self, q):
+        # int(0.9) would silently trace to qubit 0
+        psi = tensor(ZERO, tensor(PLUS, ONE))
+        for state in (psi, psi.density()):
+            with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {q!r}")):
+                partial_trace(state, (q,))
+
+    def test_accepts_numpy_integer_indices(self):
+        psi = tensor(ZERO, tensor(PLUS, ONE))
+        got = partial_trace(psi, (np.int64(1), np.int32(2)))
+        assert np.array_equal(got.elements, partial_trace(psi, (1, 2)).elements)
+
     def test_two_step_equals_one_step(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
@@ -230,6 +243,19 @@ class TestBellMeasure:
     def test_rejects_coincident_indices(self):
         with pytest.raises(ValueError):
             bell_measure(tensor(ZERO, tensor(ZERO, ZERO)), (1, 1))
+
+    @pytest.mark.parametrize("pair,bad", [((0, 1.7), 1.7), ((0.0, 1), 0.0), ((False, 1), False)])
+    def test_rejects_a_qubit_index_that_is_not_an_integer(self, pair, bad):
+        # int(1.7) would silently measure (0, 1)
+        with pytest.raises(ValueError, match=re.escape(f"must be an integer, got {bad!r}")):
+            bell_measure(tensor(ZERO, tensor(PLUS, ONE)), pair)
+
+    def test_accepts_numpy_integer_indices(self):
+        psi = tensor(ZERO, tensor(PLUS, ONE))
+        got = bell_measure(psi, (np.int64(0), np.int32(1)))
+        for o, ref in zip(got, bell_measure(psi, (0, 1))):
+            assert o.probability == ref.probability
+            assert np.array_equal(o.post_state.amplitudes, ref.post_state.amplitudes)
 
     @pytest.mark.parametrize("pair", [(), (0,), (0, 1, 2)])
     def test_rejects_a_pair_that_is_not_two_indices(self, pair):
