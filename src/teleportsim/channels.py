@@ -18,21 +18,22 @@ that take one ensemble and one channel call the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .classical import _optimum as _classical_optimum
 from .classical import fidelity_optimized
 from .ensembles import Channel, TwoStateEnsemble, checked_alphas, checked_thetas
+from .states import _Value
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class ChannelStrategyReport:
-    fidelity: float
-    alpha_prime: float
+class ChannelStrategyReport(_Value):
+    _fields = ("fidelity", "alpha_prime")
+
+    def __init__(self, fidelity: float, alpha_prime: float):
+        object.__setattr__(self, "fidelity", fidelity)
+        object.__setattr__(self, "alpha_prime", alpha_prime)
 
 
 def _direct(theta, alpha):

@@ -18,13 +18,11 @@ takes one ensemble and calls the same code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import rng as rngmod
 from .ensembles import TwoStateEnsemble, checked_thetas, make_states
-from .states import PureState, _read_only
+from .states import PureState, _Frozen, _Value, _read_only
 
 _POVM_SUM_ATOL = 1e-10
 _POVM_EIG_FLOOR = -1e-12
@@ -33,19 +31,17 @@ _POVM_EIG_FLOOR = -1e-12
 _BASIS_POVM = (_read_only(np.diag([1.0, 0.0])), _read_only(np.diag([0.0, 1.0])))
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalStrategy:
+class ClassicalStrategy(_Frozen):
     """A POVM together with the receiver's guess for each outcome.
 
     ``povm`` is stored as the validated elements' owned, read-only (n, 2, 2)
     stack, so a later write to a caller's array changes nothing.
     """
 
-    povm: tuple
-    guesses: tuple
+    _fields = ("povm", "guesses")
 
-    def __post_init__(self):
-        ops = [np.asarray(m, dtype=complex) for m in self.povm]
+    def __init__(self, povm: tuple, guesses: tuple):
+        ops = [np.asarray(m, dtype=complex) for m in povm]
         for m in ops:
             if m.shape != (2, 2):
                 raise ValueError(f"POVM elements must be 2x2, got {m.shape}")
@@ -58,21 +54,23 @@ class ClassicalStrategy:
             raise ValueError("POVM element has a negative eigenvalue")
         if not np.abs(stack.sum(axis=0) - np.eye(2)).max() <= _POVM_SUM_ATOL:
             raise ValueError("POVM elements do not sum to the identity")
-        if len(self.guesses) != len(ops):
+        if len(guesses) != len(ops):
             raise ValueError("need exactly one guess state per POVM element")
-        for g in self.guesses:
+        for g in guesses:
             if not isinstance(g, PureState) or g.n_qubits != 1:
                 raise ValueError("guesses must be single-qubit PureState values")
         stack.setflags(write=False)
         object.__setattr__(self, "povm", stack)
-        object.__setattr__(self, "guesses", tuple(self.guesses))
+        object.__setattr__(self, "guesses", tuple(guesses))
 
 
-@dataclass(frozen=True)
-class StrategyReport:
-    fidelity: float
-    error_probability: float
-    guess_angle: float
+class StrategyReport(_Value):
+    _fields = ("fidelity", "error_probability", "guess_angle")
+
+    def __init__(self, fidelity: float, error_probability: float, guess_angle: float):
+        object.__setattr__(self, "fidelity", fidelity)
+        object.__setattr__(self, "error_probability", error_probability)
+        object.__setattr__(self, "guess_angle", guess_angle)
 
 
 def classical_fidelity(strategy: ClassicalStrategy, ens: TwoStateEnsemble) -> float:

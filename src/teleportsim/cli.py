@@ -42,7 +42,6 @@ and an unwritable --out exits 2 before anything is computed.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -52,6 +51,7 @@ from . import channels as ch
 from . import classical as cl
 from . import telecloning as tc
 from .ensembles import checked_thetas
+from .states import _Value
 from .verification import run_checks
 
 
@@ -59,27 +59,46 @@ from .verification import run_checks
 _MAX_STEPS, _MAX_SAMPLES = 10**5, 10**9
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    theta_steps: int = 181
-    alpha_steps: int = 101
-    samples: int = 1_000_000
-    seed: int = 42
-    output_path: Optional[str] = None
-    theta: float = np.pi / 4
-    unknown: bool = False
+class RunConfig(_Value):
+    _fields = (
+        "command",
+        "theta_steps",
+        "alpha_steps",
+        "samples",
+        "seed",
+        "output_path",
+        "theta",
+        "unknown",
+    )
 
-    def __post_init__(self):
-        if not 2 <= self.theta_steps <= _MAX_STEPS:
+    def __init__(
+        self,
+        command: str,
+        theta_steps: int = 181,
+        alpha_steps: int = 101,
+        samples: int = 1_000_000,
+        seed: int = 42,
+        output_path: Optional[str] = None,
+        theta: float = np.pi / 4,
+        unknown: bool = False,
+    ):
+        if not 2 <= theta_steps <= _MAX_STEPS:
             raise ValueError(f"theta-steps must be in [2, {_MAX_STEPS}]")
-        if not 2 <= self.alpha_steps <= _MAX_STEPS:
+        if not 2 <= alpha_steps <= _MAX_STEPS:
             raise ValueError(f"alpha-steps must be in [2, {_MAX_STEPS}]")
-        if not 100 <= self.samples <= _MAX_SAMPLES:
+        if not 100 <= samples <= _MAX_SAMPLES:
             raise ValueError(f"samples must be in [100, {_MAX_SAMPLES}]")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be >= 0")
-        checked_thetas(self.theta)
+        checked_thetas(theta)
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "theta_steps", theta_steps)
+        object.__setattr__(self, "alpha_steps", alpha_steps)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "output_path", output_path)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "unknown", unknown)
 
 
 def _fmt(value: float) -> str:

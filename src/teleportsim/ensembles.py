@@ -13,37 +13,34 @@ The channel is the pure resource alpha|00> + beta|11> with real
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, spectrum_entropy
+from .states import DensityMatrix, PureState, _Value, spectrum_entropy
 
 _HALF_SQRT2 = 1.0 / np.sqrt(2.0)
 _RANGE_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TwoStateEnsemble:
+class TwoStateEnsemble(_Value):
     """Equal-prior pair of non-orthogonal qubit states with overlap sin(theta)."""
 
-    theta: float
+    _fields = ("theta",)
 
-    def __post_init__(self):
-        t = float(self.theta)
+    def __init__(self, theta: float):
+        t = float(theta)
         if not (0.0 <= t <= np.pi / 2 + _RANGE_ATOL):
             raise ValueError(f"theta must lie in [0, pi/2], got {t}")
         object.__setattr__(self, "theta", min(t, np.pi / 2))
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(_Value):
     """Pure entangled resource alpha|00> + beta|11>, alpha <= beta."""
 
-    alpha: float
+    _fields = ("alpha",)
 
-    def __post_init__(self):
-        a = float(self.alpha)
+    def __init__(self, alpha: float):
+        a = float(alpha)
         if not (0.0 <= a <= _HALF_SQRT2 + _RANGE_ATOL):
             raise ValueError(f"alpha must lie in [0, 1/sqrt(2)], got {a}")
         object.__setattr__(self, "alpha", min(a, _HALF_SQRT2))

@@ -45,7 +45,6 @@ global phase on a maximally entangled channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -60,6 +59,7 @@ from .states import (
     PAULI_Y,
     PAULI_Z,
     PureState,
+    _Frozen,
     _bell_transfer,
     _kept_qubits,
     _n_qubits_for,
@@ -87,8 +87,7 @@ _STANDARD_CORRECTIONS = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_
 _PAULIS = _read_only(np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]))
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolSpec:
+class ProtocolSpec(_Frozen):
     """A measure-and-correct protocol over ``input (x) resource_state``.
 
     The input is one qubit, Bell-measured together with the resource's first
@@ -105,21 +104,22 @@ class ProtocolSpec:
     built at construction.
     """
 
-    resource_state: PureState
-    corrections: Mapping[int, LocalOperator]
-    evaluation_targets: tuple
-    transfer: np.ndarray = field(init=False, repr=False)
+    _fields = ("resource_state", "corrections", "evaluation_targets")
 
-    def __post_init__(self):
-        missing = {1, 2, 3, 4} - set(self.corrections)
+    def __init__(
+        self,
+        resource_state: PureState,
+        corrections: Mapping[int, LocalOperator],
+        evaluation_targets: tuple,
+    ):
+        missing = {1, 2, 3, 4} - set(corrections)
         if missing:
             raise ValueError(f"corrections missing for outcomes {sorted(missing)}")
-        object.__setattr__(self, "corrections", MappingProxyType(dict(self.corrections)))
-        resource = self.resource_state
-        _require_pure(resource, "resource")
-        t = _bell_transfer(resource, self.corrections)
+        corrections = MappingProxyType(dict(corrections))
+        _require_pure(resource_state, "resource")
+        t = _bell_transfer(resource_state, corrections)
         n = _n_qubits_for(t.shape[1])
-        targets = tuple(sorted(map(_qubit_index, self.evaluation_targets)))
+        targets = tuple(sorted(map(_qubit_index, evaluation_targets)))
         # every output qubit once is valid, so only other targets are checked
         if targets != tuple(range(n)):
             if len(set(targets)) != len(targets):
@@ -127,6 +127,8 @@ class ProtocolSpec:
                     f"dimension mismatch: evaluation_targets {targets} repeat a qubit"
                 )
             _kept_qubits(targets, n)
+        object.__setattr__(self, "resource_state", resource_state)
+        object.__setattr__(self, "corrections", corrections)
         object.__setattr__(self, "evaluation_targets", targets)
         object.__setattr__(self, "transfer", t)
 

@@ -12,23 +12,23 @@ their arrays read-only, and each correction set's
 (corrections o Bell bras) map, which turns a resource's amplitudes into its
 transfer operators in one matmul, is built on the first spec that uses the
 set and cached by the set's identity (``_transfer_map``).  Every object the
-public API returns still goes through its validating constructor.
-Validation happens where a state is returned, not on the way to it:
-``partial_trace`` reduces a ``PureState`` from its amplitudes and builds no
-full density matrix, so only the returned reduced state is validated, with
-every check it would get from the density route.  Each piece of validation
-work is done once: a ``LocalOperator`` copies its factors once into one
-read-only (n, 2, 2) stack, checks the whole stack for finiteness and for
-unitarity, and builds its matrix as one Kronecker chain over it; a
-``DensityMatrix`` copies its elements once and keeps the spectrum that its
-positivity check computed, which ``von_neumann_entropy`` reads; and a
-``TelecloneResult``'s reduced states are built and validated when they are
+public API returns is built by its class's ``__init__``, which checks the
+arguments and stores the fields; after that no field can be assigned or
+deleted (``_Frozen``).  Validation happens where a state is returned, not
+on the way to it: ``partial_trace`` reduces a ``PureState`` from its
+amplitudes and builds no full density matrix, so only the returned reduced
+state is validated, with every check it would get from the density route.
+Each piece of validation work is done once: a ``LocalOperator`` copies its
+factors once into one read-only (n, 2, 2) stack, checks the whole stack for
+finiteness and for unitarity, and builds its matrix as one Kronecker chain
+over it; a ``DensityMatrix`` copies its elements once and keeps the spectrum
+that its positivity check computed, which ``von_neumann_entropy`` reads; and
+a ``TelecloneResult``'s reduced states are built and validated when they are
 first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional
 
@@ -85,6 +85,43 @@ _ENTROPY_CUTOFF = 1e-12
 _BELL_BRAS_JB = _read_only(np.ascontiguousarray(_BELL_BRAS.reshape(4, 2, 2).transpose(0, 2, 1)))
 
 
+class _Frozen:
+    """Base of the package's immutable types.
+
+    A subclass's ``__init__`` validates its arguments and stores each field
+    with ``object.__setattr__``; afterwards assigning or deleting an
+    attribute raises AttributeError.  ``repr`` shows the fields named in
+    ``_fields``.  Instances compare by identity.
+    """
+
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _Value(_Frozen):
+    """An immutable type that compares equal, and hashes equal, by ``_key()``: its fields."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def _n_qubits_for(dim: int) -> int:
     n = int(dim).bit_length() - 1
     if dim < 2 or 2**n != dim:
@@ -92,14 +129,13 @@ def _n_qubits_for(dim: int) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Frozen):
     """Normalized amplitude vector over ``n_qubits`` qubits."""
 
-    amplitudes: np.ndarray
+    _fields = ("amplitudes",)
 
-    def __post_init__(self):
-        a = _read_only(np.asarray(self.amplitudes).ravel())
+    def __init__(self, amplitudes: np.ndarray):
+        a = _read_only(np.asarray(amplitudes).ravel())
         _n_qubits_for(a.size)
         norm = float(np.vdot(a, a).real)
         if not abs(norm - 1.0) <= _NORM_ATOL:
@@ -115,8 +151,7 @@ class PureState:
         return DensityMatrix(np.outer(a, a.conj()))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """Hermitian, unit-trace, positive semidefinite operator.
 
     ``spectrum`` holds the ascending, read-only eigenvalues of the
@@ -124,11 +159,10 @@ class DensityMatrix:
     computes; ``von_neumann_entropy`` reads them.
     """
 
-    elements: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False)
+    _fields = ("elements",)
 
-    def __post_init__(self):
-        e = np.array(self.elements, dtype=complex)
+    def __init__(self, elements: np.ndarray):
+        e = np.array(elements, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"density matrix must be square, got {e.shape}")
         _n_qubits_for(e.shape[0])
@@ -173,18 +207,17 @@ def _kron_chain(stack: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class LocalOperator:
+class LocalOperator(_Frozen):
     """Tensor product of single-qubit unitaries, one 2x2 factor per qubit.
 
     ``factors`` are read-only views of one owned (n, 2, 2) copy of the
     given factors.
     """
 
-    factors: tuple
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        fs = [np.asarray(f, dtype=complex) for f in self.factors]
+    def __init__(self, factors: tuple):
+        fs = [np.asarray(f, dtype=complex) for f in factors]
         for f in fs:
             if f.shape != (2, 2):
                 raise ValueError(f"factor must be 2x2, got {f.shape}")
@@ -217,8 +250,7 @@ class LocalOperator:
         return self._matrix
 
 
-@dataclass(frozen=True, eq=False)
-class BellOutcome:
+class BellOutcome(_Frozen):
     """One of the four Bell-measurement outcomes on a qubit pair.
 
     ``post_state`` is the renormalized remainder on the unmeasured qubits;
@@ -226,9 +258,12 @@ class BellOutcome:
     small to renormalize reliably (probability < 1e-30).
     """
 
-    index: int
-    probability: float
-    post_state: Optional[PureState]
+    _fields = ("index", "probability", "post_state")
+
+    def __init__(self, index: int, probability: float, post_state: Optional[PureState]):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "post_state", post_state)
 
 
 def _require_pure(state, name: str) -> None:

@@ -37,7 +37,6 @@ enumeration read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,6 +48,8 @@ from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
+    _Frozen,
+    _Value,
     _require_pure,
     partial_trace,
     spectrum_entropy,
@@ -60,20 +61,17 @@ _CLONE_CORRECTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class CloneCoeffs:
+class CloneCoeffs(_Value):
     """Real nonnegative amplitudes (a, b, c) with a^2 + 2 b^2 + c^2 = 1.
 
     Values within 1e-10 of the constraint are accepted and stored rescaled
     onto it, so every state built from them passes the 1e-12 norm check.
     """
 
-    a: float
-    b: float
-    c: float
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        a, b, c = float(self.a), float(self.b), float(self.c)
+    def __init__(self, a: float, b: float, c: float):
+        a, b, c = float(a), float(b), float(c)
         if not min(a, b, c) >= -1e-12:
             raise ValueError(f"coefficients must be nonnegative, got {(a, b, c)}")
         norm = a * a + 2 * b * b + c * c
@@ -85,8 +83,7 @@ class CloneCoeffs:
         object.__setattr__(self, "c", max(c, 0.0) * scale)
 
 
-@dataclass(frozen=True, eq=False)
-class TelecloningSystem:
+class TelecloningSystem(_Frozen):
     """The 4-qubit resource state, built once from its defining coefficients.
 
     ``state`` is derived, (|0>phi0 + |1>phi1)/sqrt(2) on (port, ancilla, B,
@@ -101,19 +98,18 @@ class TelecloningSystem:
     use and then kept.
     """
 
-    coeffs: CloneCoeffs
-    state: PureState = field(init=False)
+    _fields = ("coeffs", "state")
 
-    def __post_init__(self):
-        object.__setattr__(self, "state", PureState(_telecloning_amplitudes(self.coeffs)))
+    def __init__(self, coeffs: CloneCoeffs):
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "state", PureState(_telecloning_amplitudes(coeffs)))
 
     @cached_property
     def _clone_spec(self) -> ProtocolSpec:
         return protocol_spec(self)
 
 
-@dataclass(frozen=True, eq=False)
-class TelecloneResult:
+class TelecloneResult(_Frozen):
     """Outcome branches and clone states from one telecloning run.
 
     ``branches`` is the read-only (4, 8) matrix v = T z of corrected,
@@ -124,8 +120,11 @@ class TelecloneResult:
     sum_k |k> (x) v_k, and each clone is a partial trace of the pair.
     """
 
-    per_outcome: tuple
-    branches: np.ndarray
+    _fields = ("per_outcome", "branches")
+
+    def __init__(self, per_outcome: tuple, branches: np.ndarray):
+        object.__setattr__(self, "per_outcome", per_outcome)
+        object.__setattr__(self, "branches", branches)
 
     @cached_property
     def joint_clones(self) -> DensityMatrix:

@@ -13,7 +13,6 @@ one array comparison.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .states import (
     DensityMatrix,
     LocalOperator,
     PureState,
+    _Value,
     bell_measure,
     fidelity,
     partial_trace,
@@ -44,18 +44,23 @@ from .states import (
 LOG2_3 = float(np.log2(3.0))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Value):
     """One check's verdict and its report line; ``elapsed_s`` is its wall time.
 
     The time is data only: it is not printed, and two results that differ
     only in it compare equal.
     """
 
-    name: str
-    passed: bool
-    detail: str
-    elapsed_s: float = field(default=0.0, compare=False)
+    _fields = ("name", "passed", "detail", "elapsed_s")
+
+    def __init__(self, name: str, passed: bool, detail: str, elapsed_s: float = 0.0):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed_s", elapsed_s)
+
+    def _key(self) -> tuple:
+        return (self.name, self.passed, self.detail)
 
 
 def _random_state(rng, n_qubits: int) -> PureState:

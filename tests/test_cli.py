@@ -147,24 +147,24 @@ class TestFigTelecloning:
     def test_sweep_builds_no_system_or_spec(self, monkeypatch):
         counts = {"_bell_transfer": 0, "TelecloningSystem": 0, "16x16 density": 0}
         bell_transfer = protocols._bell_transfer
-        system_init = TelecloningSystem.__post_init__
-        density_init = DensityMatrix.__post_init__
+        system_init = TelecloningSystem.__init__
+        density_init = DensityMatrix.__init__
 
         def counting_bell_transfer(*args):
             counts["_bell_transfer"] += 1
             return bell_transfer(*args)
 
-        def counting_system_init(self):
+        def counting_system_init(self, coeffs):
             counts["TelecloningSystem"] += 1
-            system_init(self)
+            system_init(self, coeffs)
 
-        def counting_density_init(self):
-            counts["16x16 density"] += np.shape(self.elements) == (16, 16)
-            density_init(self)
+        def counting_density_init(self, elements):
+            counts["16x16 density"] += np.shape(elements) == (16, 16)
+            density_init(self, elements)
 
         monkeypatch.setattr(protocols, "_bell_transfer", counting_bell_transfer)
-        monkeypatch.setattr(TelecloningSystem, "__post_init__", counting_system_init)
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_density_init)
+        monkeypatch.setattr(TelecloningSystem, "__init__", counting_system_init)
+        monkeypatch.setattr(DensityMatrix, "__init__", counting_density_init)
         assert main(["fig-telecloning", "--theta-steps", "5", "--out", os.devnull]) == 0
         assert counts == {"_bell_transfer": 0, "TelecloningSystem": 0, "16x16 density": 0}
 
@@ -178,13 +178,13 @@ def test_fig_commands_build_no_per_row_objects(argv, monkeypatch):
     # coefficient set or density matrix is built per row
     counts = {}
     for cls in (TwoStateEnsemble, Channel, CloneCoeffs, DensityMatrix):
-        init = cls.__post_init__
+        init = cls.__init__
 
-        def counting_init(self, init=init, name=cls.__name__):
+        def counting_init(self, *args, init=init, name=cls.__name__):
             counts[name] = counts.get(name, 0) + 1
-            init(self)
+            init(self, *args)
 
-        monkeypatch.setattr(cls, "__post_init__", counting_init)
+        monkeypatch.setattr(cls, "__init__", counting_init)
     assert main(argv + ["--theta-steps", "7", "--alpha-steps", "7", "--out", os.devnull]) == 0
     assert counts == {}
 

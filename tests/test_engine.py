@@ -408,17 +408,17 @@ class TestGlobalCloneFidelity:
 
     def test_builds_no_density_matrix(self, monkeypatch):
         counts = {"DensityMatrix": 0, "partial_trace": 0}
-        post_init = DensityMatrix.__post_init__
+        density_init = DensityMatrix.__init__
 
-        def counting_post_init(self):
+        def counting_density_init(self, elements):
             counts["DensityMatrix"] += 1
-            post_init(self)
+            density_init(self, elements)
 
         def counting_partial_trace(rho, keep):
             counts["partial_trace"] += 1
             return partial_trace(rho, keep)
 
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+        monkeypatch.setattr(DensityMatrix, "__init__", counting_density_init)
         for module in (states, telecloning):
             monkeypatch.setattr(module, "partial_trace", counting_partial_trace)
         ens = TwoStateEnsemble(np.pi / 4)
@@ -668,20 +668,20 @@ class TestProtocolTransferOperators:
         # the only state, no Bell measurement and no density matrix
         counts = {"_bell_transfer": 0, "PureState": 0, "DensityMatrix": 0, "bell_measure": 0}
         build = protocols._bell_transfer
-        pure_init = PureState.__post_init__
-        density_init = DensityMatrix.__post_init__
+        pure_init = PureState.__init__
+        density_init = DensityMatrix.__init__
 
         def counting_build(*args):
             counts["_bell_transfer"] += 1
             return build(*args)
 
-        def counting_pure_init(self):
+        def counting_pure_init(self, amplitudes):
             counts["PureState"] += 1
-            pure_init(self)
+            pure_init(self, amplitudes)
 
-        def counting_density_init(self):
+        def counting_density_init(self, elements):
             counts["DensityMatrix"] += 1
-            density_init(self)
+            density_init(self, elements)
 
         def counting_bell_measure(*args):
             counts["bell_measure"] += 1
@@ -689,8 +689,8 @@ class TestProtocolTransferOperators:
 
         psi1, psi2 = make_states(TwoStateEnsemble(np.pi / 4))
         monkeypatch.setattr(protocols, "_bell_transfer", counting_build)
-        monkeypatch.setattr(PureState, "__post_init__", counting_pure_init)
-        monkeypatch.setattr(DensityMatrix, "__post_init__", counting_density_init)
+        monkeypatch.setattr(PureState, "__init__", counting_pure_init)
+        monkeypatch.setattr(DensityMatrix, "__init__", counting_density_init)
         for module in (states, protocols):
             monkeypatch.setattr(module, "bell_measure", counting_bell_measure)
         spec = standard_teleportation(Channel(0.3))

@@ -154,9 +154,9 @@ def test_spectrum_entropy_matches_von_neumann_entropy():
 
 def test_entanglement_builds_no_density_matrix(monkeypatch):
     built = []
-    init = DensityMatrix.__post_init__
+    init = DensityMatrix.__init__
     monkeypatch.setattr(
-        DensityMatrix, "__post_init__", lambda self: (built.append(self), init(self))
+        DensityMatrix, "__init__", lambda self, elements: (built.append(self), init(self, elements))
     )
     value = alice_receivers_entanglement(CloneCoeffs(np.sqrt(2 / 3), np.sqrt(1 / 6), 0.0))
     assert abs(value - np.log2(3.0)) <= 1e-12
