@@ -17,7 +17,6 @@ from .channels import (
     horodecki_optimal_fidelity,
     optimize_combined,
     purification_fidelity_two_state,
-    singlet_fraction,
     two_state_direct_fidelity,
     unknown_state_sweep,
 )
@@ -28,15 +27,12 @@ from .classical import (
     classical_sweep,
     fidelity_biased_guess,
     fidelity_optimized,
-    min_error_probability,
-    optimal_guess_angle,
     projective_guess_strategy,
     unknown_state_classical_fidelity,
 )
 from .ensembles import (
     Channel,
     TwoStateEnsemble,
-    channel_state,
     ensemble_density,
     make_states,
     overlap,
@@ -44,21 +40,15 @@ from .ensembles import (
 )
 from .protocols import (
     ProtocolSpec,
-    STANDARD_CORRECTION_MATRICES,
     enumerate_protocol_fidelity,
     mc_haar_average_fidelity,
     mc_protocol_fidelity,
     standard_teleportation,
 )
 from .states import (
-    BELL_VECTORS,
     BellOutcome,
     DensityMatrix,
     LocalOperator,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     PureState,
     apply_local,
     bell_measure,

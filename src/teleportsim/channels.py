@@ -129,9 +129,11 @@ def combined_fidelity(
 
     (alpha/alpha')^2 F_dir(alpha') + (1 - (alpha/alpha')^2) F_cl.  The
     endpoints reduce exactly: alpha' = alpha gives the direct fidelity and
-    alpha' = 1/sqrt(2) gives the full purification strategy.
+    alpha' = 1/sqrt(2) gives the full purification strategy.  An alpha'
+    within 1e-12 outside [alpha, 1/sqrt(2)] is accepted and clipped into
+    it, as Channel clips alpha, so (alpha/alpha')^2 never exceeds 1.
     """
-    _check_alpha_prime(channel, alpha_prime)
+    alpha_prime = _checked_alpha_prime(channel, alpha_prime)
     f_cl = fidelity_optimized(ens).fidelity
     return float(_combined(ens.theta, channel.alpha, alpha_prime, f_cl))
 
@@ -198,8 +200,9 @@ def unknown_state_sweep(alpha):
     return _average_direct(alpha), _purification_unknown(alpha)
 
 
-def _check_alpha_prime(channel: Channel, alpha_prime: float) -> None:
+def _checked_alpha_prime(channel: Channel, alpha_prime: float) -> float:
     if not (max(channel.alpha - 1e-12, 0.0) <= alpha_prime <= _INV_SQRT2 + 1e-12):
         raise ValueError(
             f"alpha_prime {alpha_prime} outside [{channel.alpha}, 1/sqrt(2)]"
         )
+    return min(max(alpha_prime, channel.alpha), _INV_SQRT2)

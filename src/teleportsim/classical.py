@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import rng as rngmod
+from . import ensembles
 from .ensembles import TwoStateEnsemble, checked_thetas, make_states
 from .states import PureState, _Frozen, _Value, _read_only
 
@@ -87,11 +87,6 @@ def classical_fidelity(strategy: ClassicalStrategy, ens: TwoStateEnsemble) -> fl
     return float(0.5 * (p * overlap).sum())
 
 
-def min_error_probability(ens: TwoStateEnsemble) -> float:
-    """Smallest attainable probability of misidentifying the state: (1-cos theta)/2."""
-    return float(0.5 * (1.0 - np.cos(ens.theta)))
-
-
 def _min_error(theta):
     """Min-error fidelity 1 - (1 - cos theta) cos^2(theta) / 2.
 
@@ -119,16 +114,6 @@ def _guess_angle(theta):
     c = np.cos(theta)
     c2 = c * c
     return np.arctan(np.sin(theta) / c2), c2 < 1e-15
-
-
-def optimal_guess_angle(ens: TwoStateEnsemble) -> float:
-    """Guess angle maximizing the biased-guess fidelity: arctan(sin/cos^2).
-
-    Where cos^2 theta < 1e-15 the formula is undefined; there the signal
-    states (nearly) coincide and the unique maximizer is pi/2, the guess
-    ``fidelity_optimized`` reports.
-    """
-    return float(_optimum(ens.theta)[1])
 
 
 def _biased_guess(theta, g):
@@ -168,10 +153,17 @@ def fidelity_optimized(ens: TwoStateEnsemble) -> StrategyReport:
     below the min-error fidelity (column 0 of ``classical_sweep``); at small
     theta the two agree to within rounding, and the biased-guess expression
     can round one ulp under it.
+
+    ``error_probability`` is the smallest attainable probability of
+    misidentifying the state, (1 - cos theta)/2, and ``guess_angle`` the
+    maximizer arctan(sin/cos^2) of the biased-guess fidelity, or pi/2 where
+    cos^2 theta < 1e-15 leaves that formula undefined.
     """
     f, g = _optimum(ens.theta)
     return StrategyReport(
-        fidelity=float(f), error_probability=min_error_probability(ens), guess_angle=float(g)
+        fidelity=float(f),
+        error_probability=float(0.5 * (1.0 - np.cos(ens.theta))),
+        guess_angle=float(g),
     )
 
 
@@ -198,9 +190,7 @@ def classical_sweep(theta):
     return _min_error(t), _unambiguous(t), _optimum(t)[0], _fuchs_peres(t, 0.25)
 
 
-def projective_guess_strategy(
-    ens: TwoStateEnsemble, guess_angle: float
-) -> ClassicalStrategy:
+def projective_guess_strategy(guess_angle: float) -> ClassicalStrategy:
     """Computational-basis projectors with mirrored guesses at ``guess_angle``."""
     g = guess_angle
     g0 = PureState(np.array([np.cos(g / 2), np.sin(g / 2)]))
@@ -216,12 +206,12 @@ def unknown_state_classical_fidelity(samples: int, seed: int) -> float:
     gives outcome 0 with probability u = (1 + r_z)/2, so it scores
     u^2 + (1 - u)^2 = (1 + r_z^2)/2 = 1/2 + 2 w^2 with w = -r_z/2.  Only r_z
     is drawn, as w, chunk after chunk from one generator seeded by ``seed``
-    (``rng._half_z_chunks``: the draws ``protocols.mc_haar_average_fidelity``
+    (``ensembles._half_z_chunks``: the draws ``protocols.mc_haar_average_fidelity``
     scores), so a chunk of n draws sums to n/2 + 2 sum w^2.  The average
     converges to 2/3.  Like both protocol estimators it takes at least 100
     samples.
     """
     total = 0.0
-    for w in rngmod._half_z_chunks(samples, seed):
+    for w in ensembles._half_z_chunks(samples, seed):
         total += 0.5 * w.size + 2.0 * float(np.square(w, out=w).sum())
     return total / samples

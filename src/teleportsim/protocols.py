@@ -50,7 +50,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import rng as rngmod
+from . import ensembles
 from .ensembles import Channel, channel_state
 from .states import (
     LocalOperator,
@@ -73,16 +73,12 @@ from .states import (
     tensor,
 )
 
-# read-only, like the Paulis it holds
-STANDARD_CORRECTION_MATRICES = MappingProxyType(
-    {
-        1: PAULI_I,
-        2: PAULI_Z,
-        3: PAULI_X,
-        4: _read_only(PAULI_Z @ PAULI_X),
-    }
-)
-_STANDARD_CORRECTIONS = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_MATRICES.items()}
+_STANDARD_CORRECTIONS = {
+    1: LocalOperator((PAULI_I,)),
+    2: LocalOperator((PAULI_Z,)),
+    3: LocalOperator((PAULI_X,)),
+    4: LocalOperator((PAULI_Z @ PAULI_X,)),
+}
 # (sigma_0, sigma_x, sigma_y, sigma_z), the basis ``_bloch_quadratic_form`` reads
 _PAULIS = _read_only(np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z]))
 
@@ -200,7 +196,7 @@ def mc_protocol_fidelity(input_state: PureState, spec: ProtocolSpec, samples: in
     draw from the seeded generator, so results are bit-identical for a given
     (samples, seed) pair.
     """
-    _, gen = rngmod._chunks(samples, seed)
+    _, gen = ensembles._chunks(samples, seed)
     _require_pure(input_state, "protocol input")
     if input_state.n_qubits != 1:
         raise ValueError("protocol input must be a single qubit")
@@ -250,7 +246,7 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     form for the average, and at alpha = 0 it scores the same r_z draws as
     ``classical.unknown_state_classical_fidelity``.
 
-    The draws come from ``rng._half_z_chunks`` as w = u - 1/2 = -r_z/2, so
+    The draws come from ``ensembles._half_z_chunks`` as w = u - 1/2 = -r_z/2, so
     f = a0 + a1 w + a2 w^2 with a0 = q00, a1 = -4 q03 and a2 = 4 q33.  w is
     uniform on [-1/2, 1/2), so the odd part a1 w has Haar mean exactly 0 for
     any form, and only the even part a0 + a2 w^2 is summed: it has the same
@@ -262,7 +258,7 @@ def mc_haar_average_fidelity(channel: Channel, samples: int, seed: int):
     fidelity gives a stderr near zero rather than cancellation noise.
     Returns (mean, stderr).
     """
-    chunks = rngmod._half_z_chunks(samples, seed)
+    chunks = ensembles._half_z_chunks(samples, seed)
     q = _bloch_quadratic_form(standard_teleportation(channel).transfer)
     if np.any(q[1:3]) or np.any(q[:, 1:3]):
         raise RuntimeError("the Haar score depends on r_x or r_y, but only r_z is drawn")

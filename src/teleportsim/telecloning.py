@@ -43,7 +43,7 @@ import numpy as np
 
 from .classical import _fuchs_peres
 from .ensembles import TwoStateEnsemble, checked_thetas
-from .protocols import STANDARD_CORRECTION_MATRICES, ProtocolSpec
+from .protocols import _STANDARD_CORRECTIONS, ProtocolSpec
 from .states import (
     DensityMatrix,
     LocalOperator,
@@ -57,7 +57,7 @@ from .states import (
 
 _SQRT2 = np.sqrt(2.0)
 _CLONE_CORRECTIONS = {
-    k: LocalOperator.uniform(3, m) for k, m in STANDARD_CORRECTION_MATRICES.items()
+    k: LocalOperator.uniform(3, op.factors[0]) for k, op in _STANDARD_CORRECTIONS.items()
 }
 
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import channels as ch
 from . import classical as cl
+from . import ensembles
 from . import protocols as pr
-from . import rng as rngmod
 from . import telecloning as tc
 from .ensembles import (
     Channel,
@@ -193,7 +193,7 @@ def check_evaluator_consistency(cfg):
     for t in np.linspace(0.05, np.pi / 2 - 0.05, 12):
         ens = TwoStateEnsemble(t)
         for g in np.linspace(0, np.pi / 2, 7):
-            ev = cl.classical_fidelity(cl.projective_guess_strategy(ens, g), ens)
+            ev = cl.classical_fidelity(cl.projective_guess_strategy(g), ens)
             worst = max(worst, abs(ev - cl.fidelity_biased_guess(ens, g)))
     return worst <= 1e-12, f"POVM evaluator vs closed form dev = {worst:.2e}"
 
@@ -203,7 +203,7 @@ def check_stationarity(cfg):
     h = 1e-5
     for t in np.linspace(0.05, np.pi / 2 - 0.05, 30):
         ens = TwoStateEnsemble(t)
-        g = cl.optimal_guess_angle(ens)
+        g = cl.fidelity_optimized(ens).guess_angle
         deriv = (
             cl.fidelity_biased_guess(ens, g + h) - cl.fidelity_biased_guess(ens, g - h)
         ) / (2 * h)
@@ -318,7 +318,7 @@ def check_haar_average(cfg):
     # the score is even in r_z, so only an odd moment of the draws tells a
     # one-hemisphere draw from the sphere: E[r_z] = 0, Var[r_z] = 1/3
     # mean r_z = -2 sum(w)/n over the estimators' own draws, w = -r_z/2
-    sum_w = sum(float(w.sum()) for w in rngmod._half_z_chunks(10_000, cfg.seed))
+    sum_w = sum(float(w.sum()) for w in ensembles._half_z_chunks(10_000, cfg.seed))
     mean_z = abs(-2.0 * sum_w / 10_000)
     bound_z = 4 * np.sqrt(1 / (3 * 10_000))
     ok = dev <= 4 * stderr and mean_z <= bound_z

@@ -25,8 +25,7 @@ def min_error_strategy(ens: TwoStateEnsemble) -> ClassicalStrategy:
 
 def optimized_strategy(ens: TwoStateEnsemble) -> ClassicalStrategy:
     """The biased-guess strategy at the optimal guess angle."""
-    report = fidelity_optimized(ens)
-    return projective_guess_strategy(ens, report.guess_angle)
+    return projective_guess_strategy(fidelity_optimized(ens).guess_angle)
 
 
 def unambiguous_strategy(ens: TwoStateEnsemble) -> ClassicalStrategy:

@@ -173,6 +173,15 @@ class TestCombined:
         jumps = np.abs(np.diff(vals))
         assert jumps.max() < 5e-3
 
+    @pytest.mark.parametrize("alpha", [1e-6, 1e-9, 1e-11])
+    def test_alpha_prime_just_below_alpha_is_clipped_to_it(self, alpha):
+        # unclipped, (alpha/alpha')^2 exceeded 1: at alpha = 1e-11 the value
+        # read 0.7071 where alpha' = alpha reads 0.75
+        c = Channel(alpha)
+        assert combined_fidelity(PI4, c, alpha - 1e-12) == combined_fidelity(PI4, c, alpha)
+        top = 1 / np.sqrt(2)
+        assert combined_fidelity(PI4, c, top + 1e-12) == combined_fidelity(PI4, c, top)
+
     def test_rejects_out_of_range_alpha_prime(self):
         with pytest.raises(ValueError):
             combined_fidelity(PI4, CH03, 0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from povm_strategies import min_error_strategy, optimized_strategy, unambiguous_strategy
-from teleportsim import rng
+from teleportsim import ensembles
 from teleportsim.classical import (
     ClassicalStrategy,
     _biased_guess,
@@ -12,8 +12,6 @@ from teleportsim.classical import (
     classical_sweep,
     fidelity_biased_guess,
     fidelity_optimized,
-    min_error_probability,
-    optimal_guess_angle,
     projective_guess_strategy,
     unknown_state_classical_fidelity,
 )
@@ -30,18 +28,18 @@ class TestClassicalFidelityEvaluator:
 
     def test_orthogonal_states_with_basis_guesses(self):
         ens = TwoStateEnsemble(0.0)
-        strat = projective_guess_strategy(ens, 0.0)
+        strat = projective_guess_strategy(0.0)
         assert abs(classical_fidelity(strat, ens) - 1.0) < 1e-15
 
     def test_basis_guesses_at_pi_over_4(self):
-        strat = projective_guess_strategy(PI4, 0.0)
+        strat = projective_guess_strategy(0.0)
         assert abs(classical_fidelity(strat, PI4) - 0.75) < 1e-12
 
     def test_matches_closed_form_for_any_guess_angle(self):
         for t in np.linspace(0.05, np.pi / 2 - 0.05, 9):
             ens = TwoStateEnsemble(t)
             for g in np.linspace(0.0, np.pi / 2, 7):
-                ev = classical_fidelity(projective_guess_strategy(ens, g), ens)
+                ev = classical_fidelity(projective_guess_strategy(g), ens)
                 assert abs(ev - fidelity_biased_guess(ens, g)) < 1e-12
 
     def test_min_error_strategy_matches_closed_form(self):
@@ -58,7 +56,8 @@ class TestMinErrorProbability:
         [(0.0, 0.0), (np.pi / 2, 0.5), (np.pi / 4, 0.1464466094067262)],
     )
     def test_values(self, theta, expected):
-        assert abs(min_error_probability(TwoStateEnsemble(theta)) - expected) < 1e-12
+        report = fidelity_optimized(TwoStateEnsemble(theta))
+        assert abs(report.error_probability - expected) < 1e-12
 
 
 class TestFidelityMinError:
@@ -107,31 +106,34 @@ class TestFidelityUnambiguous:
             assert abs(p_succ - (1 - np.sin(t))) < 1e-12
 
 
+def _guess_angle(ens):
+    return fidelity_optimized(ens).guess_angle
+
+
 class TestOptimalGuessAngle:
     def test_orthogonal_needs_no_bias(self):
-        assert optimal_guess_angle(TwoStateEnsemble(0.0)) == 0.0
+        assert _guess_angle(TwoStateEnsemble(0.0)) == 0.0
 
     def test_arctan_sqrt2_at_pi_over_4(self):
-        g = optimal_guess_angle(PI4)
+        g = _guess_angle(PI4)
         assert abs(g - np.arctan(np.sqrt(2))) < 1e-15
         assert abs(g - 0.9553166181245093) < 1e-12
 
     def test_value_at_theta_0p3(self):
-        assert abs(optimal_guess_angle(TwoStateEnsemble(0.3)) - 0.3131445416765367) < 1e-12
+        assert abs(_guess_angle(TwoStateEnsemble(0.3)) - 0.3131445416765367) < 1e-12
 
     def test_grid_search_confirms_maximizer(self):
         for t in (0.3, np.pi / 4, 1.2):
             ens = TwoStateEnsemble(t)
             grid = np.linspace(0.0, np.pi / 2, 2_000_001)
             vals = _biased_guess(t, grid)
-            assert abs(grid[np.argmax(vals)] - optimal_guess_angle(ens)) < 1e-6
+            assert abs(grid[np.argmax(vals)] - _guess_angle(ens)) < 1e-6
 
     @pytest.mark.parametrize("theta", [np.pi / 2, np.pi / 2 - 3e-8])
-    def test_agrees_with_fidelity_optimized_where_the_states_coincide(self, theta):
+    def test_is_pi_over_2_where_the_states_coincide(self, theta):
         # cos^2 theta < 1e-15 leaves arctan(sin/cos^2) undefined; the unique
-        # maximizer of cos^2(pi/4 - g/2) is pi/2, and both functions report it
-        ens = TwoStateEnsemble(theta)
-        assert optimal_guess_angle(ens) == fidelity_optimized(ens).guess_angle == np.pi / 2
+        # maximizer of cos^2(pi/4 - g/2) is pi/2, and the report gives it
+        assert _guess_angle(TwoStateEnsemble(theta)) == np.pi / 2
 
 
 class TestFidelityOptimized:
@@ -144,8 +146,9 @@ class TestFidelityOptimized:
 
     def test_report_fields(self):
         report = fidelity_optimized(PI4)
-        assert abs(report.error_probability - min_error_probability(PI4)) < 1e-15
-        assert abs(report.guess_angle - optimal_guess_angle(PI4)) < 1e-15
+        t = PI4.theta
+        assert abs(report.error_probability - 0.5 * (1.0 - np.cos(t))) < 1e-15
+        assert abs(report.guess_angle - np.arctan(np.sin(t) / np.cos(t) ** 2)) < 1e-15
 
     @pytest.mark.parametrize(
         "thetas",
@@ -168,7 +171,7 @@ class TestFidelityOptimized:
         h = 1e-5
         for t in np.linspace(0.05, np.pi / 2 - 0.05, 25):
             ens = TwoStateEnsemble(t)
-            g = optimal_guess_angle(ens)
+            g = _guess_angle(ens)
             deriv = (
                 fidelity_biased_guess(ens, g + h) - fidelity_biased_guess(ens, g - h)
             ) / (2 * h)
@@ -216,7 +219,7 @@ class TestUnknownStateMC:
                 u = np.random.default_rng(seed).random(samples)
                 total = 0.0
                 start = 0
-                for size in rng.chunk_sizes(samples):
+                for size in ensembles._chunks(samples, seed)[0]:
                     w = u[start : start + size] - 0.5
                     start += size
                     total += 0.5 * size + 2.0 * float((w * w).sum())
@@ -228,7 +231,7 @@ class TestUnknownStateMC:
     def test_fixed_input_basis_state_gives_one(self, monkeypatch):
         # every draw at |0> (r_z = 1, w = -1/2) or |1> (r_z = -1, w = 1/2) scores exactly 1
         for w in (-0.5, 0.5):
-            monkeypatch.setattr(rng, "_half_z_chunks", _fixed_half_z(w))
+            monkeypatch.setattr(ensembles, "_half_z_chunks", _fixed_half_z(w))
             assert unknown_state_classical_fidelity(1000, seed=1) == 1.0
 
     def test_fixed_input_scores_its_bloch_z(self, monkeypatch):
@@ -236,14 +239,14 @@ class TestUnknownStateMC:
         psi = PureState(np.array([np.cos(0.4), np.exp(0.9j) * np.sin(0.4)]))
         p0, p1 = np.abs(psi.amplitudes) ** 2
         u = np.cos(0.4) ** 2
-        monkeypatch.setattr(rng, "_half_z_chunks", _fixed_half_z(-0.5 * (p0 - p1)))
+        monkeypatch.setattr(ensembles, "_half_z_chunks", _fixed_half_z(-0.5 * (p0 - p1)))
         got = unknown_state_classical_fidelity(1000, seed=1)
         assert abs(got - (u**2 + (1 - u) ** 2)) < 1e-15
 
 
 def _fixed_half_z(w):
-    """A stand-in for ``rng._half_z_chunks`` whose every draw is w = -r_z/2."""
-    return lambda samples, seed: (np.full(n, w) for n in rng.chunk_sizes(samples))
+    """A stand-in for ``ensembles._half_z_chunks`` whose every draw is w = -r_z/2."""
+    return lambda samples, seed: (np.full(n, w) for n in ensembles._chunks(samples, seed)[0])
 
 
 class TestStrategyValidation:

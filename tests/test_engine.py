@@ -26,11 +26,9 @@ import numpy as np
 import pytest
 from test_rng import haar_bloch
 
-from teleportsim import protocols, states, telecloning
-from teleportsim import rng as rngmod
+from teleportsim import ensembles, protocols, states, telecloning
 from teleportsim.ensembles import Channel, TwoStateEnsemble, channel_state, make_states
 from teleportsim.protocols import (
-    STANDARD_CORRECTION_MATRICES,
     ProtocolSpec,
     enumerate_protocol_fidelity,
     mc_haar_average_fidelity,
@@ -145,7 +143,7 @@ def reference_teleclone(input_state, system):
     per = []
     averaged = np.zeros((8, 8), dtype=complex)
     for k, (p, post) in enumerate(reference_bell_measure(joint, (0, 1))):
-        op = LocalOperator.uniform(3, STANDARD_CORRECTION_MATRICES[k + 1])
+        op = LocalOperator.uniform(3, protocols._STANDARD_CORRECTIONS[k + 1].factors[0])
         amp = apply_local(op, post).amplitudes
         per.append((p, amp))
         averaged += p * np.outer(amp, amp.conj())
@@ -165,14 +163,14 @@ def reference_global_clone_fidelity(ens, coeffs):
 def _mc_haar_reference(channel, samples, seed):
     """(mean, stderr) of Haar-input teleportation, one Bell vector at a time."""
     resource = channel_state(channel).amplitudes
-    corrs = [STANDARD_CORRECTION_MATRICES[k] for k in (1, 2, 3, 4)]
+    corrs = [protocols._STANDARD_CORRECTIONS[k].factors[0] for k in (1, 2, 3, 4)]
     # every r_z first, then the azimuths: the estimator's r_z draws are the
     # first ``samples`` uniforms of the same generator
     draws = haar_bloch(np.random.default_rng(seed), samples)
     total = 0.0
     total_sq = 0.0
     start = 0
-    for size in rngmod.chunk_sizes(samples):
+    for size in ensembles._chunks(samples, seed)[0]:
         # the amplitudes of the same Bloch-vector draws the estimator scores
         r = draws[start : start + size]
         start += size
@@ -202,7 +200,7 @@ def _mc_haar_full_sphere(channel, samples, seed):
     total = 0.0
     m2 = 0.0
     done = 0
-    for size in rngmod.chunk_sizes(samples):
+    for size in ensembles._chunks(samples, seed)[0]:
         r = draws[done : done + size].T
         # f = q00 + r . (2 q_0 + Q_rr r), with Q_rr = q[1:, 1:]
         f = q00 + np.einsum("jm,jm->m", r, quad @ r + lin[:, None])
@@ -225,7 +223,7 @@ def _mc_haar_power_sums(channel, samples, seed):
     draws = haar_bloch(np.random.default_rng(seed), samples)
     total = s2 = s4 = 0.0
     done = 0
-    for n in rngmod.chunk_sizes(samples):
+    for n in ensembles._chunks(samples, seed)[0]:
         w2 = np.square(-0.5 * draws[done : done + n, 2])
         sum_w2 = float(w2.sum())
         total += a0 * n + a2 * sum_w2
@@ -513,10 +511,10 @@ class TestHaarTransferOperators:
 
         # the seeded generator every draw comes from, swapped for one that
         # cannot draw; without the transverse entry the estimator reaches it
-        def no_draw_chunks(n, seed, f=rngmod._chunks):
+        def no_draw_chunks(n, seed, f=ensembles._chunks):
             return f(n, seed)[0], NoDraw()
 
-        monkeypatch.setattr(rngmod, "_chunks", no_draw_chunks)
+        monkeypatch.setattr(ensembles, "_chunks", no_draw_chunks)
         with pytest.raises(AssertionError, match="drew before the guard"):
             mc_haar_average_fidelity(Channel(0.3), 1000, seed=1)
         monkeypatch.setattr(protocols, "_bloch_quadratic_form", with_transverse_entry)

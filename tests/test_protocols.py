@@ -16,17 +16,16 @@ from teleportsim.classical import (
     projective_guess_strategy,
     unknown_state_classical_fidelity,
 )
+from teleportsim import ensembles
 from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.protocols import (
     ProtocolSpec,
-    STANDARD_CORRECTION_MATRICES,
+    _STANDARD_CORRECTIONS,
     enumerate_protocol_fidelity,
     mc_haar_average_fidelity,
     mc_protocol_fidelity,
     standard_teleportation,
 )
-from teleportsim import rng as rngmod
-from teleportsim.rng import chunk_sizes
 from teleportsim.states import (
     PAULI_I,
     PAULI_Z,
@@ -47,6 +46,8 @@ from teleportsim.telecloning import (
 )
 
 PI4 = TwoStateEnsemble(np.pi / 4)
+# the bare 2x2 matrices I, Z, X, ZX of the standard corrections
+STANDARD_MATRICES = {k: op.factors[0] for k, op in _STANDARD_CORRECTIONS.items()}
 
 
 def random_qubit(rng):
@@ -162,12 +163,11 @@ class TestEnumeration:
             )
 
     def test_raw_matrix_correction_rejected_naming_its_outcome(self):
-        # a bare 2x2 matrix (here a STANDARD_CORRECTION_MATRICES value) is not
+        # a bare 2x2 matrix (here a standard correction's factor) is not
         # a LocalOperator; the error names the first such outcome
         spec = standard_teleportation(Channel(0.4))
-        wrapped = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_MATRICES.items()}
         for raw in (1, 3):
-            corrections = {**wrapped, raw: STANDARD_CORRECTION_MATRICES[raw]}
+            corrections = {**_STANDARD_CORRECTIONS, raw: STANDARD_MATRICES[raw]}
             message = f"^correction {raw} must be a LocalOperator, got ndarray$"
             with pytest.raises(ValueError, match=message):
                 ProtocolSpec(
@@ -178,7 +178,7 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="^correction 1 must be a LocalOperator"):
             ProtocolSpec(
                 resource_state=spec.resource_state,
-                corrections=STANDARD_CORRECTION_MATRICES,
+                corrections=STANDARD_MATRICES,
                 evaluation_targets=(0,),
             )
 
@@ -208,7 +208,7 @@ class TestEnumeration:
         # construction would split the enumeration from the Monte Carlo,
         # which reads the corrections at call time
         psi, _ = make_states(TwoStateEnsemble(0.7))
-        given = {k: LocalOperator((m,)) for k, m in STANDARD_CORRECTION_MATRICES.items()}
+        given = dict(_STANDARD_CORRECTIONS)
         spec = ProtocolSpec(
             resource_state=standard_teleportation(Channel(0.3)).resource_state,
             corrections=given,
@@ -392,7 +392,7 @@ class TestClassicalEnumeration:
         rng = np.random.default_rng(13)
         for _ in range(20):
             ens = TwoStateEnsemble(rng.uniform(0, np.pi / 2))
-            strat = projective_guess_strategy(ens, rng.uniform(0, np.pi / 2))
+            strat = projective_guess_strategy(rng.uniform(0, np.pi / 2))
             a = enumerate_classical_strategy(strat, ens)
             b = classical_fidelity(strat, ens)
             assert abs(a - b) < 1e-12
@@ -451,6 +451,11 @@ def _estimators(seed=0):
     }
 
 
+def _chunk_sizes(samples):
+    """The partition every estimator sums ``samples`` draws in."""
+    return ensembles._chunks(samples, 0)[0]
+
+
 class TestSampleCounts:
     @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
     @pytest.mark.parametrize(
@@ -486,21 +491,16 @@ class TestSampleCounts:
     @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
     def test_sample_floor_is_100(self, estimator):
         run = _estimators()[estimator]
-        # below 1 too: the floor is named, not chunk_sizes' own >= 1
+        # below 1 too: 100 is the one floor
         for samples in (99, 0, -1, np.int64(0)):
             with pytest.raises(ValueError, match=r"^samples must be >= 100$"):
                 run(samples)
         run(100)
 
-    def test_chunk_sizes_rejects_totals_below_one(self):
-        for total in (0, -1, np.int64(0)):
-            with pytest.raises(ValueError, match=">= 1"):
-                chunk_sizes(total)
-
     def test_chunk_partition_is_unchanged(self):
-        assert chunk_sizes(1) == [1]
-        assert chunk_sizes(65_536) == [65_536]
-        assert chunk_sizes(200_000) == [65_536] * 3 + [3_392]
+        assert _chunk_sizes(100) == [100]
+        assert _chunk_sizes(65_536) == [65_536]
+        assert _chunk_sizes(200_000) == [65_536] * 3 + [3_392]
 
 
 class TestOneStream:
@@ -512,7 +512,7 @@ class TestOneStream:
     def test_protocol_mc_does_not_depend_on_the_chunk_size(self, seed, monkeypatch):
         run = _estimators(seed)["protocol"]
         default = run(self.SAMPLES)
-        monkeypatch.setattr(rngmod, "DEFAULT_CHUNK", 1000)
+        monkeypatch.setattr(ensembles, "DEFAULT_CHUNK", 1000)
         assert run(self.SAMPLES) == default
 
     @pytest.mark.parametrize("estimator", ["haar", "unknown"])
@@ -523,7 +523,7 @@ class TestOneStream:
         run = _estimators(seed)[estimator]
         # the Haar protocol estimator returns (mean, stderr)
         default = np.ravel(run(self.SAMPLES))[0]
-        monkeypatch.setattr(rngmod, "DEFAULT_CHUNK", 1000)
+        monkeypatch.setattr(ensembles, "DEFAULT_CHUNK", 1000)
         small = np.ravel(run(self.SAMPLES))[0]
         assert abs(small - default) <= 1e-15 * abs(default)
 
@@ -533,14 +533,14 @@ class TestOneStream:
         expected = np.random.default_rng(99).random(samples)
         drawn = []
 
-        def recorded(n, seed, f=rngmod._half_z_chunks):
+        def recorded(n, seed, f=ensembles._half_z_chunks):
             for w in f(n, seed):
                 drawn.append(w.copy())  # the next chunk overwrites w
                 yield w
 
-        monkeypatch.setattr(rngmod, "_half_z_chunks", recorded)
+        monkeypatch.setattr(ensembles, "_half_z_chunks", recorded)
         _estimators(99)[estimator](samples)
-        assert [len(w) for w in drawn] == chunk_sizes(samples)
+        assert [len(w) for w in drawn] == _chunk_sizes(samples)
         assert np.array_equal(np.concatenate(drawn) + 0.5, expected)
 
     @pytest.mark.parametrize("estimator", ["haar", "protocol", "unknown"])
@@ -559,7 +559,7 @@ class TestOneStream:
 
 class TestCorrectionsTable:
     def test_standard_set(self):
-        i, z, x, zx = (STANDARD_CORRECTION_MATRICES[k] for k in (1, 2, 3, 4))
+        i, z, x, zx = (STANDARD_MATRICES[k] for k in (1, 2, 3, 4))
         assert np.allclose(i, np.eye(2))
         assert np.allclose(z, np.diag([1, -1]))
         assert np.allclose(x, [[0, 1], [1, 0]])
@@ -575,7 +575,5 @@ class TestCorrectionsTable:
             psi = random_qubit(rng)
             joint = tensor(psi, channel_state(Channel(1 / np.sqrt(2))))
             for o in bell_measure(joint, (0, 1)):
-                corrected = apply_local(
-                    LocalOperator((STANDARD_CORRECTION_MATRICES[o.index],)), o.post_state
-                )
+                corrected = apply_local(_STANDARD_CORRECTIONS[o.index], o.post_state)
                 assert np.abs(corrected.amplitudes - psi.amplitudes).max() < 1e-12

@@ -1,10 +1,11 @@
 """The names ``teleportsim`` re-exports, pinned, and the benchmark's use of them.
 
 The surface is the four sweeps, the scalars the README and the benchmark
-call, the protocol engine, and the oracles verify calls.  A deletion that
-removes a name the benchmark's workloads or gates read fails here, not
-first in a benchmark run.  The public constants, and every array a public
-object holds, are read-only.  Every object the package builds is immutable:
+call, the protocol engine, and the oracles verify calls; a name stays
+public only if the README, the benchmark or a verify check uses it.  A
+deletion that removes a name the benchmark's workloads or gates read fails
+here, not first in a benchmark run.  The Pauli and Bell constants, and
+every array a public object holds, are read-only.  Every object the package builds is immutable:
 the value types compare and hash by their fields, the array-holding types by
 identity, and importing the CLI loads no ``dataclasses``.
 """
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import teleportsim
+from teleportsim import states
 from teleportsim import (
     Channel,
     ChannelStrategyReport,
@@ -28,20 +30,16 @@ from teleportsim import (
     TwoStateEnsemble,
 )
 from teleportsim.cli import RunConfig
+from teleportsim.ensembles import channel_state
 from teleportsim.verification import CheckResult
 from test_cli import _cli_in_new_process
 
 PUBLIC = frozenset(
     {
         # states
-        "BELL_VECTORS",
         "BellOutcome",
         "DensityMatrix",
         "LocalOperator",
-        "PAULI_I",
-        "PAULI_X",
-        "PAULI_Y",
-        "PAULI_Z",
         "PureState",
         "apply_local",
         "bell_measure",
@@ -53,7 +51,6 @@ PUBLIC = frozenset(
         # ensembles
         "Channel",
         "TwoStateEnsemble",
-        "channel_state",
         "ensemble_density",
         "make_states",
         "overlap",
@@ -65,8 +62,6 @@ PUBLIC = frozenset(
         "classical_sweep",
         "fidelity_biased_guess",
         "fidelity_optimized",
-        "min_error_probability",
-        "optimal_guess_angle",
         "projective_guess_strategy",
         "unknown_state_classical_fidelity",
         # channels
@@ -78,12 +73,10 @@ PUBLIC = frozenset(
         "horodecki_optimal_fidelity",
         "optimize_combined",
         "purification_fidelity_two_state",
-        "singlet_fraction",
         "two_state_direct_fidelity",
         "unknown_state_sweep",
         # protocols
         "ProtocolSpec",
-        "STANDARD_CORRECTION_MATRICES",
         "enumerate_protocol_fidelity",
         "mc_haar_average_fidelity",
         "mc_protocol_fidelity",
@@ -103,7 +96,17 @@ PUBLIC = frozenset(
     }
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_FILES = ("workloads.py", "gates.py")
+# what a public name needs a caller in: the README, the benchmark, the verify checks
+CALLER_FILES = (
+    "README.md",
+    "perfbench/workloads.py",
+    "perfbench/gates.py",
+    "perfbench/tracer.py",
+    "src/teleportsim/verification.py",
+)
+CONSTANTS = ("PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z", "BELL_VECTORS")
 
 
 def test_reexports_exactly_the_agreed_names():
@@ -115,11 +118,16 @@ def test_reexports_exactly_the_agreed_names():
     assert exported == PUBLIC
 
 
+def test_every_public_name_has_a_caller_outside_the_tests():
+    text = "\n".join((ROOT / name).read_text() for name in CALLER_FILES)
+    uncalled = sorted(name for name in PUBLIC if not re.search(rf"\b{name}\b", text))
+    assert not uncalled, uncalled
+
+
 def test_every_name_the_benchmark_reads_is_public():
-    root = Path(__file__).resolve().parents[1] / "perfbench"
     used = set()
     for name in BENCHMARK_FILES:
-        used |= set(re.findall(r"\btp\.([A-Za-z_]\w*)", (root / name).read_text()))
+        used |= set(re.findall(r"\btp\.([A-Za-z_]\w*)", (ROOT / "perfbench" / name).read_text()))
     assert used, "no tp.<name> found: the benchmark no longer imports teleportsim as tp"
     assert used <= PUBLIC, sorted(used - PUBLIC)
 
@@ -127,19 +135,11 @@ def test_every_name_the_benchmark_reads_is_public():
 def test_public_constants_are_read_only():
     # every protocol reads them: a write to PAULI_Z once made
     # mc_haar_average_fidelity read 1.157, a fidelity above 1
-    tp = teleportsim
-    corrections = tp.STANDARD_CORRECTION_MATRICES
-    paulis = (tp.PAULI_I, tp.PAULI_X, tp.PAULI_Y, tp.PAULI_Z)
-    for a in (*paulis, tp.BELL_VECTORS, *corrections.values()):
-        assert not a.flags.writeable
+    for name in CONSTANTS:
+        assert not getattr(states, name).flags.writeable, name
     with pytest.raises(ValueError, match="read-only"):
-        tp.PAULI_Z[1, 1] = 0.5
-    with pytest.raises(TypeError):
-        corrections[1] = tp.PAULI_Z
-    with pytest.raises(TypeError):
-        del corrections[4]
-    assert np.array_equal(tp.PAULI_Z, np.diag([1, -1]))
-    assert sorted(corrections) == [1, 2, 3, 4]
+        states.PAULI_Z[1, 1] = 0.5
+    assert np.array_equal(states.PAULI_Z, np.diag([1, -1]))
 
 
 def _held_arrays(obj, path, seen):
@@ -187,9 +187,10 @@ def test_no_reachable_public_array_is_writable():
         "ProtocolSpec": tp.standard_teleportation(tp.Channel(0.3)),
         "TelecloningSystem": system,
         "TelecloneResult": tp.teleclone(psi, system),
-        "BellOutcome": tp.bell_measure(tp.tensor(psi, tp.channel_state(tp.Channel(0.3))), (0, 1)),
+        "BellOutcome": tp.bell_measure(tp.tensor(psi, channel_state(tp.Channel(0.3))), (0, 1)),
     }
     constants = {name: getattr(tp, name) for name in sorted(PUBLIC)}
+    constants.update((name, getattr(states, name)) for name in CONSTANTS)
     seen = set()
     found = {}
     for root, obj in {**constants, **objects}.items():
@@ -199,9 +200,8 @@ def test_no_reachable_public_array_is_writable():
             while base is not None:
                 assert not base.flags.writeable, path
                 base = base.base
-    expected = {"PAULI_I", "PAULI_X", "PAULI_Y", "PAULI_Z", "BELL_VECTORS", *objects}
+    expected = {*CONSTANTS, *objects}
     assert expected <= set(found), sorted(expected - set(found))
-    assert len(found["STANDARD_CORRECTION_MATRICES"]) == 1  # Z X; the rest are the Paulis
 
 
 def _one_of_each():
@@ -213,11 +213,11 @@ def _one_of_each():
     return {
         "PureState": (psi, "amplitudes"),
         "DensityMatrix": (psi.density(), "spectrum"),
-        "LocalOperator": (tp.LocalOperator((tp.PAULI_X,)), "factors"),
+        "LocalOperator": (tp.LocalOperator((states.PAULI_X,)), "factors"),
         "BellOutcome": (tp.bell_measure(tp.tensor(psi, psi), (0, 1))[0], "probability"),
         "TwoStateEnsemble": (ens, "theta"),
         "Channel": (tp.Channel(0.3), "alpha"),
-        "ClassicalStrategy": (tp.projective_guess_strategy(ens, 0.2), "guesses"),
+        "ClassicalStrategy": (tp.projective_guess_strategy(0.2), "guesses"),
         "StrategyReport": (tp.fidelity_optimized(ens), "fidelity"),
         "ChannelStrategyReport": (tp.optimize_combined(ens, tp.Channel(0.3)), "alpha_prime"),
         "ProtocolSpec": (tp.standard_teleportation(tp.Channel(0.3)), "transfer"),

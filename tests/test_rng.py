@@ -1,7 +1,7 @@
-"""The Haar r_z draws of ``rng`` and the full-sphere sampler the tests keep.
+"""The package's seeded Haar r_z draws and the full-sphere sampler the tests keep.
 
 The package's Haar estimators score r_z alone and read it, chunk by chunk,
-as w = u - 1/2 = -r_z/2 from ``rng._half_z_chunks``.  ``haar_bloch_z`` is
+as w = u - 1/2 = -r_z/2 from ``ensembles._half_z_chunks``.  ``haar_bloch_z`` is
 the test-side r_z = 1 - 2 u of the same uniforms.  ``haar_bloch`` draws
 whole Bloch vectors, r_z first from the same uniforms, and is the input of
 the reference loops in ``test_engine.py``, which score full amplitudes or
@@ -11,7 +11,7 @@ the reference loops in ``test_engine.py``, which score full amplitudes or
 import numpy as np
 import pytest
 
-from teleportsim.rng import _half_z_chunks, chunk_sizes
+from teleportsim.ensembles import _chunks, _half_z_chunks
 
 N = 1_000_000
 
@@ -89,7 +89,7 @@ class TestHalfZChunks:
     @pytest.mark.parametrize("samples", [100, 65_536, 65_537, 200_000])
     def test_is_one_stream_cut_into_chunks(self, samples):
         seen = [w.copy() for w in _half_z_chunks(samples, 3)]
-        assert [len(w) for w in seen] == chunk_sizes(samples)
+        assert [len(w) for w in seen] == _chunks(samples, 3)[0]
         u = np.random.default_rng(3).random(samples)
         assert np.array_equal(np.concatenate(seen) + 0.5, u)
 

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from teleportsim import channels, classical, cli, ensembles, protocols, rng, states, telecloning
+from teleportsim import channels, classical, cli, ensembles, protocols, states, telecloning
 from teleportsim import verification as v
 from teleportsim.cli import RunConfig
 from test_states import random_local_unitary
@@ -103,8 +103,8 @@ def _unbalanced_resource(coeffs):
 
 
 def _mapped_half_z(g):
-    """``rng._half_z_chunks`` with each chunk w = u - 1/2 of the draws replaced by g(w)."""
-    return lambda n, seed, f=rng._half_z_chunks: (g(w) for w in f(n, seed))
+    """``ensembles._half_z_chunks`` with each chunk w = u - 1/2 of the draws replaced by g(w)."""
+    return lambda n, seed, f=ensembles._half_z_chunks: (g(w) for w in f(n, seed))
 
 
 def _mutations():
@@ -113,7 +113,7 @@ def _mutations():
     pur, trace = channels._purification, v.partial_trace
     matrix, ent = telecloning._fidelity_matrix, telecloning._entanglement
     overlaps = telecloning._pair_overlaps
-    paulis = protocols.STANDARD_CORRECTION_MATRICES
+    paulis = {k: op.factors[0] for k, op in protocols._STANDARD_CORRECTIONS.items()}
     swapped = {2: 3, 3: 2}
     return {
         "core-norm-preservation": [
@@ -158,7 +158,7 @@ def _mutations():
         ],
         "classical-unknown-state-mc": [
             # a 1.7e-3 bias, 11 standard errors at verify's default 10^6 samples
-            (rng, "_half_z_chunks", _mapped_half_z(lambda w: 0.995 * w)),
+            (ensembles, "_half_z_chunks", _mapped_half_z(lambda w: 0.995 * w)),
         ],
         "channel-horodecki-identity": [
             (channels, "singlet_fraction", lambda c, f=channels.singlet_fraction: f(c) + 1e-6),
@@ -191,14 +191,15 @@ def _mutations():
         ],
         "protocol-haar-average": [
             # polar angle drawn uniformly: r_z = cos(pi u) piles up at the poles
-            (rng, "_half_z_chunks", _mapped_half_z(lambda w: -0.5 * np.cos(np.pi * (w + 0.5)))),
+            (ensembles, "_half_z_chunks",
+             _mapped_half_z(lambda w: -0.5 * np.cos(np.pi * (w + 0.5)))),
             # the upper hemisphere only, r_z = u: the score is even in r_z, E[r_z] is not
-            (rng, "_half_z_chunks", _mapped_half_z(lambda w: -0.5 * (w + 0.5))),
+            (ensembles, "_half_z_chunks", _mapped_half_z(lambda w: -0.5 * (w + 0.5))),
         ],
         "protocol-reproducibility": [
             # the generator seeded from fresh OS entropy instead of the seed
-            (rng, "_chunks",
-             lambda n, seed, f=rng._chunks: (f(n, seed)[0], np.random.default_rng())),
+            (ensembles, "_chunks",
+             lambda n, seed, f=ensembles._chunks: (f(n, seed)[0], np.random.default_rng())),
         ],
         "protocol-probability-sanity": [
             (states, "_BELL_BRAS", _mistyped_bell_bras(2)),  # psi+ as phi+
