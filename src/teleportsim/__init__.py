@@ -21,13 +21,10 @@ from .channels import (
     unknown_state_sweep,
 )
 from .classical import (
-    ClassicalStrategy,
     StrategyReport,
-    classical_fidelity,
     classical_sweep,
     fidelity_biased_guess,
     fidelity_optimized,
-    projective_guess_strategy,
     unknown_state_classical_fidelity,
 )
 from .ensembles import (

@@ -2,8 +2,7 @@
 
 The sender measures, tells the receiver the outcome, and the receiver
 prepares a guess.  For the two-state ensemble this module provides the
-general POVM fidelity evaluator plus the closed forms for the three named
-strategies:
+closed forms for the three named strategies:
 
   * minimum-error measurement, receiver prepares the identified state;
   * unambiguous discrimination with a "don't know" outcome;
@@ -14,6 +13,12 @@ is the best strategy known here, not one proven optimal.  Each closed form
 has one implementation that broadcasts over theta; ``classical_sweep``
 returns all four as columns on a whole grid, and ``fidelity_optimized``
 takes one ensemble and calls the same code.
+
+A computational-basis measurement with guessed preparations is the
+standard protocol through the product channel ``Channel(0)`` = |11>, with
+the guess rotations as the corrections; ``verify`` checks the biased-guess
+closed form against that enumeration (``verification._guess_spec``), and
+the general POVM strategies that check the other columns live in the tests.
 """
 
 from __future__ import annotations
@@ -21,70 +26,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import ensembles
-from .ensembles import TwoStateEnsemble, checked_thetas, make_states
-from .states import PureState, _Frozen, _Value, _read_only
-
-_POVM_SUM_ATOL = 1e-10
-_POVM_EIG_FLOOR = -1e-12
-# the computational-basis projectors, complex and read-only, which every
-# projective_guess_strategy shares
-_BASIS_POVM = (_read_only(np.diag([1.0, 0.0])), _read_only(np.diag([0.0, 1.0])))
-
-
-class ClassicalStrategy(_Frozen):
-    """A POVM together with the receiver's guess for each outcome.
-
-    ``povm`` is stored as the validated elements' owned, read-only (n, 2, 2)
-    stack, so a later write to a caller's array changes nothing.
-    """
-
-    _fields = ("povm", "guesses")
-
-    def __init__(self, povm: tuple, guesses: tuple):
-        ops = [np.asarray(m, dtype=complex) for m in povm]
-        for m in ops:
-            if m.shape != (2, 2):
-                raise ValueError(f"POVM elements must be 2x2, got {m.shape}")
-        stack = np.array(ops) if ops else np.empty((0, 2, 2), dtype=complex)
-        if not np.isfinite(stack).all():
-            raise ValueError("POVM element has a non-finite entry")
-        if not (np.abs(stack - stack.conj().transpose(0, 2, 1)) <= 1e-12).all():
-            raise ValueError("POVM element not Hermitian")
-        if not (np.linalg.eigvalsh(stack) >= _POVM_EIG_FLOOR).all():
-            raise ValueError("POVM element has a negative eigenvalue")
-        if not np.abs(stack.sum(axis=0) - np.eye(2)).max() <= _POVM_SUM_ATOL:
-            raise ValueError("POVM elements do not sum to the identity")
-        if len(guesses) != len(ops):
-            raise ValueError("need exactly one guess state per POVM element")
-        for g in guesses:
-            if not isinstance(g, PureState) or g.n_qubits != 1:
-                raise ValueError("guesses must be single-qubit PureState values")
-        stack.setflags(write=False)
-        object.__setattr__(self, "povm", stack)
-        object.__setattr__(self, "guesses", tuple(guesses))
+from .ensembles import TwoStateEnsemble, checked_thetas
+from .states import _Value
 
 
 class StrategyReport(_Value):
-    _fields = ("fidelity", "error_probability", "guess_angle")
+    _fields = ("fidelity", "guess_angle")
 
-    def __init__(self, fidelity: float, error_probability: float, guess_angle: float):
+    def __init__(self, fidelity: float, guess_angle: float):
         object.__setattr__(self, "fidelity", fidelity)
-        object.__setattr__(self, "error_probability", error_probability)
         object.__setattr__(self, "guess_angle", guess_angle)
-
-
-def classical_fidelity(strategy: ClassicalStrategy, ens: TwoStateEnsemble) -> float:
-    """Average fidelity of measure-and-prepare over the two signal states.
-
-    Evaluates (1/2) sum_i sum_j <psi_j|A_i|psi_j> |<psi_j|g_i>|^2 for the
-    strategy's POVM {A_i} and guesses {g_i}.
-    """
-    a = np.array([psi.amplitudes for psi in make_states(ens)])
-    g = np.array([g.amplitudes for g in strategy.guesses])
-    # p[s, i] = <psi_s|A_i|psi_s> and overlap[s, i] = |<g_i|psi_s>|^2
-    p = np.einsum("sj,ijk,sk->si", a.conj(), strategy.povm, a).real
-    overlap = np.abs(a @ g.conj().T) ** 2
-    return float(0.5 * (p * overlap).sum())
 
 
 def _min_error(theta):
@@ -154,17 +105,12 @@ def fidelity_optimized(ens: TwoStateEnsemble) -> StrategyReport:
     theta the two agree to within rounding, and the biased-guess expression
     can round one ulp under it.
 
-    ``error_probability`` is the smallest attainable probability of
-    misidentifying the state, (1 - cos theta)/2, and ``guess_angle`` the
-    maximizer arctan(sin/cos^2) of the biased-guess fidelity, or pi/2 where
-    cos^2 theta < 1e-15 leaves that formula undefined.
+    ``guess_angle`` is the maximizer arctan(sin/cos^2) of the biased-guess
+    fidelity, or pi/2 where cos^2 theta < 1e-15 leaves that formula
+    undefined.
     """
     f, g = _optimum(ens.theta)
-    return StrategyReport(
-        fidelity=float(f),
-        error_probability=float(0.5 * (1.0 - np.cos(ens.theta))),
-        guess_angle=float(g),
-    )
+    return StrategyReport(fidelity=float(f), guess_angle=float(g))
 
 
 def _fuchs_peres(theta, kappa):
@@ -188,14 +134,6 @@ def classical_sweep(theta):
     """
     t = checked_thetas(theta)
     return _min_error(t), _unambiguous(t), _optimum(t)[0], _fuchs_peres(t, 0.25)
-
-
-def projective_guess_strategy(guess_angle: float) -> ClassicalStrategy:
-    """Computational-basis projectors with mirrored guesses at ``guess_angle``."""
-    g = guess_angle
-    g0 = PureState(np.array([np.cos(g / 2), np.sin(g / 2)]))
-    g1 = PureState(np.array([np.sin(g / 2), np.cos(g / 2)]))
-    return ClassicalStrategy(povm=_BASIS_POVM, guesses=(g0, g1))
 
 
 def unknown_state_classical_fidelity(samples: int, seed: int) -> float:

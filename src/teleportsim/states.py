@@ -373,11 +373,14 @@ def _transfer_map(ops: tuple) -> np.ndarray:
     U[k] = I (the uncorrected residuals), then with U[k] = ops[k] (T).  The
     columns are the resource's amplitude index (j, q), so one matmul with
     the amplitudes gives both.  The map depends on the corrections alone,
-    and real callers pass module-constant sets, so it is cached per set:
+    and most callers pass module-constant sets, so it is cached per set:
     keyed by the operators' identity (LocalOperator is frozen and hashes by
-    id), and bounded, because the cache keeps each key's operators alive.  A
-    patched ``_BELL_BRAS_JB`` does not reach a map already cached, so a test
-    that patches it calls ``_transfer_map.cache_clear()`` before and after.
+    id), and bounded, because the cache keeps each key's operators alive.
+    ``verify`` builds 7 fresh guess sets per run
+    (``verification._guess_spec``), before the standard and clone sets, so
+    a run builds each of its 9 maps once.  A patched ``_BELL_BRAS_JB`` does
+    not reach a map already cached, so a test that patches it calls
+    ``_transfer_map.cache_clear()`` before and after.
     """
     d = ops[0].matrix().shape[0]
     iu = np.empty((2, 4, d, d), dtype=complex)

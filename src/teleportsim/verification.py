@@ -24,6 +24,7 @@ from . import telecloning as tc
 from .ensembles import (
     Channel,
     TwoStateEnsemble,
+    channel_state,
     ensemble_density,
     make_states,
     overlap,
@@ -188,14 +189,36 @@ def check_fuchs_peres_coincidence(cfg):
     return worst <= 1e-9, f"optimized vs Fuchs-Peres closed form dev = {worst:.2e}"
 
 
+def _guess_spec(g):
+    """The computational-basis measurement with guesses at ``g``, as a protocol.
+
+    The resource is the product channel ``Channel(0)`` = |11>, so the
+    receiver holds |1> on every outcome: phi+- report input 1 and psi+-
+    report input 0.  With c, s = cos(g/2), sin(g/2), U1 = [[c, s], [-s, c]]
+    turns |1> into the guess s|0> + c|1> for input 1, and
+    U0 = [[s, c], [-c, s]] into the guess c|0> + s|1> for input 0, the
+    strategy ``classical.fidelity_biased_guess`` scores.
+    """
+    c, s = np.cos(g / 2), np.sin(g / 2)
+    u1 = LocalOperator((np.array([[c, s], [-s, c]]),))
+    u0 = LocalOperator((np.array([[s, c], [-c, s]]),))
+    return pr.ProtocolSpec(channel_state(Channel(0.0)), {1: u1, 2: u1, 3: u0, 4: u0}, (0,))
+
+
 def check_evaluator_consistency(cfg):
+    # one spec per guess angle, so a run builds 7 correction sets, not 84
+    specs = [(g, _guess_spec(g)) for g in np.linspace(0, np.pi / 2, 7)]
     worst = 0.0
     for t in np.linspace(0.05, np.pi / 2 - 0.05, 12):
         ens = TwoStateEnsemble(t)
-        for g in np.linspace(0, np.pi / 2, 7):
-            ev = cl.classical_fidelity(cl.projective_guess_strategy(g), ens)
-            worst = max(worst, abs(ev - cl.fidelity_biased_guess(ens, g)))
-    return worst <= 1e-12, f"POVM evaluator vs closed form dev = {worst:.2e}"
+        psi1, psi2 = make_states(ens)
+        for g, spec in specs:
+            f = 0.5 * (
+                pr.enumerate_protocol_fidelity(psi1, spec)
+                + pr.enumerate_protocol_fidelity(psi2, spec)
+            )
+            worst = max(worst, abs(f - cl.fidelity_biased_guess(ens, g)))
+    return worst <= 1e-12, f"product-channel enumeration vs closed form dev = {worst:.2e}"
 
 
 def check_stationarity(cfg):

@@ -1,63 +1,61 @@
-import re
-
 import numpy as np
 import pytest
 
-from povm_strategies import min_error_strategy, optimized_strategy, unambiguous_strategy
+from povm_strategies import (
+    enumerate_classical_strategy,
+    min_error_strategy,
+    optimized_strategy,
+    unambiguous_strategy,
+)
 from teleportsim import ensembles
 from teleportsim.classical import (
-    ClassicalStrategy,
     _biased_guess,
-    classical_fidelity,
     classical_sweep,
     fidelity_biased_guess,
     fidelity_optimized,
-    projective_guess_strategy,
     unknown_state_classical_fidelity,
 )
 from teleportsim.ensembles import TwoStateEnsemble, make_states, overlap
+from teleportsim.protocols import enumerate_protocol_fidelity
 from teleportsim.states import PureState
+from teleportsim.verification import _guess_spec
 
 PI4 = TwoStateEnsemble(np.pi / 4)
 
 
-class TestClassicalFidelityEvaluator:
-    def test_min_error_strategy_at_pi_over_4(self):
-        # F1 = 0.927 for maximally non-orthogonal states
-        assert abs(classical_fidelity(min_error_strategy(PI4), PI4) - 0.9267766952966369) < 1e-12
+def _through_product_channel(ens, g):
+    """The biased-guess fidelity at ``g``, enumerated through verify's product-channel protocol."""
+    spec = _guess_spec(g)
+    return 0.5 * sum(enumerate_protocol_fidelity(psi, spec) for psi in make_states(ens))
 
-    def test_orthogonal_states_with_basis_guesses(self):
-        ens = TwoStateEnsemble(0.0)
-        strat = projective_guess_strategy(0.0)
-        assert abs(classical_fidelity(strat, ens) - 1.0) < 1e-15
+
+edges = pytest.mark.parametrize("theta", [0.0, np.pi / 4, np.pi / 2], ids=["0", "pi/4", "pi/2"])
+
+
+class TestGuessSpec:
+    """``verification._guess_spec`` at the edges of the (theta, g) square."""
+
+    @edges
+    def test_reproduces_the_biased_guess_closed_form(self, theta):
+        ens = TwoStateEnsemble(theta)
+        for g in (0.0, theta, fidelity_optimized(ens).guess_angle, np.pi / 2):
+            got = _through_product_channel(ens, g)
+            assert abs(got - fidelity_biased_guess(ens, g)) < 1e-12
+
+    @edges
+    def test_guessing_the_signal_states_is_the_min_error_column(self, theta):
+        got = _through_product_channel(TwoStateEnsemble(theta), theta)
+        assert abs(got - classical_sweep(theta)[0]) < 1e-12
+
+    @edges
+    def test_reproduces_the_optimum_at_its_own_guess_angle(self, theta):
+        ens = TwoStateEnsemble(theta)
+        report = fidelity_optimized(ens)
+        got = _through_product_channel(ens, report.guess_angle)
+        assert abs(got - report.fidelity) < 1e-12
 
     def test_basis_guesses_at_pi_over_4(self):
-        strat = projective_guess_strategy(0.0)
-        assert abs(classical_fidelity(strat, PI4) - 0.75) < 1e-12
-
-    def test_matches_closed_form_for_any_guess_angle(self):
-        for t in np.linspace(0.05, np.pi / 2 - 0.05, 9):
-            ens = TwoStateEnsemble(t)
-            for g in np.linspace(0.0, np.pi / 2, 7):
-                ev = classical_fidelity(projective_guess_strategy(g), ens)
-                assert abs(ev - fidelity_biased_guess(ens, g)) < 1e-12
-
-    def test_min_error_strategy_matches_closed_form(self):
-        thetas = np.linspace(0.0, np.pi / 2, 25)
-        f_min_error = classical_sweep(thetas)[0]
-        for t, closed in zip(thetas, f_min_error):
-            ens = TwoStateEnsemble(t)
-            assert abs(classical_fidelity(min_error_strategy(ens), ens) - closed) < 1e-12
-
-
-class TestMinErrorProbability:
-    @pytest.mark.parametrize(
-        "theta,expected",
-        [(0.0, 0.0), (np.pi / 2, 0.5), (np.pi / 4, 0.1464466094067262)],
-    )
-    def test_values(self, theta, expected):
-        report = fidelity_optimized(TwoStateEnsemble(theta))
-        assert abs(report.error_probability - expected) < 1e-12
+        assert abs(_through_product_channel(PI4, 0.0) - 0.75) < 1e-12
 
 
 class TestFidelityMinError:
@@ -67,6 +65,13 @@ class TestFidelityMinError:
     )
     def test_values(self, theta, expected):
         assert abs(classical_sweep(theta)[0] - expected) < 1e-12
+
+    def test_matches_povm_enumeration(self):
+        thetas = np.linspace(0.0, np.pi / 2, 25)
+        f_min_error = classical_sweep(thetas)[0]
+        for t, closed in zip(thetas, f_min_error):
+            ens = TwoStateEnsemble(t)
+            assert abs(enumerate_classical_strategy(min_error_strategy(ens), ens) - closed) < 1e-12
 
 
 class TestFidelityUnambiguous:
@@ -82,26 +87,23 @@ class TestFidelityUnambiguous:
         f_unambiguous = classical_sweep(thetas)[1]
         for t, closed in zip(thetas, f_unambiguous):
             ens = TwoStateEnsemble(t)
-            via_povm = classical_fidelity(unambiguous_strategy(ens), ens)
+            via_povm = enumerate_classical_strategy(unambiguous_strategy(ens), ens)
             assert abs(via_povm - closed) < 1e-12
 
     def test_povm_never_misidentifies(self):
         for t in (0.2, np.pi / 4, 1.3):
             ens = TwoStateEnsemble(t)
-            strat = unambiguous_strategy(ens)
+            (a1, a2, _, _), _ = unambiguous_strategy(ens)
             psi1, psi2 = make_states(ens)
-            a1, a2 = strat.povm[0], strat.povm[1]
             assert abs(psi2.amplitudes.conj() @ a1 @ psi2.amplitudes) < 1e-14
             assert abs(psi1.amplitudes.conj() @ a2 @ psi1.amplitudes) < 1e-14
 
     def test_success_probability(self):
         for t in (0.0, 0.4, np.pi / 4):
             ens = TwoStateEnsemble(t)
-            strat = unambiguous_strategy(ens)
-            psi1, psi2 = make_states(ens)
-            p_succ = np.real(
-                psi1.amplitudes.conj() @ strat.povm[0] @ psi1.amplitudes
-            )
+            (a1, *_), _ = unambiguous_strategy(ens)
+            psi1, _ = make_states(ens)
+            p_succ = np.real(psi1.amplitudes.conj() @ a1 @ psi1.amplitudes)
             assert abs(p_succ - (1 - overlap(ens))) < 1e-12
             assert abs(p_succ - (1 - np.sin(t))) < 1e-12
 
@@ -147,7 +149,6 @@ class TestFidelityOptimized:
     def test_report_fields(self):
         report = fidelity_optimized(PI4)
         t = PI4.theta
-        assert abs(report.error_probability - 0.5 * (1.0 - np.cos(t))) < 1e-15
         assert abs(report.guess_angle - np.arctan(np.sin(t) / np.cos(t) ** 2)) < 1e-15
 
     @pytest.mark.parametrize(
@@ -176,6 +177,10 @@ class TestFidelityOptimized:
                 fidelity_biased_guess(ens, g + h) - fidelity_biased_guess(ens, g - h)
             ) / (2 * h)
             assert abs(deriv) < 1e-8
+
+    def test_optimized_strategy_reproduces_report(self):
+        strat = optimized_strategy(PI4)
+        assert abs(enumerate_classical_strategy(strat, PI4) - fidelity_optimized(PI4).fidelity) < 1e-12
 
     def test_strategy_ordering_on_grid(self):
         thetas = np.linspace(0.0, np.pi / 2, 181)
@@ -247,66 +252,3 @@ class TestUnknownStateMC:
 def _fixed_half_z(w):
     """A stand-in for ``ensembles._half_z_chunks`` whose every draw is w = -r_z/2."""
     return lambda samples, seed: (np.full(n, w) for n in ensembles._chunks(samples, seed)[0])
-
-
-class TestStrategyValidation:
-    def test_rejects_povm_not_summing_to_identity(self):
-        psi1, psi2 = make_states(PI4)
-        with pytest.raises(ValueError):
-            ClassicalStrategy(
-                povm=(np.diag([1.0, 0.0]), np.diag([0.0, 0.5])), guesses=(psi1, psi2)
-            )
-
-    def test_rejects_negative_element(self):
-        psi1, psi2 = make_states(PI4)
-        with pytest.raises(ValueError):
-            ClassicalStrategy(
-                povm=(np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])), guesses=(psi1, psi2)
-            )
-
-    def test_povm_is_an_owned_read_only_stack(self):
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        strategy = ClassicalStrategy((p0, p1), make_states(PI4))
-        before = classical_fidelity(strategy, PI4)
-        p0[0, 0] = 5.0
-        assert classical_fidelity(strategy, PI4) == before
-        for k in (0, 1):
-            with pytest.raises(ValueError):
-                strategy.povm[k][0, 0] = 0.0
-            with pytest.raises(ValueError):
-                strategy.povm[k] = np.eye(2)
-        a = strategy.povm
-        while a is not None:
-            assert not a.flags.writeable
-            a = a.base
-
-    def test_rejects_guess_count_mismatch(self):
-        psi1, _ = make_states(PI4)
-        with pytest.raises(ValueError):
-            ClassicalStrategy(
-                povm=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), guesses=(psi1,)
-            )
-
-    @pytest.mark.parametrize(
-        "bad,message",
-        [
-            (np.eye(3) / 3, "POVM elements must be 2x2, got (3, 3)"),
-            (np.diag([np.nan, 0.0]), "POVM element has a non-finite entry"),
-            (np.array([[0.5, 0.1], [0.0, 0.0]]), "POVM element not Hermitian"),
-            (np.diag([1.5, -0.5]), "POVM element has a negative eigenvalue"),
-            (np.diag([0.5, 0.5]), "POVM elements do not sum to the identity"),
-        ],
-        ids=["shape", "non-finite", "non-hermitian", "negative-eigenvalue", "sum"],
-    )
-    def test_names_the_defect_of_an_element_behind_valid_ones(self, bad, message):
-        # the elements are checked as one stack, so the defect is in the middle
-        psi1, psi2 = make_states(PI4)
-        valid = (np.diag([0.5, 0.0]), np.diag([0.5, 0.0]), np.diag([0.0, 1.0]))
-        ClassicalStrategy(povm=valid, guesses=(psi1, psi1, psi2))
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ClassicalStrategy(povm=(valid[0], bad, valid[2]), guesses=(psi1, psi1, psi2))
-
-    def test_optimized_strategy_reproduces_report(self):
-        strat = optimized_strategy(PI4)
-        assert abs(classical_fidelity(strat, PI4) - fidelity_optimized(PI4).fidelity) < 1e-12

@@ -1,26 +1,17 @@
 """Validating constructors reject NaN and infinite entries.
 
 Each check is written ``if not deviation <= tolerance: raise``, so a NaN
-deviation, for which every comparison is false, fails it too.  Matrices,
-factors and POVM elements are checked finite before any arithmetic, so an
-inf entry raises ``ValueError`` with no ``RuntimeWarning`` from inf - inf
-first (a warning is an error in this suite).
+deviation, for which every comparison is false, fails it too.  Matrices
+and factors are checked finite before any arithmetic, so an inf entry
+raises ``ValueError`` with no ``RuntimeWarning`` from inf - inf first (a
+warning is an error in this suite).
 """
 
 import numpy as np
 import pytest
 
-from teleportsim.classical import ClassicalStrategy
 from teleportsim.states import DensityMatrix, LocalOperator, PureState
 from teleportsim.telecloning import CloneCoeffs
-
-ZERO = PureState(np.array([1.0, 0.0]))
-ONE = PureState(np.array([0.0, 1.0]))
-
-
-def _povm(bad):
-    return ClassicalStrategy((np.diag([bad, 0.0]), np.diag([0.0, 1.0])), (ZERO, ONE))
-
 
 CONSTRUCTORS = {
     "PureState": lambda bad: PureState(np.array([bad, 0.0])),
@@ -30,7 +21,6 @@ CONSTRUCTORS = {
     "LocalOperator": lambda bad: LocalOperator((np.array([[bad, 0.0], [0.0, 1.0]]),)),
     "DensityMatrix": lambda bad: DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]])),
     "DensityMatrix-coherence": lambda bad: DensityMatrix(np.array([[0.5, bad], [bad, 0.5]])),
-    "ClassicalStrategy": _povm,
 }
 
 

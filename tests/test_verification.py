@@ -307,6 +307,22 @@ def test_verify_fails_when_the_kernel_it_reads_is_corrupted(
         assert failed == {name}
 
 
+def test_one_run_builds_each_transfer_map_once(fresh_transfer_maps, monkeypatch):
+    # the cache holds 8 maps; a run builds 7 fresh guess sets, then the
+    # standard and the clone set, and evicts none before its last use
+    built = set()
+    build = protocols._bell_transfer
+
+    def recorded(resource, corrections):
+        # the operators themselves, held here, so no id is reused
+        built.add(tuple(corrections[k] for k in (1, 2, 3, 4)))
+        return build(resource, corrections)
+
+    monkeypatch.setattr(protocols, "_bell_transfer", recorded)
+    assert all(result.passed for result in v.run_checks(CFG))
+    assert states._transfer_map.cache_info().misses == len(built) == 9
+
+
 def test_run_checks_records_each_check_time_as_data(monkeypatch):
     def slow(cfg):
         time.sleep(0.02)
