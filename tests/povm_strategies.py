@@ -37,16 +37,20 @@ def min_error_strategy(ens: TwoStateEnsemble):
     return BASIS_POVM, make_states(ens)
 
 
-def optimized_strategy(ens: TwoStateEnsemble):
-    """The biased-guess strategy at the optimal guess angle g.
+def guess_strategy(g: float):
+    """Computational-basis measurement with guesses at ``g``.
 
     The receiver prepares cos(g/2)|0> + sin(g/2)|1> on outcome 0 and its
     0<->1 mirror on outcome 1.
     """
-    g = fidelity_optimized(ens).guess_angle
     g0 = PureState(np.array([np.cos(g / 2), np.sin(g / 2)]))
     g1 = PureState(np.array([np.sin(g / 2), np.cos(g / 2)]))
     return BASIS_POVM, (g0, g1)
+
+
+def optimized_strategy(ens: TwoStateEnsemble):
+    """The biased-guess strategy at the optimal guess angle."""
+    return guess_strategy(fidelity_optimized(ens).guess_angle)
 
 
 def unambiguous_strategy(ens: TwoStateEnsemble):

@@ -3,6 +3,7 @@ import pytest
 
 from povm_strategies import (
     enumerate_classical_strategy,
+    guess_strategy,
     min_error_strategy,
     optimized_strategy,
     unambiguous_strategy,
@@ -56,6 +57,66 @@ class TestGuessSpec:
 
     def test_basis_guesses_at_pi_over_4(self):
         assert abs(_through_product_channel(PI4, 0.0) - 0.75) < 1e-12
+
+    def test_corrections_turn_the_held_state_into_the_guesses(self):
+        held = np.array([0.0, 1.0])
+        for g in np.linspace(0.0, np.pi / 2, 7):
+            spec = _guess_spec(g)
+            assert np.array_equal(spec.resource_state.amplitudes, [0, 0, 0, 1])
+            _, (g0, g1) = guess_strategy(g)
+            for k, guess in ((1, g1), (2, g1), (3, g0), (4, g0)):
+                out = spec.corrections[k].factors[0] @ held
+                assert np.abs(out - guess.amplitudes).max() < 1e-15
+
+    def test_matches_the_povm_oracle_for_any_guess_angle(self):
+        # two routes that share nothing: Bell-outcome enumeration through the
+        # product channel, and Tr(A_i rho_j) over the basis POVM
+        for t in np.linspace(0.05, np.pi / 2 - 0.05, 9):
+            ens = TwoStateEnsemble(t)
+            for g in np.linspace(0.0, np.pi / 2, 7):
+                via_povm = enumerate_classical_strategy(guess_strategy(g), ens)
+                assert abs(_through_product_channel(ens, g) - via_povm) < 1e-12
+
+
+class TestPovmOracles:
+    """The strategies of ``povm_strategies`` are measurements: one guess per element,
+    Hermitian positive elements summing to the identity."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [min_error_strategy, unambiguous_strategy, optimized_strategy],
+        ids=["min-error", "unambiguous", "optimized"],
+    )
+    def test_is_a_povm(self, strategy):
+        for t in np.linspace(0.0, np.pi / 2, 13):
+            povm, guesses = strategy(TwoStateEnsemble(t))
+            assert len(povm) == len(guesses)
+            for m in povm:
+                assert m.shape == (2, 2)
+                assert np.abs(m - m.conj().T).max() < 1e-15
+                assert np.linalg.eigvalsh(m).min() > -1e-12
+            assert np.abs(sum(povm) - np.eye(2)).max() < 1e-12
+
+
+class TestMinErrorProbability:
+    """The min-error oracle attains the Helstrom bound (1 - cos theta)/2."""
+
+    @pytest.mark.parametrize(
+        "theta,expected",
+        [(0.0, 0.0), (np.pi / 2, 0.5), (np.pi / 4, 0.1464466094067262)],
+    )
+    def test_values(self, theta, expected):
+        ens = TwoStateEnsemble(theta)
+        povm, _ = min_error_strategy(ens)
+        # element i identifies signal state i; the error is every other element's weight
+        p_err = 0.0
+        for j, psi in enumerate(make_states(ens)):
+            rho = psi.density().elements
+            p_err += 0.5 * sum(
+                float(np.real(np.trace(m @ rho))) for i, m in enumerate(povm) if i != j
+            )
+        assert abs(p_err - expected) < 1e-12
+        assert abs(p_err - 0.5 * (1.0 - np.cos(theta))) < 1e-12
 
 
 class TestFidelityMinError:

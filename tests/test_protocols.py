@@ -5,6 +5,7 @@ import pytest
 
 from povm_strategies import (
     enumerate_classical_strategy,
+    guess_strategy,
     min_error_strategy,
     optimized_strategy,
     unambiguous_strategy,
@@ -15,7 +16,11 @@ from teleportsim.channels import (
     two_state_direct_fidelity,
     unknown_state_sweep,
 )
-from teleportsim.classical import fidelity_optimized, unknown_state_classical_fidelity
+from teleportsim.classical import (
+    fidelity_biased_guess,
+    fidelity_optimized,
+    unknown_state_classical_fidelity,
+)
 from teleportsim import ensembles
 from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.protocols import (
@@ -371,6 +376,14 @@ class TestClassicalEnumeration:
     def test_orthogonal_ensemble(self):
         ens = TwoStateEnsemble(0.0)
         assert abs(enumerate_classical_strategy(min_error_strategy(ens), ens) - 1.0) < 1e-15
+
+    def test_agrees_with_the_biased_guess_closed_form(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            ens = TwoStateEnsemble(rng.uniform(0, np.pi / 2))
+            g = rng.uniform(0, np.pi / 2)
+            got = enumerate_classical_strategy(guess_strategy(g), ens)
+            assert abs(got - fidelity_biased_guess(ens, g)) < 1e-12
 
 
 class TestHaarAverage:
