@@ -14,11 +14,11 @@ has one implementation that broadcasts over theta; ``classical_sweep``
 returns all four as columns on a whole grid, and ``fidelity_optimized``
 takes one ensemble and calls the same code.
 
-A computational-basis measurement with guessed preparations is the
-standard protocol through the product channel ``Channel(0)`` = |11>, with
-the guess rotations as the corrections; ``verify`` checks the biased-guess
-closed form against that enumeration (``verification._guess_spec``), and
-the general POVM strategies that check the other columns live in the tests.
+A computational-basis measurement with guessed preparations is a protocol
+on the product resource |0> (x) (the guess for input 0), with the
+corrections I, I, X, X; ``verify`` checks the biased-guess closed form
+against that enumeration (``verification._guess_spec``), and the general
+POVM strategies that check the other columns live in the tests.
 """
 
 from __future__ import annotations

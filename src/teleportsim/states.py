@@ -376,11 +376,11 @@ def _transfer_map(ops: tuple) -> np.ndarray:
     and most callers pass module-constant sets, so it is cached per set:
     keyed by the operators' identity (LocalOperator is frozen and hashes by
     id), and bounded, because the cache keeps each key's operators alive.
-    ``verify`` builds 7 fresh guess sets per run
-    (``verification._guess_spec``), before the standard and clone sets, so
-    a run builds each of its 9 maps once.  A patched ``_BELL_BRAS_JB`` does
-    not reach a map already cached, so a test that patches it calls
-    ``_transfer_map.cache_clear()`` before and after.
+    Production passes three module-constant sets, the standard, clone and
+    guess corrections (``verification._GUESS_CORRECTIONS``), so a cold
+    ``verify`` run builds 3 maps and a warm one none.  A patched
+    ``_BELL_BRAS_JB`` does not reach a map already cached, so a test that
+    patches it calls ``_transfer_map.cache_clear()`` before and after.
     """
     d = ops[0].matrix().shape[0]
     iu = np.empty((2, 4, d, d), dtype=complex)

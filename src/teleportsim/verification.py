@@ -24,7 +24,6 @@ from . import telecloning as tc
 from .ensembles import (
     Channel,
     TwoStateEnsemble,
-    channel_state,
     ensemble_density,
     make_states,
     overlap,
@@ -189,24 +188,25 @@ def check_fuchs_peres_coincidence(cfg):
     return worst <= 1e-9, f"optimized vs Fuchs-Peres closed form dev = {worst:.2e}"
 
 
+# I, I, X, X: the standard set's own I and X, one set for every guess angle
+_GUESS_CORRECTIONS = {k: pr._STANDARD_CORRECTIONS[1 if k < 3 else 3] for k in (1, 2, 3, 4)}
+
+
 def _guess_spec(g):
     """The computational-basis measurement with guesses at ``g``, as a protocol.
 
-    The resource is the product channel ``Channel(0)`` = |11>, so the
-    receiver holds |1> on every outcome: phi+- report input 1 and psi+-
-    report input 0.  With c, s = cos(g/2), sin(g/2), U1 = [[c, s], [-s, c]]
-    turns |1> into the guess s|0> + c|1> for input 1, and
-    U0 = [[s, c], [-c, s]] into the guess c|0> + s|1> for input 0, the
-    strategy ``classical.fidelity_biased_guess`` scores.
+    The resource is |0> (x) (c|0> + s|1>), c, s = cos(g/2), sin(g/2), and the
+    corrections are I, I, X, X.  Bell-measuring the input z against |0> gives
+    phi+- the amplitude z0/sqrt(2): they report input 0, and the receiver keeps the
+    guess c|0> + s|1>.  psi+- get +-z1/sqrt(2): they report input 1, and X turns
+    the guess into s|0> + c|1>.  That is ``classical.fidelity_biased_guess``.
     """
     c, s = np.cos(g / 2), np.sin(g / 2)
-    u1 = LocalOperator((np.array([[c, s], [-s, c]]),))
-    u0 = LocalOperator((np.array([[s, c], [-c, s]]),))
-    return pr.ProtocolSpec(channel_state(Channel(0.0)), {1: u1, 2: u1, 3: u0, 4: u0}, (0,))
+    return pr.ProtocolSpec(PureState(np.array([c, s, 0.0, 0.0])), _GUESS_CORRECTIONS, (0,))
 
 
 def check_evaluator_consistency(cfg):
-    # one spec per guess angle, so a run builds 7 correction sets, not 84
+    # one spec per guess angle, all on the one correction set
     specs = [(g, _guess_spec(g)) for g in np.linspace(0, np.pi / 2, 7)]
     worst = 0.0
     for t in np.linspace(0.05, np.pi / 2 - 0.05, 12):
@@ -255,10 +255,14 @@ def check_horodecki_identity(cfg):
 
 def check_combined_dominance(cfg):
     thetas = np.linspace(0, np.pi / 2, 50)
-    alphas = np.sqrt(np.linspace(0, 0.5, 50))
-    f_dir, f_pur, f_comb, _ = ch.channel_sweep(thetas[:, None], alphas)
-    worst = (np.maximum(f_dir, f_pur) - f_comb).max()
-    return worst <= 1e-12, f"pointwise max(direct, purification) - swept combined = {worst:.2e}"
+    alphas = ensembles.checked_alphas(np.sqrt(np.linspace(0, 0.5, 50)))
+    f_comb = ch.channel_sweep(thetas[:, None], alphas)[2]
+    # an independent route to the optimum: a 17-point alpha' scan of the
+    # combined fidelity from alpha to 1/sqrt(2), both endpoints included
+    scan = np.linspace(alphas, ch._INV_SQRT2, 17)[:, None, :]
+    f_cl = cl.classical_sweep(thetas)[2][:, None]
+    worst = (ch._combined(thetas[:, None], alphas, scan, f_cl).max(axis=0) - f_comb).max()
+    return worst <= 1e-12, f"17-point alpha' scan of combined - swept combined = {worst:.2e}"
 
 
 def check_crossover(cfg):

@@ -17,7 +17,7 @@ from teleportsim.classical import (
     unknown_state_classical_fidelity,
 )
 from teleportsim.ensembles import TwoStateEnsemble, make_states, overlap
-from teleportsim.protocols import enumerate_protocol_fidelity
+from teleportsim.protocols import _STANDARD_CORRECTIONS, enumerate_protocol_fidelity
 from teleportsim.states import PureState
 from teleportsim.verification import _guess_spec
 
@@ -25,7 +25,7 @@ PI4 = TwoStateEnsemble(np.pi / 4)
 
 
 def _through_product_channel(ens, g):
-    """The biased-guess fidelity at ``g``, enumerated through verify's product-channel protocol."""
+    """The biased-guess fidelity at ``g``, enumerated through verify's product-resource protocol."""
     spec = _guess_spec(g)
     return 0.5 * sum(enumerate_protocol_fidelity(psi, spec) for psi in make_states(ens))
 
@@ -59,12 +59,17 @@ class TestGuessSpec:
         assert abs(_through_product_channel(PI4, 0.0) - 0.75) < 1e-12
 
     def test_corrections_turn_the_held_state_into_the_guesses(self):
-        held = np.array([0.0, 1.0])
+        # the guess sits in the resource |0> (x) (c|0> + s|1>), and every g
+        # shares the standard set's own I (phi+-) and X (psi+-) objects
+        i, x = _STANDARD_CORRECTIONS[1], _STANDARD_CORRECTIONS[3]
         for g in np.linspace(0.0, np.pi / 2, 7):
             spec = _guess_spec(g)
-            assert np.array_equal(spec.resource_state.amplitudes, [0, 0, 0, 1])
+            c, s = np.cos(g / 2), np.sin(g / 2)
+            assert np.array_equal(spec.resource_state.amplitudes, [c, s, 0, 0])
+            assert all(spec.corrections[k] is op for k, op in zip((1, 2, 3, 4), (i, i, x, x)))
+            held = spec.resource_state.amplitudes[:2]
             _, (g0, g1) = guess_strategy(g)
-            for k, guess in ((1, g1), (2, g1), (3, g0), (4, g0)):
+            for k, guess in ((1, g0), (2, g0), (3, g1), (4, g1)):
                 out = spec.corrections[k].factors[0] @ held
                 assert np.abs(out - guess.amplitudes).max() < 1e-15
 

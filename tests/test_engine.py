@@ -25,6 +25,7 @@ enumeration it is also compared with.
 import numpy as np
 import pytest
 from test_rng import haar_bloch
+from test_states import random_local_unitary
 
 from teleportsim import ensembles, protocols, states, telecloning
 from teleportsim.ensembles import Channel, TwoStateEnsemble, channel_state, make_states
@@ -80,15 +81,6 @@ ONE = PureState(np.array([0.0, 1.0]))
 def random_qubit(rng):
     z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return PureState(z / np.linalg.norm(z))
-
-
-def random_local_unitary(n_qubits, rng):
-    """A LocalOperator of n seeded random single-qubit unitaries (QR, phase-fixed)."""
-    factors = []
-    for _ in range(n_qubits):
-        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        factors.append(q * (np.diag(r) / np.abs(np.diag(r))))
-    return LocalOperator(tuple(factors))
 
 
 def random_coeffs(rng):
@@ -589,8 +581,8 @@ class TestProtocolTransferOperators:
             "standard": protocols._STANDARD_CORRECTIONS,
             "clone": telecloning._CLONE_CORRECTIONS,
             "identity": {k: LocalOperator.uniform(1, PAULI_I) for k in (1, 2, 3, 4)},
-            "random-1": {k: random_local_unitary(1, rng) for k in (1, 2, 3, 4)},
-            "random-3": {k: random_local_unitary(3, rng) for k in (1, 2, 3, 4)},
+            "random-1": {k: random_local_unitary(rng, 1) for k in (1, 2, 3, 4)},
+            "random-3": {k: random_local_unitary(rng, 3) for k in (1, 2, 3, 4)},
         }[name]
         ops = tuple(corrections[k] for k in (1, 2, 3, 4))
         m = states._transfer_map(ops)

@@ -10,6 +10,7 @@ from povm_strategies import (
     optimized_strategy,
     unambiguous_strategy,
 )
+from test_engine import random_qubit
 from teleportsim.channels import (
     average_fidelity_direct,
     purification_fidelity_two_state,
@@ -53,11 +54,6 @@ from teleportsim.telecloning import (
 PI4 = TwoStateEnsemble(np.pi / 4)
 # the bare 2x2 matrices I, Z, X, ZX of the standard corrections
 STANDARD_MATRICES = {k: op.factors[0] for k, op in _STANDARD_CORRECTIONS.items()}
-
-
-def random_qubit(rng):
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return PureState(z / np.linalg.norm(z))
 
 
 def simulate_purification_branch(ens, channel):

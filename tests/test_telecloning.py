@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from test_engine import random_coeffs, random_qubit
 
 from teleportsim import telecloning
 from teleportsim.ensembles import TwoStateEnsemble, make_states
@@ -39,17 +40,6 @@ SWEEP_THETAS = pytest.mark.parametrize(
 def clone_states(coeffs):
     """The branch states (phi0, phi1): the cloner's images of |0> and |1>."""
     return apply_cloner(ZERO, coeffs), apply_cloner(ONE, coeffs)
-
-
-def random_qubit(rng):
-    z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return PureState(z / np.linalg.norm(z))
-
-
-def random_coeffs(rng):
-    u = np.abs(rng.standard_normal(3))
-    u /= np.sqrt(u[0] ** 2 + 2 * u[1] ** 2 + u[2] ** 2)
-    return CloneCoeffs(u[0], u[1], u[2])
 
 
 def family_global_fidelity(theta, a, b, c):
