@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _Value, _is_integer, spectrum_entropy
+from .states import DensityMatrix, PureState, _Value, _is_integer, _real, spectrum_entropy
 
 _HALF_SQRT2 = 1.0 / np.sqrt(2.0)
 _RANGE_ATOL = 1e-12
@@ -42,24 +42,30 @@ DEFAULT_CHUNK = 1 << 16
 
 
 class TwoStateEnsemble(_Value):
-    """Equal-prior pair of non-orthogonal qubit states with overlap sin(theta)."""
+    """Equal-prior pair of non-orthogonal qubit states with overlap sin(theta).
+
+    ``theta`` is a real number; a str, bytes or bool raises ValueError.
+    """
 
     _fields = ("theta",)
 
     def __init__(self, theta: float):
-        t = float(theta)
+        t = _real(theta, "theta")
         if not (0.0 <= t <= np.pi / 2 + _RANGE_ATOL):
             raise ValueError(f"theta must lie in [0, pi/2], got {t}")
         object.__setattr__(self, "theta", min(t, np.pi / 2))
 
 
 class Channel(_Value):
-    """Pure entangled resource alpha|00> + beta|11>, alpha <= beta."""
+    """Pure entangled resource alpha|00> + beta|11>, alpha <= beta.
+
+    ``alpha`` is a real number; a str, bytes or bool raises ValueError.
+    """
 
     _fields = ("alpha",)
 
     def __init__(self, alpha: float):
-        a = float(alpha)
+        a = _real(alpha, "alpha")
         if not (0.0 <= a <= _HALF_SQRT2 + _RANGE_ATOL):
             raise ValueError(f"alpha must lie in [0, 1/sqrt(2)], got {a}")
         object.__setattr__(self, "alpha", min(a, _HALF_SQRT2))
@@ -93,8 +99,8 @@ def checked_alphas(alpha) -> np.ndarray:
 
 def make_states(ens: TwoStateEnsemble):
     """The two signal states (psi1, psi2) as PureState values."""
-    c, s = np.cos(ens.theta / 2), np.sin(ens.theta / 2)
-    return PureState(np.array([c, s])), PureState(np.array([s, c]))
+    c, s = math.cos(ens.theta / 2), math.sin(ens.theta / 2)
+    return PureState((c, s)), PureState((s, c))
 
 
 def overlap(ens: TwoStateEnsemble) -> float:
@@ -126,7 +132,7 @@ def source_entropy(ens: TwoStateEnsemble) -> float:
 
 def channel_state(channel: Channel) -> PureState:
     """The two-qubit resource state alpha|00> + beta|11>."""
-    return PureState(np.array([channel.alpha, 0.0, 0.0, channel.beta]))
+    return PureState((channel.alpha, 0.0, 0.0, channel.beta))
 
 
 def _chunks(samples: int, seed: int):

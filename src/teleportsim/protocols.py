@@ -16,10 +16,11 @@ resource's amplitudes with the (corrections o Bell bras) map of its
 correction set (``states._bell_transfer``).  That map is built once per
 correction set and cached, so a spec on a set seen before repeats no work
 that depends on the corrections alone.  Every evaluated qubit is scored
-against a copy of the input.  An evaluation reads T at call time as a
-(4, 2^rest, 2^kept, 2) view, the output qubits split into the unscored
-rest and the n_t evaluated ones (a reshape, plus a transpose only when a
-rest qubit follows an evaluated one), and contracts it twice:
+against a copy of the input.  The spec also fixes, at construction, a
+read-only (4, 2^rest, 2^kept, 2) view of T, the output qubits split into
+the unscored rest and the n_t evaluated ones (a reshape, plus a transpose
+and one copy only when a rest qubit follows an evaluated one); an
+evaluation reads that view and contracts it twice:
 
     v = view @ z,    s = v @ conj(z)^{(x) n_t},
 
@@ -62,7 +63,6 @@ from .states import (
     _Frozen,
     _bell_transfer,
     _kept_qubits,
-    _n_qubits_for,
     _qubit_index,
     _read_only,
     _require_pure,
@@ -97,7 +97,8 @@ class ProtocolSpec(_Frozen):
     ascending order.  Each evaluated qubit is scored against the input
     itself, so the order of ``evaluation_targets`` cannot change a score.
     ``transfer`` holds the read-only transfer operators T (4 x d_out x 2),
-    built at construction.
+    built at construction together with the read-only evaluation view of
+    them that enumeration reads (``_evaluation_view``).
     """
 
     _fields = ("resource_state", "corrections", "evaluation_targets")
@@ -114,7 +115,7 @@ class ProtocolSpec(_Frozen):
         corrections = MappingProxyType(dict(corrections))
         _require_pure(resource_state, "resource")
         t = _bell_transfer(resource_state, corrections)
-        n = _n_qubits_for(t.shape[1])
+        n = resource_state.n_qubits - 1
         targets = tuple(sorted(map(_qubit_index, evaluation_targets)))
         # every output qubit once is valid, so only other targets are checked
         if targets != tuple(range(n)):
@@ -127,6 +128,25 @@ class ProtocolSpec(_Frozen):
         object.__setattr__(self, "corrections", corrections)
         object.__setattr__(self, "evaluation_targets", targets)
         object.__setattr__(self, "transfer", t)
+        object.__setattr__(self, "_view", _evaluation_view(t, targets))
+
+
+def _evaluation_view(t: np.ndarray, kept: tuple) -> np.ndarray:
+    """The read-only (4, 2^rest, 2^kept, 2) layout of ``t`` that ``_scored`` reads.
+
+    ``t`` holds a spec's (4, d_out, 2) transfer operators.  The output
+    qubits are split into the unscored rest and the evaluation targets
+    ``kept`` (ascending): a view of ``t``, or of one read-only copy when a
+    rest qubit follows a target and the axes must be transposed.
+    """
+    d = t.shape[1]
+    n = d.bit_length() - 1
+    if kept[0] != n - len(kept):
+        rest = [q for q in range(n) if q not in kept]
+        axes = [q + 1 for q in rest + list(kept)]
+        t = np.ascontiguousarray(t.reshape([4] + [2] * n + [2]).transpose([0] + axes + [n + 1]))
+        t.setflags(write=False)
+    return t.reshape(4, d >> len(kept), 1 << len(kept), 2)
 
 
 def standard_teleportation(channel: Channel) -> ProtocolSpec:
@@ -141,24 +161,16 @@ def standard_teleportation(channel: Channel) -> ProtocolSpec:
 def _scored(spec: ProtocolSpec, z: np.ndarray):
     """(v, s) for the one-qubit input amplitudes ``z``: v_k = T[k] z and its score s_k.
 
-    ``spec.transfer`` is read as a (4, 2^rest, 2^kept, 2) view, the output
-    qubits split into the unscored rest and the evaluation targets (a
-    reshape, plus a transpose when a rest qubit follows a target), so
-    v = view @ z is (4, 2^rest, 2^kept) and s_k = (I_rest (x) <z|^{(x) n_t}) v_k
-    is (4, 2^rest).  The input's total probability ||v||^2 must be 1 within
+    Reads the spec's (4, 2^rest, 2^kept, 2) view of its transfer operators,
+    fixed at construction (``_evaluation_view``), so v = view @ z is
+    (4, 2^rest, 2^kept) and s_k = (I_rest (x) <z|^{(x) n_t}) v_k is
+    (4, 2^rest).  The input's total probability ||v||^2 must be 1 within
     1e-12.
     """
     if z.shape != (2,):
         raise ValueError("protocol input must be a single qubit")
-    t = spec.transfer
     kept = spec.evaluation_targets
-    d = t.shape[1]
-    n = d.bit_length() - 1
-    if kept[0] != n - len(kept):
-        rest = [q for q in range(n) if q not in kept]
-        axes = [q + 1 for q in rest + list(kept)]
-        t = t.reshape([4] + [2] * n + [2]).transpose([0] + axes + [n + 1])
-    v = t.reshape(4, d >> len(kept), 1 << len(kept), 2) @ z
+    v = spec._view @ z
     total = float(np.vdot(v, v).real)
     if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"state not normalized: sum |a|^2 = {total!r}")

@@ -18,13 +18,18 @@ deleted (``_Frozen``).  Validation happens where a state is returned, not
 on the way to it: ``partial_trace`` reduces a ``PureState`` from its
 amplitudes and builds no full density matrix, so only the returned reduced
 state is validated, with every check it would get from the density route.
-Each piece of validation work is done once: a ``LocalOperator`` copies its
+Each piece of validation work is done once: a ``PureState`` makes one
+owned, read-only complex copy of its amplitudes; a ``PureState`` and a
+``DensityMatrix`` store the qubit count that their dimension check derived,
+so reading ``n_qubits`` derives nothing; a ``LocalOperator`` copies its
 factors once into one read-only (n, 2, 2) stack, checks the whole stack for
 finiteness and for unitarity, and builds its matrix as one Kronecker chain
 over it; a ``DensityMatrix`` copies its elements once and keeps the spectrum
-that its positivity check computed, which ``von_neumann_entropy`` reads; and
-a ``TelecloneResult``'s reduced states are built and validated when they are
-first read.
+that its positivity check computed, which ``von_neumann_entropy`` reads; a
+correction set's four widths are checked to agree once, when its cached
+map is built, so a spec on a known set compares one width with its
+resource's; and a ``TelecloneResult``'s reduced states are built and
+validated when they are first read.
 """
 
 from __future__ import annotations
@@ -38,6 +43,15 @@ import numpy as np
 def _is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool, a float or anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a str, bytes or (numpy) bool raises ValueError naming its type."""
+    if value.__class__ is float:
+        return value
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+    return float(value)
 
 
 def _qubit_index(q) -> int:
@@ -135,16 +149,17 @@ class PureState(_Frozen):
     _fields = ("amplitudes",)
 
     def __init__(self, amplitudes: np.ndarray):
-        a = _read_only(np.asarray(amplitudes).ravel())
-        _n_qubits_for(a.size)
+        # one owned copy, read-only; a multi-axis input is read as a flat view of it
+        a = np.array(amplitudes, dtype=complex, order="C")
+        a.setflags(write=False)
+        if a.ndim != 1:
+            a = a.reshape(-1)
+        n = _n_qubits_for(a.size)
         norm = float(np.vdot(a, a).real)
         if not abs(norm - 1.0) <= _NORM_ATOL:
             raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", a)
-
-    @property
-    def n_qubits(self) -> int:
-        return _n_qubits_for(self.amplitudes.size)
+        object.__setattr__(self, "n_qubits", n)
 
     def density(self) -> "DensityMatrix":
         a = self.amplitudes
@@ -165,7 +180,7 @@ class DensityMatrix(_Frozen):
         e = np.array(elements, dtype=complex)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"density matrix must be square, got {e.shape}")
-        _n_qubits_for(e.shape[0])
+        n = _n_qubits_for(e.shape[0])
         # finite first, so an inf entry raises here and not a warning from inf - inf
         if not np.isfinite(e).all():
             raise ValueError("density matrix has a non-finite entry")
@@ -185,10 +200,7 @@ class DensityMatrix(_Frozen):
         w.setflags(write=False)
         object.__setattr__(self, "elements", e)
         object.__setattr__(self, "spectrum", w)
-
-    @property
-    def n_qubits(self) -> int:
-        return _n_qubits_for(self.elements.shape[0])
+        object.__setattr__(self, "n_qubits", n)
 
 
 def _kron_chain(stack: np.ndarray) -> np.ndarray:
@@ -363,11 +375,14 @@ def bell_measure(state: PureState, pair: tuple) -> list:
 
 
 @lru_cache(maxsize=8)
-def _transfer_map(ops: tuple) -> np.ndarray:
+def _transfer_map(ops: tuple) -> Optional[np.ndarray]:
     """Read-only (16 d, 2 d) map from a resource's amplitudes to its residuals and T.
 
-    ``ops`` is the tuple of the four correction LocalOperators, each a
-    d x d matrix on the resource's output qubits.  The rows hold two stacked
+    ``ops`` is the tuple of the four correction LocalOperators, each a d x d
+    matrix on the resource's output qubits.  That the four act on one number
+    of qubits is checked here, once per set: a set that mixes widths fits no
+    resource, so its entry is None, and ``_bell_transfer`` names the first
+    correction whose width is not the resource's.  The rows hold two stacked
     maps, each (4, d, 2) in the (k, out, b) layout of a transfer operator
     and equal to ``einsum("koq,kjb->kobjq", U, _BELL_BRAS_JB)``: first with
     U[k] = I (the uncorrected residuals), then with U[k] = ops[k] (T).  The
@@ -382,6 +397,8 @@ def _transfer_map(ops: tuple) -> np.ndarray:
     ``_BELL_BRAS_JB`` does not reach a map already cached, so a test that
     patches it calls ``_transfer_map.cache_clear()`` before and after.
     """
+    if any(op.n_qubits != ops[0].n_qubits for op in ops[1:]):
+        return None
     d = ops[0].matrix().shape[0]
     iu = np.empty((2, 4, d, d), dtype=complex)
     iu[0] = np.eye(d)
@@ -404,20 +421,26 @@ def _bell_transfer(resource: PureState, corrections) -> np.ndarray:
     ``corrections[k]`` applied to it; both are linear in the resource, so
     one product of the cached ``_transfer_map`` of the four corrections with
     the resource's amplitudes gives every residual and every T[k] at once.
-    Each correction must be a LocalOperator on the d_out qubits, checked
-    before the map is looked up.  Every basis branch of weight above 1e-30
-    is checked to stay normalised within 1e-12, the check that a validated
-    post-state makes; the eight (k, b) pairs are compared as plain floats,
-    in (k, b) order.
+    Each correction must be a LocalOperator, checked before the map is
+    looked up, as the cache hashes the operators.  ``_transfer_map`` has
+    checked that the four share one width, so only the map's width is
+    compared with d_out; on a mismatch the error names the first correction
+    that does not act on the d_out qubits.  Every basis branch of weight
+    above 1e-30 is checked to stay normalised within 1e-12, the check that
+    a validated post-state makes; the eight (k, b) pairs are compared as
+    plain floats, in (k, b) order.
     """
-    n_out = resource.n_qubits - 1
     ops = (corrections[1], corrections[2], corrections[3], corrections[4])
     for k, op in enumerate(ops, 1):
         if not isinstance(op, LocalOperator):
             raise ValueError(f"correction {k} must be a LocalOperator, got {type(op).__name__}")
-        if len(op.factors) != n_out:
-            raise ValueError(f"correction {k} acts on {len(op.factors)} qubits, {n_out} remain")
-    both = _transfer_map(ops) @ resource.amplitudes
+    m = _transfer_map(ops)
+    a = resource.amplitudes
+    if m is None or m.shape[1] != a.size:
+        n_out = resource.n_qubits - 1
+        k, w = next((k, op.n_qubits) for k, op in enumerate(ops, 1) if op.n_qubits != n_out)
+        raise ValueError(f"correction {k} acts on {w} qubits, {n_out} remain")
+    both = m @ a
     both.setflags(write=False)
     both = both.reshape(2, 4, -1, 2)
     sq = np.abs(both)

@@ -50,6 +50,7 @@ from .states import (
     PureState,
     _Frozen,
     _Value,
+    _real,
     _require_pure,
     partial_trace,
     spectrum_entropy,
@@ -66,12 +67,13 @@ class CloneCoeffs(_Value):
 
     Values within 1e-10 of the constraint are accepted and stored rescaled
     onto it, so every state built from them passes the 1e-12 norm check.
+    Each is a real number; a str, bytes or bool raises ValueError.
     """
 
     _fields = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
-        a, b, c = float(a), float(b), float(c)
+        a, b, c = _real(a, "coefficient a"), _real(b, "coefficient b"), _real(c, "coefficient c")
         if not min(a, b, c) >= -1e-12:
             raise ValueError(f"coefficients must be nonnegative, got {(a, b, c)}")
         norm = a * a + 2 * b * b + c * c

@@ -738,6 +738,22 @@ class TestProtocolTransferOperators:
                 evaluation_targets=(1, 2),
             )
 
+    def test_width_check_names_the_first_correction_off_the_resource(self):
+        # the one-qubit output of Channel(0.3)'s resource; each set is tried
+        # twice, so the message holds on a cold and on a cached transfer map
+        resource = channel_state(Channel(0.3))
+        one, two, three = (LocalOperator.uniform(n, PAULI_I) for n in (1, 2, 3))
+        sets = {
+            "correction 3 acts on 2 qubits, 1 remain": (one, one, two, one),
+            "correction 1 acts on 3 qubits, 1 remain": (three, two, two, two),
+        }
+        for message, ops in sets.items():
+            corrections = dict(zip((1, 2, 3, 4), ops))
+            for _ in range(2):
+                with pytest.raises(ValueError) as caught:
+                    ProtocolSpec(resource, corrections, (0,))
+                assert str(caught.value) == message
+
     def test_branch_norm_check_names_the_first_offender(self):
         # outcomes 2 and 3 both stretch their branches, by (1 + 4e-13)^6 and
         # (1 + 3e-13)^6 in norm; the error reports the first in (k, b) order

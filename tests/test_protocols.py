@@ -27,6 +27,7 @@ from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.protocols import (
     ProtocolSpec,
     _STANDARD_CORRECTIONS,
+    _evaluation_view,
     enumerate_protocol_fidelity,
     mc_haar_average_fidelity,
     mc_protocol_fidelity,
@@ -285,6 +286,8 @@ class TestMonteCarlo:
         t[1] = PAULI_Z @ t[1]
         t.setflags(write=False)
         object.__setattr__(spec, "transfer", t)
+        # enumeration reads the evaluation view fixed at construction
+        object.__setattr__(spec, "_view", _evaluation_view(t, spec.evaluation_targets))
         exact = enumerate_protocol_fidelity(psi1, spec)
         assert abs(exact - 0.8646) < 5e-5
         mean, stderr = mc_protocol_fidelity(psi1, spec, 1_000_000, seed=11)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import teleportsim
-from teleportsim import states
+from teleportsim import states, telecloning
 from teleportsim import (
     Channel,
     ChannelStrategyReport,
@@ -179,6 +179,8 @@ def test_no_reachable_public_array_is_writable():
         "DensityMatrix": tp.DensityMatrix(np.diag([0.25, 0.75])),
         "LocalOperator": tp.LocalOperator((np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))),
         "ProtocolSpec": tp.standard_teleportation(tp.Channel(0.3)),
+        # a rest qubit follows a target, so its evaluation view is a transposed copy
+        "ProtocolSpec-transposed": telecloning.protocol_spec(system, (0, 2)),
         "TelecloningSystem": system,
         "TelecloneResult": tp.teleclone(psi, system),
         "BellOutcome": tp.bell_measure(tp.tensor(psi, channel_state(tp.Channel(0.3))), (0, 1)),

@@ -1,4 +1,4 @@
-"""Validating constructors reject NaN and infinite entries.
+"""Validating constructors reject NaN and infinite entries, and scalars given as text or bools.
 
 Each check is written ``if not deviation <= tolerance: raise``, so a NaN
 deviation, for which every comparison is false, fails it too.  Matrices
@@ -10,6 +10,7 @@ warning is an error in this suite).
 import numpy as np
 import pytest
 
+from teleportsim.ensembles import Channel, TwoStateEnsemble
 from teleportsim.states import DensityMatrix, LocalOperator, PureState
 from teleportsim.telecloning import CloneCoeffs
 
@@ -29,3 +30,26 @@ CONSTRUCTORS = {
 def test_constructors_reject_non_finite_entries(name, bad):
     with pytest.raises(ValueError):
         CONSTRUCTORS[name](bad)
+
+
+# each takes one value, at which 0 is valid, so the int and numpy zeros must
+# give what 0.0 gives
+SCALAR_CONSTRUCTORS = {
+    "TwoStateEnsemble": TwoStateEnsemble,
+    "Channel": Channel,
+    "CloneCoeffs-a": lambda x: CloneCoeffs(x, 0.0, 1.0),
+    "CloneCoeffs-c": lambda x: CloneCoeffs(1.0, 0.0, x),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", ["0.5", b"0.5", True, np.True_], ids=["str", "bytes", "bool", "numpy-bool"]
+)
+@pytest.mark.parametrize("name", sorted(SCALAR_CONSTRUCTORS))
+def test_scalar_values_reject_strings_and_bools(name, bad):
+    # float() would read each of these as a number; the error names the type
+    make = SCALAR_CONSTRUCTORS[name]
+    with pytest.raises(ValueError, match=f"must be a real number, got {type(bad).__name__} "):
+        make(bad)
+    for zero in (0, np.int64(0), np.float32(0.0), np.float64(0.0)):
+        assert make(zero) == make(0.0)

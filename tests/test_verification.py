@@ -116,140 +116,157 @@ def _endpoints_only(theta, alpha, f_cl):
 
 
 def _mutations():
+    """{check: [(label, module, attr, mutant)]}; each test id is ``{check}-{label}``.
+
+    A row that is its check's only one patching its attribute is labelled
+    with the attribute, and rows that share an attribute get labels of their
+    own, so adding a row renames no existing test.
+    """
     cl_opt, ch_opt, tc_opt = classical._optimum, channels._optimum, telecloning._optimum
-    fp = classical._fuchs_peres
+    fp, unamb, biased = classical._fuchs_peres, classical._unambiguous, classical._biased_guess
     pur, trace = channels._purification, v.partial_trace
     matrix, ent = telecloning._fidelity_matrix, telecloning._entanglement
     overlaps = telecloning._pair_overlaps
+    kron, entropy, chunks = states._kron_chain, ensembles.spectrum_entropy, ensembles._chunks
     paulis = {k: op.factors[0] for k, op in protocols._STANDARD_CORRECTIONS.items()}
     swapped = {2: 3, 3: 2}
     return {
         "core-norm-preservation": [
             # every LocalOperator's matrix scaled off unitary by 1e-9
-            (states, "_kron_chain", lambda fs, f=states._kron_chain: f(fs) * (1 + 1e-9)),
+            ("_kron_chain", states, "_kron_chain", lambda fs, f=kron: f(fs) * (1 + 1e-9)),
         ],
         "core-partial-trace-consistency": [
-            (v, "partial_trace", _swapped_three_qubit_trace),  # the density route only
-            (v, "partial_trace", _transposed_pure_trace),  # the amplitude route only
+            ("density-route", v, "partial_trace", _swapped_three_qubit_trace),
+            ("amplitude-route", v, "partial_trace", _transposed_pure_trace),
         ],
         "core-entropy-bounds": [
-            (v, "von_neumann_entropy", _diagonal_entropy),
+            ("von_neumann_entropy", v, "von_neumann_entropy", _diagonal_entropy),
         ],
         "core-bell-completeness": [
-            (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
+            ("_BELL_BRAS", states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
         ],
         "ensemble-entropy-decreasing": [
-            (ensembles, "spectrum_entropy", lambda p: 0.5),
+            ("spectrum_entropy", ensembles, "spectrum_entropy", lambda p: 0.5),
         ],
         "ensemble-x-symmetry": [
             # psi1 twice, so the mixture is no longer X-symmetric
-            (ensembles, "make_states", lambda ens, f=ensembles.make_states: (f(ens)[0],) * 2),
+            ("make_states", ensembles, "make_states",
+             lambda ens, f=ensembles.make_states: (f(ens)[0],) * 2),
         ],
         "ensemble-overlap-grid": [
-            (v, "overlap", lambda ens, f=v.overlap: f(ens) + 1e-9),
+            ("overlap", v, "overlap", lambda ens, f=v.overlap: f(ens) + 1e-9),
         ],
         "classical-strategy-ordering": [
-            (classical, "_optimum", _shift_first(cl_opt, lambda t: -1e-9)),
-            (classical, "_unambiguous", lambda t, f=classical._unambiguous: f(t) + 1e-9),
+            ("_optimum", classical, "_optimum", _shift_first(cl_opt, lambda t: -1e-9)),
+            ("_unambiguous", classical, "_unambiguous", lambda t, f=unamb: f(t) + 1e-9),
         ],
         "classical-optimized-symmetry": [
-            (classical, "_optimum", _shift_first(cl_opt, lambda t: 1e-8 * t)),
+            ("_optimum", classical, "_optimum", _shift_first(cl_opt, lambda t: 1e-8 * t)),
         ],
         "classical-fuchs-peres-coincidence": [
-            (classical, "_fuchs_peres", lambda t, kappa, f=fp: f(t, kappa) + 1e-8),
+            ("_fuchs_peres", classical, "_fuchs_peres", lambda t, kappa, f=fp: f(t, kappa) + 1e-8),
         ],
         "classical-evaluator-consistency": [
-            (classical, "_biased_guess", lambda t, g, f=classical._biased_guess: f(t, g) + 1e-9),
+            ("_biased_guess", classical, "_biased_guess", lambda t, g, f=biased: f(t, g) + 1e-9),
         ],
         "classical-guess-stationarity": [
-            (classical, "_guess_angle", _shift_first(classical._guess_angle, lambda t: 1e-3)),
+            ("_guess_angle", classical, "_guess_angle",
+             _shift_first(classical._guess_angle, lambda t: 1e-3)),
         ],
         "classical-unknown-state-mc": [
             # a 1.7e-3 bias, 11 standard errors at verify's default 10^6 samples
-            (ensembles, "_half_z_chunks", _mapped_half_z(lambda w: 0.995 * w)),
+            ("_half_z_chunks", ensembles, "_half_z_chunks", _mapped_half_z(lambda w: 0.995 * w)),
         ],
         "channel-horodecki-identity": [
-            (channels, "singlet_fraction", lambda c, f=channels.singlet_fraction: f(c) + 1e-6),
+            ("singlet_fraction", channels, "singlet_fraction",
+             lambda c, f=channels.singlet_fraction: f(c) + 1e-6),
         ],
         "channel-combined-dominance": [
-            (channels, "_optimum", _shift_first(ch_opt, lambda t, a, f_cl: -1e-9)),
+            ("shifted-optimum", channels, "_optimum",
+             _shift_first(ch_opt, lambda t, a, f_cl: -1e-9)),
             # still dominates both endpoints, but misses the interior optimum
-            (channels, "_optimum", _endpoints_only),
+            ("endpoints-only", channels, "_optimum", _endpoints_only),
         ],
         "channel-classical-crossover": [
-            (channels, "_direct", lambda t, a: np.ones(np.broadcast(t, a).shape)),
+            ("_direct", channels, "_direct", lambda t, a: np.ones(np.broadcast(t, a).shape)),
         ],
         "channel-endpoint-reductions": [
-            (channels, "_purification", lambda a, f_cl, f=pur: f(a, f_cl) + 1e-9),
+            ("_purification", channels, "_purification", lambda a, f_cl, f=pur: f(a, f_cl) + 1e-9),
         ],
         "channel-monotonicity": [
-            (channels, "_purification_unknown", lambda a: 2.0 / 3.0 - a),
-            (channels, "_average_direct", lambda a: 1.0 - a),
+            ("_purification_unknown", channels, "_purification_unknown", lambda a: 2.0 / 3.0 - a),
+            ("_average_direct", channels, "_average_direct", lambda a: 1.0 - a),
         ],
         "protocol-oracle-agreement": [
-            (channels, "_direct", lambda t, a, f=channels._direct: f(t, a) + 1e-9),
+            ("_direct", channels, "_direct", lambda t, a, f=channels._direct: f(t, a) + 1e-9),
             # phi- as phi+ in the bras the transfer maps read; the Monte Carlo's
             # Bell measurement reads _BELL_BRAS and is untouched
-            (states, "_BELL_BRAS_JB", _mistyped_bell_bras(1, states._BELL_BRAS_JB)),
+            ("_BELL_BRAS_JB", states, "_BELL_BRAS_JB",
+             _mistyped_bell_bras(1, states._BELL_BRAS_JB)),
         ],
         "protocol-mc-agreement": [
             # every Bell outcome left uncorrected
-            (protocols, "apply_local", lambda op, state: state),
+            ("apply_local", protocols, "apply_local", lambda op, state: state),
             # the Monte Carlo's Bell measurement only: the enumeration reads
             # _BELL_BRAS_JB, so MC disagrees with both it and the closed form
-            (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
+            ("_BELL_BRAS", states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
         ],
         "protocol-haar-average": [
             # polar angle drawn uniformly: r_z = cos(pi u) piles up at the poles
-            (ensembles, "_half_z_chunks",
+            ("uniform-polar-angle", ensembles, "_half_z_chunks",
              _mapped_half_z(lambda w: -0.5 * np.cos(np.pi * (w + 0.5)))),
             # the upper hemisphere only, r_z = u: the score is even in r_z, E[r_z] is not
-            (ensembles, "_half_z_chunks", _mapped_half_z(lambda w: -0.5 * (w + 0.5))),
+            ("upper-hemisphere", ensembles, "_half_z_chunks",
+             _mapped_half_z(lambda w: -0.5 * (w + 0.5))),
         ],
         "protocol-reproducibility": [
             # the generator seeded from fresh OS entropy instead of the seed
-            (ensembles, "_chunks",
-             lambda n, seed, f=ensembles._chunks: (f(n, seed)[0], np.random.default_rng())),
+            ("_chunks", ensembles, "_chunks",
+             lambda n, seed, f=chunks: (f(n, seed)[0], np.random.default_rng())),
         ],
         "protocol-probability-sanity": [
-            (states, "_BELL_BRAS", _mistyped_bell_bras(2)),  # psi+ as phi+
-            (states, "_BELL_BRAS", _mistyped_bell_bras(1)),  # phi- as phi+
+            ("psi-plus-as-phi-plus", states, "_BELL_BRAS", _mistyped_bell_bras(2)),
+            ("phi-minus-as-phi-plus", states, "_BELL_BRAS", _mistyped_bell_bras(1)),
         ],
         "teleclone-universal-values": [
-            (telecloning, "_entanglement", lambda a, b, c, f=ent: f(a, b, c) + 1e-8),
+            ("_entanglement", telecloning, "_entanglement",
+             lambda a, b, c, f=ent: f(a, b, c) + 1e-8),
             # the constructor does not check the marginals, so this check must
-            (telecloning, "_telecloning_amplitudes", _unbalanced_resource),
+            ("_telecloning_amplitudes", telecloning, "_telecloning_amplitudes",
+             _unbalanced_resource),
         ],
         "teleclone-correction-exactness": [
             # outcomes 2 and 3 corrected by each other's Pauli
-            (telecloning, "_CLONE_CORRECTIONS", {
+            ("_CLONE_CORRECTIONS", telecloning, "_CLONE_CORRECTIONS", {
                 k: states.LocalOperator.uniform(3, paulis[swapped.get(k, k)]) for k in paulis
             }),
         ],
         "teleclone-clone-symmetry": [
             # clone C left uncorrected
-            (telecloning, "_CLONE_CORRECTIONS", {
+            ("_CLONE_CORRECTIONS", telecloning, "_CLONE_CORRECTIONS", {
                 k: states.LocalOperator((m, m, states.PAULI_I)) for k, m in paulis.items()
             }),
         ],
         "teleclone-faithfulness": [
             # both overlaps scaled by 1 + 1e-9, the closed form by about 1 + 2e-9
-            (telecloning, "_pair_overlaps",
+            ("_pair_overlaps", telecloning, "_pair_overlaps",
              lambda t, u, f=overlaps: tuple(m * (1 + 1e-9) for m in f(t, u))),
         ],
         "teleclone-two-state-sweep": [
-            (telecloning, "_entanglement", lambda a, b, c, f=ent: f(a, b, c) + 1e-9),
+            ("_entanglement", telecloning, "_entanglement",
+             lambda a, b, c, f=ent: f(a, b, c) + 1e-9),
             # the u^T M u route the closed-form optimum is checked against
-            (telecloning, "_fidelity_matrix", lambda t, f=matrix: f(t) * (1 + 1e-9)),
+            ("_fidelity_matrix", telecloning, "_fidelity_matrix",
+             lambda t, f=matrix: f(t) * (1 + 1e-9)),
             # the closed-form F off u^T M u at the same coefficients
-            (telecloning, "_optimum", lambda t, f=tc_opt: (*f(t)[:3], f(t)[3] + 1e-9)),
+            ("_optimum", telecloning, "_optimum", lambda t, f=tc_opt: (*f(t)[:3], f(t)[3] + 1e-9)),
         ],
         "discrepancy-source-entropy": [
-            (ensembles, "spectrum_entropy", lambda p, f=ensembles.spectrum_entropy: f(p) + 1e-8),
+            ("spectrum_entropy", ensembles, "spectrum_entropy", lambda p, f=entropy: f(p) + 1e-8),
         ],
         "discrepancy-joint-clones-matrix": [
             # the ancilla and clone B instead of the clone pair
-            (v, "partial_trace", lambda rho, keep: trace(rho, (1, 2))),
+            ("partial_trace", v, "partial_trace", lambda rho, keep: trace(rho, (1, 2))),
         ],
     }
 
@@ -271,6 +288,10 @@ def test_random_local_unitary_matches_a_per_factor_qr_bit_for_bit(n, seed):
 
 def test_every_registered_check_has_a_corruption_row():
     assert list(_mutations()) == [name for name, _ in v.CHECKS]
+    # one label per row, so no test id is numbered by its row's position
+    for rows in _mutations().values():
+        labels = [label for label, *_ in rows]
+        assert len(set(labels)) == len(labels), labels
 
 
 # Four rows pin their whole fail set: no other check catches what they corrupt,
@@ -295,12 +316,12 @@ def fresh_transfer_maps():
 
 
 @pytest.mark.parametrize(
-    "name,module,attr,mutant",
+    "name,label,module,attr,mutant",
     [(name, *m) for name, ms in _mutations().items() for m in ms],
-    ids=[f"{name}-{m[1]}" for name, ms in _mutations().items() for m in ms],
+    ids=[f"{name}-{m[0]}" for name, ms in _mutations().items() for m in ms],
 )
 def test_verify_fails_when_the_kernel_it_reads_is_corrupted(
-    name, module, attr, mutant, fresh_transfer_maps, monkeypatch, tmp_path, capsys
+    name, label, module, attr, mutant, fresh_transfer_maps, monkeypatch, tmp_path, capsys
 ):
     # through the command users run, at its default settings; that every
     # check passes there is TestVerifyCommand's test in test_cli.py
@@ -313,7 +334,7 @@ def test_verify_fails_when_the_kernel_it_reads_is_corrupted(
     assert name in failed
     # k/30 with k < 30, as name failed
     assert len(lines) == 30 and summary == f"{30 - len(failed)}/30 checks passed"
-    if f"{name}-{attr}" in ONLY_THEIR_OWN:
+    if f"{name}-{label}" in ONLY_THEIR_OWN:
         assert failed == {name}
 
 
