@@ -23,7 +23,7 @@ import numpy as np
 from .classical import _optimum as _classical_optimum
 from .classical import fidelity_optimized
 from .ensembles import Channel, TwoStateEnsemble, checked_alphas, checked_thetas
-from .states import _Value
+from .states import _Value, _real
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -131,9 +131,10 @@ def combined_fidelity(
     endpoints reduce exactly: alpha' = alpha gives the direct fidelity and
     alpha' = 1/sqrt(2) gives the full purification strategy.  An alpha'
     within 1e-12 outside [alpha, 1/sqrt(2)] is accepted and clipped into
-    it, as Channel clips alpha, so (alpha/alpha')^2 never exceeds 1.
+    it, as Channel clips alpha, so (alpha/alpha')^2 never exceeds 1.  A
+    str, bytes or bool alpha' raises ValueError.
     """
-    alpha_prime = _checked_alpha_prime(channel, alpha_prime)
+    alpha_prime = _checked_alpha_prime(channel, _real(alpha_prime, "alpha_prime"))
     f_cl = fidelity_optimized(ens).fidelity
     return float(_combined(ens.theta, channel.alpha, alpha_prime, f_cl))
 

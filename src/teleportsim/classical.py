@@ -23,11 +23,13 @@ POVM strategies that check the other columns live in the tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import ensembles
 from .ensembles import TwoStateEnsemble, checked_thetas
-from .states import _Value
+from .states import _Value, _real
 
 
 class StrategyReport(_Value):
@@ -80,8 +82,14 @@ def fidelity_biased_guess(ens: TwoStateEnsemble, guess_angle: float) -> float:
     0<->1 mirror on outcome 1:
 
         cos^2(theta/2) cos^2((theta-g)/2) + sin^2(theta/2) sin^2((theta+g)/2)
+
+    ``guess_angle`` is a finite real number; a str, bytes or bool, a NaN or
+    an infinity raises ValueError.
     """
-    return float(_biased_guess(ens.theta, guess_angle))
+    g = _real(guess_angle, "guess_angle")
+    if not math.isfinite(g):
+        raise ValueError(f"guess_angle must be finite, got {g}")
+    return float(_biased_guess(ens.theta, g))
 
 
 def _optimum(theta):

@@ -109,12 +109,12 @@ def _fmt(value: float) -> str:
 
 
 def _csv(metadata: dict, header: tuple, columns) -> str:
-    """One ``%`` format per row; each cell reads as ``_fmt`` prints it."""
+    """One ``%`` format over every cell; each cell reads as ``_fmt`` prints it."""
     lines = [f"# {k}={v}" for k, v in metadata.items()]
     lines.append(",".join(header))
     rows = np.column_stack(columns) + 0.0  # -0.0 + 0.0 is 0.0
     row_format = ",".join(["%.12g"] * rows.shape[1])
-    lines.extend(row_format % tuple(row) for row in rows.tolist())
+    lines.append("\n".join([row_format] * rows.shape[0]) % tuple(rows.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -3,11 +3,12 @@
 Each check recomputes one documented invariant of the package at its stated
 tolerance and reports the measured deviation.  The registry deliberately
 pairs closed forms with independent routes (protocol enumeration, Monte
-Carlo, partial traces, finite differences) so a regression in either side
-is caught.  A check over a theta or alpha grid reads the broadcast sweep
-that the ``fig-*`` commands print (``classical_sweep``, ``channel_sweep``,
-``unknown_state_sweep``, ``telecloning_sweep``) and states its invariant as
-one array comparison.
+Carlo, partial traces, finite differences, and exact Haar averages as means
+over the six Pauli eigenstates, a spherical 3-design) so a regression in
+either side is caught.  A check over a theta or alpha grid reads the
+broadcast sweep that the ``fig-*`` commands print (``classical_sweep``,
+``channel_sweep``, ``unknown_state_sweep``, ``telecloning_sweep``) and
+states its invariant as one array comparison.
 """
 
 from __future__ import annotations
@@ -74,6 +75,35 @@ def _random_local_unitary(rng, n_qubits: int) -> LocalOperator:
     q, r = np.linalg.qr(g[:, 0] + 1j * g[:, 1])
     d = np.diagonal(r, axis1=1, axis2=2)
     return LocalOperator(q * (d / np.abs(d))[:, None, :])
+
+
+def _pauli_eigenstates():
+    """|0>, |1>, |+>, |->, |+i>, |-i>: the Bloch vectors +-z, +-x and +-y.
+
+    Built on each call, so importing the package allocates nothing for them.
+    """
+    h = np.sqrt(0.5)
+    amplitudes = ((1.0, 0.0), (0.0, 1.0), (h, h), (h, -h), (h, 1j * h), (h, -1j * h))
+    return tuple(PureState(a) for a in amplitudes)
+
+
+def _design_average(spec) -> float:
+    """The Haar average of ``spec``'s fidelity, exactly: its mean over the six Pauli eigenstates.
+
+    For a spec that scores one output qubit, the fidelity on a pure input z
+    is sum_k ||s_k||^2 with s_k = (I_rest (x) <z|) T_k z.  That is linear in
+    |z><z| (x) |z><z|, and each entry of |z><z| = (I + r.sigma)/2 is affine
+    in the Bloch vector r, so the fidelity is a polynomial of degree 2 in r.
+    The six eigenstates of X, Y and Z, the points +-x, +-y and +-z, form a
+    spherical 3-design: their mean of any polynomial of degree at most 3 in
+    r equals its mean over the sphere, which is the Haar average over pure
+    inputs.  For degree 2 that is two facts: each r_i and each r_i r_j
+    (i != j) averages to 0 on both, and each r_i^2 averages to 1/3 on both.
+    So the mean is the Haar average up to rounding, with no sampling error
+    to allow for.
+    """
+    inputs = _pauli_eigenstates()
+    return sum(pr.enumerate_protocol_fidelity(psi, spec) for psi in inputs) / len(inputs)
 
 
 # --- core linear algebra -----------------------------------------------------
@@ -235,11 +265,10 @@ def check_stationarity(cfg):
 
 
 def check_unknown_state_mc(cfg):
-    est = cl.unknown_state_classical_fidelity(cfg.samples, cfg.seed)
-    dev = abs(est - 2.0 / 3.0)
-    # 4 standard errors: the score (1 + r_z^2)/2 has variance 1/45 for r_z uniform on [-1, 1]
-    bound = 4 * np.sqrt(1.0 / (45 * cfg.samples))
-    return dev <= bound, f"Haar MC estimate {est:.6f}, |dev from 2/3| = {dev:.2e}"
+    # g = 0 guesses |0> on input 0 and |1> on input 1: the basis measurement
+    mean = _design_average(_guess_spec(0.0))
+    dev = abs(mean - 2.0 / 3.0)
+    return dev <= 1e-12, f"six-state mean {mean:.12f}, |dev from 2/3| = {dev:.2e} (tol 1e-12)"
 
 
 # --- channel strategies ----------------------------------------------------------
@@ -339,19 +368,13 @@ def check_mc_agreement(cfg):
 
 
 def check_haar_average(cfg):
-    c = Channel(np.sqrt(0.3))
-    mean, stderr = pr.mc_haar_average_fidelity(c, cfg.samples, cfg.seed)
-    dev = abs(mean - ch.average_fidelity_direct(c))
-    # the score is even in r_z, so only an odd moment of the draws tells a
-    # one-hemisphere draw from the sphere: E[r_z] = 0, Var[r_z] = 1/3
-    # mean r_z = -2 sum(w)/n over the estimators' own draws, w = -r_z/2
-    sum_w = sum(float(w.sum()) for w in ensembles._half_z_chunks(10_000, cfg.seed))
-    mean_z = abs(-2.0 * sum_w / 10_000)
-    bound_z = 4 * np.sqrt(1 / (3 * 10_000))
-    ok = dev <= 4 * stderr and mean_z <= bound_z
-    return ok, (
-        f"Haar MC dev = {dev:.2e} vs 4*stderr = {4 * stderr:.2e},"
-        f" |mean r_z| = {mean_z:.2e} vs {bound_z:.2e}"
+    worst = 0.0
+    for a2 in (0.0, 0.3, 0.5):
+        c = Channel(np.sqrt(a2))
+        mean = _design_average(pr.standard_teleportation(c))
+        worst = max(worst, abs(mean - ch.average_fidelity_direct(c)))
+    return worst <= 1e-12, (
+        f"six-state mean vs (2/3)(1 + ab) at alpha^2 = 0, 0.3, 0.5, max dev = {worst:.2e}"
     )
 
 

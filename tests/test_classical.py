@@ -8,6 +8,7 @@ from povm_strategies import (
     optimized_strategy,
     unambiguous_strategy,
 )
+from test_protocols import _mapped_half_z
 from teleportsim import ensembles
 from teleportsim.classical import (
     _biased_guess,
@@ -268,10 +269,27 @@ class TestFuchsPeres:
         assert abs(a - b) < 1e-14
 
 
+def _within_four_stderr_of_two_thirds(samples, seed):
+    """The estimate within 4 standard errors of 2/3: the score (1 + r_z^2)/2 has variance 1/45."""
+    est = unknown_state_classical_fidelity(samples, seed)
+    return abs(est - 2 / 3) <= 4 * np.sqrt(1 / (45 * samples))
+
+
 class TestUnknownStateMC:
     def test_converges_to_two_thirds(self):
         est = unknown_state_classical_fidelity(1_000_000, seed=2024)
         assert abs(est - 2 / 3) < 0.002
+
+    def test_within_four_standard_errors_at_a_million_samples(self):
+        for seed in (42, 2024, 7919):
+            assert _within_four_stderr_of_two_thirds(1_000_000, seed)
+
+    def test_four_standard_errors_catch_a_compressed_draw(self, monkeypatch):
+        # every w = -r_z/2 scaled by 0.995: a 1.7e-3 bias, 11 standard errors
+        # at 10^6 samples, which a 0.002 tolerance lets through at seed 42
+        _mapped_half_z(monkeypatch, lambda w: 0.995 * w)
+        for seed in (42, 2024, 7919):
+            assert not _within_four_stderr_of_two_thirds(1_000_000, seed)
 
     def test_deterministic_given_seed(self):
         a = unknown_state_classical_fidelity(50_000, seed=7)

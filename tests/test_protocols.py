@@ -385,11 +385,52 @@ class TestClassicalEnumeration:
             assert abs(got - fidelity_biased_guess(ens, g)) < 1e-12
 
 
+def _haar_bounds(channel, samples, seed):
+    """(estimate within 4 stderr of (2/3)(1 + ab), draws' mean r_z within 4 sigma of 0).
+
+    The score is even in r_z, so only an odd moment of the draws tells a
+    one-hemisphere draw from the sphere: E[r_z] = 0 and Var[r_z] = 1/3.
+    The mean r_z is -2 sum(w) / n over the estimator's own draws w = -r_z/2.
+    """
+    mean, stderr = mc_haar_average_fidelity(channel, samples, seed)
+    sum_w = sum(float(w.sum()) for w in ensembles._half_z_chunks(samples, seed))
+    mean_z = -2.0 * sum_w / samples
+    return (
+        abs(mean - average_fidelity_direct(channel)) <= 4 * stderr,
+        abs(mean_z) <= 4 * np.sqrt(1 / (3 * samples)),
+    )
+
+
+def _mapped_half_z(monkeypatch, g):
+    """Patch ``ensembles._half_z_chunks`` so each chunk of draws w = u - 1/2 becomes g(w)."""
+    chunks = ensembles._half_z_chunks
+    monkeypatch.setattr(
+        ensembles, "_half_z_chunks", lambda n, seed: (g(w) for w in chunks(n, seed))
+    )
+
+
 class TestHaarAverage:
     def test_reproduces_closed_form_within_four_stderr(self):
         c = Channel(np.sqrt(0.3))
         mean, stderr = mc_haar_average_fidelity(c, 1_000_000, seed=99)
         assert abs(mean - average_fidelity_direct(c)) <= 4 * stderr
+
+    def test_draws_pass_both_bounds_at_a_million_samples(self):
+        for seed in (42, 99, 7919):
+            assert _haar_bounds(Channel(np.sqrt(0.3)), 1_000_000, seed) == (True, True)
+
+    def test_four_stderr_catch_a_uniform_polar_angle(self, monkeypatch):
+        # r_z = cos(pi u) piles up at the poles, where the score is 1
+        _mapped_half_z(monkeypatch, lambda w: -0.5 * np.cos(np.pi * (w + 0.5)))
+        for seed in (42, 99, 7919):
+            assert not _haar_bounds(Channel(np.sqrt(0.3)), 1_000_000, seed)[0]
+
+    def test_mean_r_z_catches_the_upper_hemisphere(self, monkeypatch):
+        # r_z = u on [0, 1]: r_z^2 is distributed as on the sphere, so only
+        # the mean r_z, 1/2 here, tells the draw apart
+        _mapped_half_z(monkeypatch, lambda w: -0.5 * (w + 0.5))
+        for seed in (42, 99, 7919):
+            assert _haar_bounds(Channel(np.sqrt(0.3)), 1_000_000, seed) == (True, False)
 
     def test_maximal_channel(self):
         mean, stderr = mc_haar_average_fidelity(Channel(1 / np.sqrt(2)), 10_000, seed=1)

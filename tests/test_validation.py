@@ -1,4 +1,4 @@
-"""Validating constructors reject NaN and infinite entries, and scalars given as text or bools.
+"""Constructors and closed forms reject NaN and infinite values, and scalars as text or bools.
 
 Each check is written ``if not deviation <= tolerance: raise``, so a NaN
 deviation, for which every comparison is false, fails it too.  Matrices
@@ -10,6 +10,8 @@ warning is an error in this suite).
 import numpy as np
 import pytest
 
+from teleportsim.channels import combined_fidelity
+from teleportsim.classical import fidelity_biased_guess
 from teleportsim.ensembles import Channel, TwoStateEnsemble
 from teleportsim.states import DensityMatrix, LocalOperator, PureState
 from teleportsim.telecloning import CloneCoeffs
@@ -22,6 +24,9 @@ CONSTRUCTORS = {
     "LocalOperator": lambda bad: LocalOperator((np.array([[bad, 0.0], [0.0, 1.0]]),)),
     "DensityMatrix": lambda bad: DensityMatrix(np.array([[bad, 0.0], [0.0, 0.5]])),
     "DensityMatrix-coherence": lambda bad: DensityMatrix(np.array([[0.5, bad], [bad, 0.5]])),
+    # scalar arguments of closed forms: a NaN guess angle used to score as NaN
+    "combined_fidelity": lambda bad: combined_fidelity(TwoStateEnsemble(0.7), Channel(0.0), bad),
+    "fidelity_biased_guess": lambda bad: fidelity_biased_guess(TwoStateEnsemble(0.7), bad),
 }
 
 
@@ -33,12 +38,16 @@ def test_constructors_reject_non_finite_entries(name, bad):
 
 
 # each takes one value, at which 0 is valid, so the int and numpy zeros must
-# give what 0.0 gives
+# give what 0.0 gives; a bool guess angle used to score as 1 rad
 SCALAR_CONSTRUCTORS = {
     "TwoStateEnsemble": TwoStateEnsemble,
     "Channel": Channel,
     "CloneCoeffs-a": lambda x: CloneCoeffs(x, 0.0, 1.0),
     "CloneCoeffs-c": lambda x: CloneCoeffs(1.0, 0.0, x),
+    "combined_fidelity-alpha_prime": lambda x: combined_fidelity(
+        TwoStateEnsemble(0.7), Channel(0.0), x
+    ),
+    "fidelity_biased_guess": lambda g: fidelity_biased_guess(TwoStateEnsemble(0.7), g),
 }
 
 
@@ -53,3 +62,4 @@ def test_scalar_values_reject_strings_and_bools(name, bad):
         make(bad)
     for zero in (0, np.int64(0), np.float32(0.0), np.float64(0.0)):
         assert make(zero) == make(0.0)
+
