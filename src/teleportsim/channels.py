@@ -132,7 +132,7 @@ def combined_fidelity(
     alpha' = 1/sqrt(2) gives the full purification strategy.  An alpha'
     within 1e-12 outside [alpha, 1/sqrt(2)] is accepted and clipped into
     it, as Channel clips alpha, so (alpha/alpha')^2 never exceeds 1.  A
-    str, bytes or bool alpha' raises ValueError.
+    str, bytes, bool or complex alpha' raises ValueError.
     """
     alpha_prime = _checked_alpha_prime(channel, _real(alpha_prime, "alpha_prime"))
     f_cl = fidelity_optimized(ens).fidelity

@@ -83,8 +83,8 @@ def fidelity_biased_guess(ens: TwoStateEnsemble, guess_angle: float) -> float:
 
         cos^2(theta/2) cos^2((theta-g)/2) + sin^2(theta/2) sin^2((theta+g)/2)
 
-    ``guess_angle`` is a finite real number; a str, bytes or bool, a NaN or
-    an infinity raises ValueError.
+    ``guess_angle`` is a finite real number; a str, bytes, bool or complex, a
+    NaN or an infinity raises ValueError.
     """
     g = _real(guess_angle, "guess_angle")
     if not math.isfinite(g):

@@ -44,7 +44,7 @@ DEFAULT_CHUNK = 1 << 16
 class TwoStateEnsemble(_Value):
     """Equal-prior pair of non-orthogonal qubit states with overlap sin(theta).
 
-    ``theta`` is a real number; a str, bytes or bool raises ValueError.
+    ``theta`` is a real number; a str, bytes, bool or complex raises ValueError.
     """
 
     _fields = ("theta",)
@@ -59,7 +59,7 @@ class TwoStateEnsemble(_Value):
 class Channel(_Value):
     """Pure entangled resource alpha|00> + beta|11>, alpha <= beta.
 
-    ``alpha`` is a real number; a str, bytes or bool raises ValueError.
+    ``alpha`` is a real number; a str, bytes, bool or complex raises ValueError.
     """
 
     _fields = ("alpha",)

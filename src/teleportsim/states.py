@@ -23,13 +23,14 @@ owned, read-only complex copy of its amplitudes; a ``PureState`` and a
 ``DensityMatrix`` store the qubit count that their dimension check derived,
 so reading ``n_qubits`` derives nothing; a ``LocalOperator`` copies its
 factors once into one read-only (n, 2, 2) stack, checks the whole stack for
-finiteness and for unitarity, and builds its matrix as one Kronecker chain
-over it; a ``DensityMatrix`` copies its elements once and keeps the spectrum
-that its positivity check computed, which ``von_neumann_entropy`` reads; a
-correction set's four widths are checked to agree once, when its cached
-map is built, so a spec on a known set compares one width with its
-resource's; and a ``TelecloneResult``'s reduced states are built and
-validated when they are first read.
+finiteness and for unitarity, bounds the whole operator's norm change from
+one ``eigvalsh`` of the factors' grams, and builds its matrix as one
+Kronecker chain over it; the transfer operators of a spec inherit that
+bound from its corrections, so none of their branches is checked again; a
+``DensityMatrix`` copies its elements once and keeps the spectrum that its
+positivity check computed, which ``von_neumann_entropy`` reads; and a
+``TelecloneResult``'s reduced states are built and validated when they are
+first read.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ def _is_integer(value) -> bool:
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; a str, bytes or (numpy) bool raises ValueError naming its type."""
+    """``value`` as a float; a str, bytes, bool or complex, numpy's too, raises ValueError."""
     if value.__class__ is float:
         return value
-    if isinstance(value, (str, bytes, bool, np.bool_)):
+    if isinstance(value, (str, bytes, bool, np.bool_, complex, np.complexfloating)):
         raise ValueError(f"{name} must be a real number, got {type(value).__name__} {value!r}")
     return float(value)
 
@@ -223,7 +224,11 @@ class LocalOperator(_Frozen):
     """Tensor product of single-qubit unitaries, one 2x2 factor per qubit.
 
     ``factors`` are read-only views of one owned (n, 2, 2) copy of the
-    given factors.
+    given factors.  Each factor must be unitary within 1e-12, and the whole
+    operator U must preserve norms within 1e-12: ||U^dagger U - I||_2, from
+    the extreme eigenvalues of the factors' grams, is at most 1e-12, so
+    | ||U x||^2 - ||x||^2 | <= 1e-12 ||x||^2 for every x.  Factors that each
+    pass the first check can fail the second on enough qubits.
     """
 
     _fields = ("factors",)
@@ -242,6 +247,12 @@ class LocalOperator(_Frozen):
         gram = stack @ stack.conj().transpose(0, 2, 1)
         if not np.abs(gram - np.eye(2)).max() <= _HERM_ATOL:
             raise ValueError("factor is not unitary within 1e-12")
+        # U^dagger U is the Kronecker product of the F^dagger F, which share
+        # the spectra of these F F^dagger, so its extreme eigenvalues are the
+        # products of theirs
+        w = np.linalg.eigvalsh(gram)
+        if not max(w[:, 1].prod() - 1.0, 1.0 - w[:, 0].prod()) <= _NORM_ATOL:
+            raise ValueError("operator is not norm-preserving within 1e-12")
         stack.setflags(write=False)
         m = _kron_chain(stack)
         m.setflags(write=False)
@@ -375,40 +386,31 @@ def bell_measure(state: PureState, pair: tuple) -> list:
 
 
 @lru_cache(maxsize=8)
-def _transfer_map(ops: tuple) -> Optional[np.ndarray]:
-    """Read-only (16 d, 2 d) map from a resource's amplitudes to its residuals and T.
+def _transfer_map(ops: tuple) -> np.ndarray:
+    """Read-only (8 d, 2 d) map from a resource's amplitudes to its transfer operators T.
 
     ``ops`` is the tuple of the four correction LocalOperators, each a d x d
-    matrix on the resource's output qubits.  That the four act on one number
-    of qubits is checked here, once per set: a set that mixes widths fits no
-    resource, so its entry is None, and ``_bell_transfer`` names the first
-    correction whose width is not the resource's.  The rows hold two stacked
-    maps, each (4, d, 2) in the (k, out, b) layout of a transfer operator
-    and equal to ``einsum("koq,kjb->kobjq", U, _BELL_BRAS_JB)``: first with
-    U[k] = I (the uncorrected residuals), then with U[k] = ops[k] (T).  The
-    columns are the resource's amplitude index (j, q), so one matmul with
-    the amplitudes gives both.  The map depends on the corrections alone,
-    and most callers pass module-constant sets, so it is cached per set:
-    keyed by the operators' identity (LocalOperator is frozen and hashes by
-    id), and bounded, because the cache keeps each key's operators alive.
-    Production passes three module-constant sets, the standard, clone and
-    guess corrections (``verification._GUESS_CORRECTIONS``), so a cold
-    ``verify`` run builds 3 maps and a warm one none.  A patched
+    matrix on the resource's output qubits; ``_bell_transfer`` has checked
+    that all four act on one number of qubits.  The rows are T's (k, out, b)
+    layout and the columns the resource's amplitude index (j, q): the map is
+    ``einsum("koq,kjb->kobjq", U, _BELL_BRAS_JB)`` with U[k] = ops[k], so one
+    matmul with the amplitudes gives T.  The map depends on the corrections
+    alone, and most callers pass module-constant sets, so it is cached per
+    set: keyed by the operators' identity (LocalOperator is frozen and
+    hashes by id), and bounded, because the cache keeps each key's operators
+    alive.  Production passes three module-constant sets, the standard,
+    clone and guess corrections (``verification._GUESS_CORRECTIONS``), so a
+    cold ``verify`` run builds 3 maps and a warm one none.  A patched
     ``_BELL_BRAS_JB`` does not reach a map already cached, so a test that
     patches it calls ``_transfer_map.cache_clear()`` before and after.
     """
-    if any(op.n_qubits != ops[0].n_qubits for op in ops[1:]):
-        return None
-    d = ops[0].matrix().shape[0]
-    iu = np.empty((2, 4, d, d), dtype=complex)
-    iu[0] = np.eye(d)
-    iu[1] = [op.matrix() for op in ops]
+    u = np.array([op.matrix() for op in ops])
     # that einsum sums over no index, so it is this broadcast product, laid
     # out in C order so that the reshape below is a view
     bras = _BELL_BRAS_JB.transpose(0, 2, 1)[:, None, :, :, None]
-    both = np.multiply(iu[:, :, :, None, None, :], bras, order="C")
-    both.setflags(write=False)
-    return both.reshape(16 * d, 2 * d)
+    m = np.multiply(u[:, :, None, None, :], bras, order="C")
+    m.setflags(write=False)
+    return m.reshape(8 * u.shape[1], 2 * u.shape[1])
 
 
 def _bell_transfer(resource: PureState, corrections) -> np.ndarray:
@@ -418,38 +420,24 @@ def _bell_transfer(resource: PureState, corrections) -> np.ndarray:
     outcome k maps the input z to its corrected, unnormalised output
     ``T[k] @ z`` on the resource's other qubits.  For the basis input |b> the
     residual of outcome k is sum_j <Bell_k|b j> resource[j, :], and T[k] is
-    ``corrections[k]`` applied to it; both are linear in the resource, so
-    one product of the cached ``_transfer_map`` of the four corrections with
-    the resource's amplitudes gives every residual and every T[k] at once.
-    Each correction must be a LocalOperator, checked before the map is
-    looked up, as the cache hashes the operators.  ``_transfer_map`` has
-    checked that the four share one width, so only the map's width is
-    compared with d_out; on a mismatch the error names the first correction
-    that does not act on the d_out qubits.  Every basis branch of weight
-    above 1e-30 is checked to stay normalised within 1e-12, the check that
-    a validated post-state makes; the eight (k, b) pairs are compared as
-    plain floats, in (k, b) order.
+    ``corrections[k]`` applied to it; that is linear in the resource, so one
+    product of the cached ``_transfer_map`` of the four corrections with the
+    resource's amplitudes gives every T[k] at once.  Each correction must be
+    a LocalOperator on the d_out qubits, checked in outcome order before the
+    map is looked up, as the cache hashes the operators; the error names the
+    first correction that fails.  A LocalOperator preserves norms within
+    1e-12, so every branch of T does too, and T is not checked again here.
     """
+    n_out = resource.n_qubits - 1
     ops = (corrections[1], corrections[2], corrections[3], corrections[4])
     for k, op in enumerate(ops, 1):
         if not isinstance(op, LocalOperator):
             raise ValueError(f"correction {k} must be a LocalOperator, got {type(op).__name__}")
-    m = _transfer_map(ops)
-    a = resource.amplitudes
-    if m is None or m.shape[1] != a.size:
-        n_out = resource.n_qubits - 1
-        k, w = next((k, op.n_qubits) for k, op in enumerate(ops, 1) if op.n_qubits != n_out)
-        raise ValueError(f"correction {k} acts on {w} qubits, {n_out} remain")
-    both = m @ a
-    both.setflags(write=False)
-    both = both.reshape(2, 4, -1, 2)
-    sq = np.abs(both)
-    sq *= sq
-    p, norm = np.add.reduce(sq, axis=2).reshape(2, 8).tolist()
-    for pb, nb in zip(p, norm):
-        if pb > 1e-30 and abs(nb - pb) > _NORM_ATOL * pb:
-            raise ValueError(f"state not normalized: sum |a|^2 = {nb / pb!r}")
-    return both[1]
+        if op.n_qubits != n_out:
+            raise ValueError(f"correction {k} acts on {op.n_qubits} qubits, {n_out} remain")
+    t = _transfer_map(ops) @ resource.amplitudes
+    t.setflags(write=False)
+    return t.reshape(4, -1, 2)
 
 
 def apply_local(op: LocalOperator, state: PureState) -> PureState:

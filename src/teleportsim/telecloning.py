@@ -67,7 +67,7 @@ class CloneCoeffs(_Value):
 
     Values within 1e-10 of the constraint are accepted and stored rescaled
     onto it, so every state built from them passes the 1e-12 norm check.
-    Each is a real number; a str, bytes or bool raises ValueError.
+    Each is a real number; a str, bytes, bool or complex raises ValueError.
     """
 
     _fields = ("a", "b", "c")

@@ -587,7 +587,7 @@ class TestProtocolTransferOperators:
         ops = tuple(corrections[k] for k in (1, 2, 3, 4))
         m = states._transfer_map(ops)
         d = ops[0].matrix().shape[0]
-        assert m.shape == (16 * d, 2 * d)
+        assert m.shape == (8 * d, 2 * d)
         assert_read_only_to_the_base(m)
         bras = BELL_VECTORS.conj().reshape(4, 2, 2)  # (k, b, j)
         for _ in range(3):
@@ -595,9 +595,7 @@ class TestProtocolTransferOperators:
             a /= np.linalg.norm(a)
             residuals = np.einsum("kbj,jo->kob", bras, a.reshape(2, d))
             t = np.array([op.matrix() for op in ops]) @ residuals
-            both = (m @ a).reshape(2, 4, d, 2)
-            assert np.abs(both[0] - residuals).max() < 1e-15
-            assert np.abs(both[1] - t).max() < 1e-15
+            assert np.abs((m @ a).reshape(4, d, 2) - t).max() < 1e-15
 
     def test_same_corrections_reuse_the_cached_map(self):
         for build in (
@@ -727,20 +725,10 @@ class TestProtocolTransferOperators:
                 corrections={k: LocalOperator.uniform(2, PAULI_I) for k in (1, 2, 3, 4)},
                 evaluation_targets=(0,),
             )
-        # each factor passes the 1e-12 unitarity check, their product on three
-        # qubits scales a branch norm by 1 + 2.4e-12
-        stretched = LocalOperator.uniform(3, (1 + 4e-13) * np.eye(2))
-        system = TelecloningSystem(universal_coeffs())
-        with pytest.raises(ValueError, match="not normalized"):
-            ProtocolSpec(
-                resource_state=system.state,
-                corrections={k: stretched for k in (1, 2, 3, 4)},
-                evaluation_targets=(1, 2),
-            )
 
     def test_width_check_names_the_first_correction_off_the_resource(self):
         # the one-qubit output of Channel(0.3)'s resource; each set is tried
-        # twice, so the message holds on a cold and on a cached transfer map
+        # twice, and no map is built for it, so both tries name the same correction
         resource = channel_state(Channel(0.3))
         one, two, three = (LocalOperator.uniform(n, PAULI_I) for n in (1, 2, 3))
         sets = {
@@ -753,17 +741,3 @@ class TestProtocolTransferOperators:
                 with pytest.raises(ValueError) as caught:
                     ProtocolSpec(resource, corrections, (0,))
                 assert str(caught.value) == message
-
-    def test_branch_norm_check_names_the_first_offender(self):
-        # outcomes 2 and 3 both stretch their branches, by (1 + 4e-13)^6 and
-        # (1 + 3e-13)^6 in norm; the error reports the first in (k, b) order
-        system = TelecloningSystem(universal_coeffs())
-        corrections = {k: LocalOperator.uniform(3, PAULI_I) for k in (1, 4)}
-        corrections[2] = LocalOperator.uniform(3, (1 + 4e-13) * np.eye(2))
-        corrections[3] = LocalOperator.uniform(3, (1 + 3e-13) * np.eye(2))
-        with pytest.raises(ValueError, match="not normalized") as caught:
-            ProtocolSpec(
-                resource_state=system.state, corrections=corrections, evaluation_targets=(1, 2)
-            )
-        reported = float(str(caught.value).rsplit("= ", 1)[1])
-        assert abs(reported - (1 + 4e-13) ** 6) < 1e-14

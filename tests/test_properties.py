@@ -2,8 +2,9 @@
 
 The classical and channel closed forms, the telecloning closed forms
 against the protocol, the resource's partial trace and u^T M u, and the partial
-trace of a pure state from its amplitudes against its density matrix.
-Hypothesis runs derandomized, so every run draws the same examples.
+trace of a pure state from its amplitudes against its density matrix,
+and the norm bound of every LocalOperator that is accepted.  Hypothesis
+runs derandomized, so every run draws the same examples.
 """
 
 from itertools import combinations
@@ -26,7 +27,14 @@ from teleportsim.channels import (
 from teleportsim.classical import classical_sweep, fidelity_optimized
 from teleportsim.ensembles import Channel, TwoStateEnsemble, make_states
 from teleportsim.protocols import enumerate_protocol_fidelity
-from teleportsim.states import PureState, fidelity, partial_trace, tensor, von_neumann_entropy
+from teleportsim.states import (
+    LocalOperator,
+    PureState,
+    fidelity,
+    partial_trace,
+    tensor,
+    von_neumann_entropy,
+)
 from teleportsim.telecloning import (
     CloneCoeffs,
     TelecloningSystem,
@@ -165,3 +173,30 @@ def test_invalid_keep_raises_the_same_error_for_both_inputs(n, keep):
     with pytest.raises(ValueError) as dense:
         partial_trace(psi.density(), keep)
     assert str(pure.value) == str(dense.value)
+
+
+def _near_unitary(rng, spread):
+    """V diag(1 + e) W with V, W Haar-random unitaries and e uniform in [-spread, spread]."""
+    v, w = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+            for _ in range(2))
+    return v @ np.diag(1.0 + rng.uniform(-spread, spread, 2)) @ w
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(1, 5), spread=st.floats(0.0, 4.5e-13), seed=st.integers(0, 2**32 - 1))
+@example(n=1, spread=0.0, seed=0)
+@example(n=5, spread=4.5e-13, seed=0)
+@example(n=2, spread=3e-13, seed=1)
+def test_an_accepted_local_operator_preserves_every_norm(n, spread, seed):
+    # each factor's gram is off by at most about 2 * spread <= 9e-13, so the
+    # per-factor check passes every one, and only the bound on the product decides
+    rng = np.random.default_rng(seed)
+    try:
+        op = LocalOperator(tuple(_near_unitary(rng, spread) for _ in range(n)))
+    except ValueError as err:
+        assert str(err) == "operator is not norm-preserving within 1e-12"
+        return
+    x = rng.standard_normal((2**n, 8)) + 1j * rng.standard_normal((2**n, 8))
+    x /= np.linalg.norm(x, axis=0)
+    y = op.matrix() @ x
+    assert np.abs(np.einsum("ij,ij->j", y.conj(), y).real - 1.0).max() <= 1e-12

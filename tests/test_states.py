@@ -25,6 +25,9 @@ ZERO = PureState(np.array([1.0, 0.0]))
 ONE = PureState(np.array([0.0, 1.0]))
 PLUS = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
 MINUS = PureState(np.array([1.0, -1.0]) / np.sqrt(2))
+# scaled identities just inside the per-factor unitarity check
+STRETCHED = (1 + 4e-13) * np.eye(2)
+SHRUNK = (1 - 4e-13) * np.eye(2)
 
 
 def random_state(rng, n):
@@ -370,14 +373,24 @@ class TestValidation:
             ((PAULI_I, np.diag([np.inf, 1.0]), PAULI_Z), "factor has a non-finite entry"),
             ((PAULI_I, np.diag([1.0, 2.0]), PAULI_Z), "factor is not unitary within 1e-12"),
             ((), "LocalOperator needs at least one factor"),
+            # each factor passes the 1e-12 unitarity check (its gram is off by
+            # 8e-13), but three of them change a squared norm by 2.4e-12
+            ((STRETCHED,) * 3, "operator is not norm-preserving within 1e-12"),
+            ((SHRUNK,) * 3, "operator is not norm-preserving within 1e-12"),
         ],
-        ids=["shape", "nan", "inf", "non-unitary", "no-factors"],
+        ids=["shape", "nan", "inf", "non-unitary", "no-factors", "stretched", "shrunk"],
     )
     def test_local_operator_names_its_single_fault(self, factors, message):
         # the faulty factor sits between valid ones, as the stack is checked whole
         with pytest.raises(ValueError) as err:
             LocalOperator(factors)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("factor", [STRETCHED, SHRUNK], ids=["stretched", "shrunk"])
+    def test_one_near_unitary_factor_is_accepted(self, factor):
+        # on one qubit the same factor changes a norm by 8e-13, within 1e-12
+        op = LocalOperator((factor,))
+        assert np.array_equal(op.matrix(), factor)
 
     def test_states_are_immutable(self):
         with pytest.raises((ValueError, RuntimeError)):

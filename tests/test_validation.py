@@ -1,4 +1,4 @@
-"""Constructors and closed forms reject NaN and infinite values, and scalars as text or bools.
+"""Constructors and closed forms reject NaN and infinite values, and text, bool or complex scalars.
 
 Each check is written ``if not deviation <= tolerance: raise``, so a NaN
 deviation, for which every comparison is false, fails it too.  Matrices
@@ -52,11 +52,15 @@ SCALAR_CONSTRUCTORS = {
 
 
 @pytest.mark.parametrize(
-    "bad", ["0.5", b"0.5", True, np.True_], ids=["str", "bytes", "bool", "numpy-bool"]
+    "bad",
+    ["0.5", b"0.5", True, np.True_,
+     complex(0.5, 0.3), np.complex128(0.5 + 0.3j), np.complex64(0.5)],
+    ids=["str", "bytes", "bool", "numpy-bool", "complex", "numpy-complex128", "numpy-complex64"],
 )
 @pytest.mark.parametrize("name", sorted(SCALAR_CONSTRUCTORS))
 def test_scalar_values_reject_strings_and_bools(name, bad):
-    # float() would read each of these as a number; the error names the type
+    # float() would read each of these as a number, or raise TypeError on a
+    # Python complex and drop a numpy complex's imaginary part; the error names the type
     make = SCALAR_CONSTRUCTORS[name]
     with pytest.raises(ValueError, match=f"must be a real number, got {type(bad).__name__} "):
         make(bad)
